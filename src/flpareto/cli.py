@@ -6,8 +6,9 @@
     flpareto hv        --file front.json --ref 3 3
     flpareto benchmark --name zdt1 --algorithm nsga2 [--seed N ...] ...
 
-Environment overrides: FLPARETO_OUT (output directory) and
-FLPARETO_WORKERS (worker count).  CLI flags beat both.
+Environment overrides: FLPARETO_OUT (output directory) and FLPARETO_WORKERS
+(seeds run at once, one process each, capped at the seed count; evaluations
+within a seed run serially).  CLI flags beat both.
 """
 
 from __future__ import annotations

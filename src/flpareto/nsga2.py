@@ -8,7 +8,6 @@ A random-search baseline with the same record stream lives here too.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,7 +49,6 @@ class NsgaConfig:
     eta_mutation: float = 20.0
     chromosome: str = "real"  # "real" | "binary"
     bits_per_var: int = 12
-    workers: int = 1
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -189,12 +187,10 @@ def _chromosome_to_genes(chrom: np.ndarray, cfg: NsgaConfig, dim: int) -> np.nda
     return bits_to_unit(chrom, dim, cfg.bits_per_var)
 
 
-def evaluate_batch(
-    problem: Problem, X: np.ndarray, seeds: np.ndarray, workers: int = 1
-) -> np.ndarray:
-    """Order-preserving (and therefore worker-count-independent) map."""
-
-    def one(i: int) -> np.ndarray:
+def evaluate_batch(problem: Problem, X: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Evaluate the rows of X one at a time, in order."""
+    rows = np.empty((X.shape[0], problem.n_obj))
+    for i in range(X.shape[0]):
         try:
             y = np.asarray(problem.evaluate(X[i : i + 1], seeds[i : i + 1]), dtype=float)
         except EvaluationError:
@@ -203,16 +199,8 @@ def evaluate_batch(
             raise EvaluationError(
                 f"evaluator failed on solution {X[i].tolist()}: {exc}", solution=X[i]
             ) from exc
-        return y.reshape(problem.n_obj)
-
-    if X.shape[0] == 0:
-        return np.empty((0, problem.n_obj))
-    if workers <= 1:
-        rows = [one(i) for i in range(X.shape[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(X.shape[0])))
-    return np.stack(rows)
+        rows[i] = y.reshape(problem.n_obj)
+    return rows
 
 
 def rank_and_crowding(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +290,7 @@ def run_nsga2(
             pop = rng_init.integers(0, 2, size=(N, chrom_len)).astype(float)
         genes = _chromosome_to_genes(pop, cfg, problem.dim)
         seeds = np.array([spawn_seed(seed, TAG_EVAL, 0, i) for i in range(N)])
-        raw = evaluate_batch(problem, genes, seeds, cfg.workers)
+        raw = evaluate_batch(problem, genes, seeds)
         archive.append_batch(genes, raw, generation=0)
         pop_raw = raw
         pop_idx = list(range(N))
@@ -340,7 +328,7 @@ def run_nsga2(
 
         child_genes = _chromosome_to_genes(children, cfg, problem.dim)
         seeds = np.array([spawn_seed(seed, TAG_EVAL, t, i) for i in range(N)])
-        child_raw = evaluate_batch(problem, child_genes, seeds, cfg.workers)
+        child_raw = evaluate_batch(problem, child_genes, seeds)
         first_child_idx = len(archive)
         archive.append_batch(child_genes, child_raw, generation=t)
 
@@ -379,7 +367,6 @@ def run_random_search(
     seed: int,
     constraints: ConstraintSpec | None = None,
     ref_point: np.ndarray | None = None,
-    workers: int = 1,
     on_generation: Callable[[int, Archive, list, dict], None] | None = None,
     resume: dict | None = None,
 ) -> RunResult:
@@ -394,7 +381,7 @@ def run_random_search(
         rng0 = stream(seed, TAG_INIT)
         X0 = rng0.random((N, problem.dim))
         seeds = np.array([spawn_seed(seed, TAG_EVAL, 0, i) for i in range(N)])
-        archive.append_batch(X0, evaluate_batch(problem, X0, seeds, workers), 0)
+        archive.append_batch(X0, evaluate_batch(problem, X0, seeds), 0)
         t_start = 1
     else:
         archive = resume["archive"]
@@ -404,7 +391,7 @@ def run_random_search(
     for t in range(t_start, generations + 1):
         X = stream(seed, TAG_RANDOM, t).random((N, problem.dim))
         seeds = np.array([spawn_seed(seed, TAG_EVAL, t, i) for i in range(N)])
-        archive.append_batch(X, evaluate_batch(problem, X, seeds, workers), t)
+        archive.append_batch(X, evaluate_batch(problem, X, seeds), t)
         records.append(_record(archive, t, z))
         if on_generation is not None:
             on_generation(t, archive, records, {})

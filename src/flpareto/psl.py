@@ -46,7 +46,6 @@ class PslConfig:
     ideal_margin: float = 0.05
     warm_start: bool = True
     hvi_use_penalized: bool = True
-    workers: int = 1
 
     def __post_init__(self):
         if self.generations < 0 or self.batch_size < 1:
@@ -304,7 +303,7 @@ def run_psl(
         archive = Archive(constraints=constraints)
         X0 = latin_hypercube(n_init, problem.dim, stream(seed, TAG_INIT))
         seeds = np.array([spawn_seed(seed, TAG_EVAL, 0, i) for i in range(n_init)])
-        archive.append_batch(X0, evaluate_batch(problem, X0, seeds, cfg.workers), 0)
+        archive.append_batch(X0, evaluate_batch(problem, X0, seeds), 0)
         model = ParetoSetModel.create(
             problem.n_obj, problem.dim, cfg.hidden, stream(seed, TAG_PSL_MODEL, 0)
         )
@@ -357,7 +356,7 @@ def run_psl(
         picked = greedy_hvi_select(cand_scores, base, N, z)
         X_new = cand[picked]
         seeds = np.array([spawn_seed(seed, TAG_EVAL, t, i) for i in range(N)])
-        archive.append_batch(X_new, evaluate_batch(problem, X_new, seeds, cfg.workers), t)
+        archive.append_batch(X_new, evaluate_batch(problem, X_new, seeds), t)
 
         records.append(_record(archive, t, z))
         diag = {

@@ -16,10 +16,12 @@ a larger generation budget) resumes from the last completed generation.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import hashlib
 import json
 import os
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from .moo import Archive, ConstraintSpec, Problem
 from .nsga2 import GenerationRecord, NsgaConfig, RunResult, run_nsga2, run_random_search
 from .psl import PslConfig, run_psl
 from .schema import SCHEMA_VERSION, TRACE_COLUMNS
-from .settings import FL_SETTINGS, build_fl_problem, default_ref_point
+from .settings import FL_OPTION_KEYS, FL_SETTINGS, build_fl_problem, default_ref_point
 
 __all__ = ["normalize_manifest", "run_manifest", "load_front_file"]
 
@@ -66,6 +68,11 @@ def _require(cond: bool, field: str, msg: str) -> None:
         raise ManifestError(f"manifest field {field!r}: {msg}")
 
 
+def _reject_unknown(given: dict, known, prefix: str = "") -> None:
+    extra = sorted(set(given) - set(known))
+    _require(not extra, ",".join(prefix + k for k in extra), "unknown field(s)")
+
+
 def normalize_manifest(raw: dict) -> dict:
     """Validate a manifest and fill in defaults (field-level errors)."""
     known = {
@@ -73,8 +80,7 @@ def normalize_manifest(raw: dict) -> dict:
         "population", "ref_point", "dim", "workers", "out_dir", "fl", "ga",
         "psl", "checkpoint_every",
     }
-    extra = set(raw) - known
-    _require(not extra, ",".join(sorted(extra)), "unknown field(s)")
+    _reject_unknown(raw, known)
 
     m = dict(raw)
     _require(m.get("algorithm") in ALGORITHMS, "algorithm", f"must be one of {ALGORITHMS}")
@@ -121,6 +127,7 @@ def normalize_manifest(raw: dict) -> dict:
         m["ref_point"] = [float(v) for v in rp]
 
     fl = dict(m.get("fl", {}))
+    _reject_unknown(fl, FL_OPTION_KEYS, "fl.")
     if setting in FL_SETTINGS:
         for key, lo in (("clients", 1), ("rounds", 0), ("local_epochs", 1), ("batch_size", 1), ("width_max", 1)):
             if key in fl:
@@ -128,25 +135,21 @@ def normalize_manifest(raw: dict) -> dict:
                 _require(fl[key] >= lo, f"fl.{key}", f"must be >= {lo}")
     m["fl"] = fl
 
-    ga = {**_GA_DEFAULTS, **m.get("ga", {})}
+    for block, defaults in (("ga", _GA_DEFAULTS), ("psl", _PSL_DEFAULTS)):
+        _reject_unknown(m.get(block, {}), defaults, f"{block}.")
+        m[block] = {**defaults, **m.get(block, {})}
+    ga = m["ga"]
     _require(ga["chromosome"] in ("real", "binary"), "ga.chromosome", "must be 'real' or 'binary'")
     for key in ("crossover_prob", "mutation_prob"):
         _require(0.0 <= float(ga[key]) <= 1.0, f"ga.{key}", "must lie in [0, 1]")
-    m["ga"] = ga
-
-    psl = {**_PSL_DEFAULTS, **m.get("psl", {})}
-    _require(int(psl["candidates"]) >= m["population"], "psl.candidates", "must be >= population")
-    m["psl"] = psl
+    _require(int(m["psl"]["candidates"]) >= m["population"], "psl.candidates", "must be >= population")
     return m
 
 
 def _build_problem(manifest: dict) -> Problem:
-    setting = manifest["setting"]
-    if setting in BENCHMARKS:
-        problem = get_benchmark(setting, manifest.get("dim"))
-    else:
-        problem = build_fl_problem(setting, manifest["fl"])
-    return problem
+    if manifest["setting"] in BENCHMARKS:
+        return get_benchmark(manifest["setting"], manifest.get("dim"))
+    return build_fl_problem(manifest["setting"], manifest["fl"])
 
 
 def _constraints_for_mode(problem: Problem, mode: str) -> ConstraintSpec:
@@ -248,9 +251,9 @@ def _records_from_list(rows: list[dict]) -> list[GenerationRecord]:
     ]
 
 
-def _run_one_seed(
-    manifest: dict, problem: Problem, seed: int, out: Path
-) -> RunResult:
+def _run_one_seed(manifest: dict, seed: int, out: Path) -> RunResult:
+    """Run one seed; rebuilds its own Problem, so it can run in a worker process."""
+    problem = _build_problem(manifest)
     constraints = _constraints_for_mode(problem, manifest["constraint_mode"])
     z = _ref_point(manifest, problem)
     algo = manifest["algorithm"]
@@ -299,7 +302,6 @@ def _run_one_seed(
             eta_mutation=float(manifest["ga"]["eta_mutation"]),
             chromosome=manifest["ga"]["chromosome"],
             bits_per_var=int(manifest["ga"]["bits_per_var"]),
-            workers=manifest["workers"],
         )
         return run_nsga2(
             problem, cfg, seed, constraints=constraints, ref_point=z,
@@ -319,7 +321,6 @@ def _run_one_seed(
             lcb_beta=float(p["lcb_beta"]),
             warm_start=bool(p["warm_start"]),
             hvi_use_penalized=bool(p["hvi_use_penalized"]),
-            workers=manifest["workers"],
         )
         return run_psl(
             problem, cfg, seed, constraints=constraints, ref_point=z,
@@ -327,7 +328,7 @@ def _run_one_seed(
         )
     return run_random_search(
         problem, manifest["population"], T, seed,
-        constraints=constraints, ref_point=z, workers=manifest["workers"],
+        constraints=constraints, ref_point=z,
         on_generation=checkpoint, resume=resume,
     )
 
@@ -391,11 +392,17 @@ def run_manifest(manifest: dict) -> dict:
     manifest = normalize_manifest(manifest)
     out = Path(manifest["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    problem = _build_problem(manifest)
 
-    results: dict[int, RunResult] = {}
-    for seed in manifest["seeds"]:
-        results[seed] = _run_one_seed(manifest, problem, seed, out)
+    # seeds are the only parallel axis; concurrent.futures imports its process
+    # pool (and multiprocessing) on first use, so serial runs never load it
+    seeds = manifest["seeds"]
+    workers = min(manifest["workers"], len(seeds))
+    if workers == 1:
+        runs = [_run_one_seed(manifest, seed, out) for seed in seeds]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            runs = list(pool.map(_run_one_seed, repeat(manifest), seeds, repeat(out)))
+    results: dict[int, RunResult] = dict(zip(seeds, runs))
 
     # out_dir and workers are execution details that must not break the
     # byte-identical-artifacts guarantee, so the echo omits them

@@ -102,6 +102,11 @@ def default_ref_point(setting: str, fl_options: dict | None = None) -> np.ndarra
     raise ValueError(f"unknown FL setting {setting!r}")
 
 
+# The fl options this module reads; a manifest may set no other
+FL_OPTION_KEYS = ("dataset", "clients", "rounds", "local_epochs", "batch_size", "width_max",
+                  "c1", "payload_bits", "c2", "weighted", "cost_model", "sf_average_all")
+
+
 def make_run_config(setting: str, values: dict, fl_options: dict, seed: int) -> FLRunConfig:
     """Assemble an FLRunConfig from decoded hyperparameter values."""
     ds = {**SYNTHETIC_DEFAULTS, **fl_options.get("dataset", {})}

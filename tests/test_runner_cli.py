@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -53,10 +54,21 @@ class TestManifestValidation:
         with pytest.raises(ManifestError, match="population"):
             normalize_manifest(_zdt_manifest("x", population=1))
 
-    def test_ref_point_dimension_checked(self, tmp_path):
-        m = _zdt_manifest(tmp_path / "r", ref_point=[1.0, 1.0, 1.0])
+    # the seeds [0, 1] / workers 2 case raises inside worker processes
+    @pytest.mark.parametrize("seeds,workers", [([0], 1), ([0, 1], 2)], ids=["serial", "processes"])
+    def test_ref_point_dimension_checked(self, tmp_path, capsys, seeds, workers):
+        m = _zdt_manifest(tmp_path / "r", ref_point=[1.0, 1.0, 1.0], seeds=seeds, workers=workers)
         with pytest.raises(ManifestError, match="ref_point"):
             run_manifest(m)
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps(m))
+        assert main(["optimize", "--config", str(cfg)]) == 2
+        assert "ref_point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block,key", [("ga", "mutation_rate"), ("psl", "steps"), ("fl", "client")])
+    def test_unknown_nested_field_named(self, block, key):
+        with pytest.raises(ManifestError, match=f"{block}.{key}"):
+            normalize_manifest(_zdt_manifest("x", **{block: {key: 1}}))
 
     def test_defaults_filled(self):
         m = normalize_manifest(_zdt_manifest("x"))
@@ -95,10 +107,20 @@ class TestOptimizeArtifacts:
         run_manifest(_zdt_manifest(out, seeds=[0, 1]))
         assert _hash_dir(out) == first
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
+    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        pools = []
+
+        class SpyPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
         a, b = tmp_path / "w1", tmp_path / "w4"
-        run_manifest(_zdt_manifest(a, workers=1))
-        run_manifest(_zdt_manifest(b, workers=4))
+        run_manifest(_zdt_manifest(a, seeds=[0, 1], workers=1))
+        assert pools == []
+        run_manifest(_zdt_manifest(b, seeds=[0, 1], workers=4))
+        assert pools == [2]  # capped at the seed count
         assert _hash_dir(a) == _hash_dir(b)
 
     def test_resume_extends_budget_identically(self, tmp_path):
@@ -109,6 +131,17 @@ class TestOptimizeArtifacts:
         run_manifest(_zdt_manifest(resumed, generations=6))
         ha, hb = _hash_dir(direct), _hash_dir(resumed)
         assert ha == hb
+
+    def test_resume_from_worker_checkpoints(self, tmp_path):
+        direct = tmp_path / "direct"
+        run_manifest(_zdt_manifest(direct, seeds=[0, 1], generations=6, workers=1))
+        resumed = tmp_path / "resumed"
+        run_manifest(_zdt_manifest(resumed, seeds=[0, 1], generations=3, workers=2))
+        for seed in (0, 1):
+            snap = json.loads((resumed / "checkpoints" / f"seed{seed}.json").read_text())
+            assert snap["generation"] == 3
+        run_manifest(_zdt_manifest(resumed, seeds=[0, 1], generations=6, workers=2))
+        assert _hash_dir(direct) == _hash_dir(resumed)
 
     def test_resume_psl(self, tmp_path):
         base = dict(algorithm="psl", setting="zdt1", seeds=[0], population=2,
