@@ -20,7 +20,7 @@ print(f"\nanalytic optimum: {2/3:.4f}")
 print(f"evaluations used: {len(result.archive)}")
 
 # the final population approximates the front
-pop = np.stack([result.archive.entries[i].raw for i in result.population_indices])
+pop = result.archive.raw[result.population_indices]
 order = np.argsort(pop[:, 0])
 print("\nfinal front sample (f1, f2, analytic f2):")
 for f1, f2 in pop[order][::10]:

@@ -24,8 +24,8 @@ for seed in seeds:
     )
     curves["constrained"].append([r.hv_feasible for r in cm.records])
     curves["baseline"].append([r.hv_feasible for r in bl.records])
-    feasible_evals["constrained"] += int(cm.archive.feasible_mask().sum())
-    feasible_evals["baseline"] += int(bl.archive.feasible_mask().sum())
+    feasible_evals["constrained"] += int(cm.archive.feasible.sum())
+    feasible_evals["baseline"] += int(bl.archive.feasible.sum())
 
 med_cm = np.median(curves["constrained"], axis=0)
 med_bl = np.median(curves["baseline"], axis=0)

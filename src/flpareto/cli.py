@@ -22,7 +22,7 @@ import numpy as np
 
 from .bench import BENCHMARKS
 from .moo import hypervolume
-from .runner import ManifestError, load_front_file, run_manifest
+from .runner import ManifestError, check_fl_options, load_front_file, run_manifest
 from .settings import FL_SETTINGS, build_space, make_run_config
 from .flsim import flo_evaluate
 
@@ -91,7 +91,7 @@ def _cmd_evaluate(args) -> int:
     fl_options = {}
     if args.config:
         with open(args.config) as fh:
-            fl_options = json.load(fh).get("fl", {})
+            fl_options = check_fl_options(json.load(fh).get("fl", {}))
     space = build_space(args.setting, int(fl_options.get("width_max", 32)))
     values = _parse_params(args.param or [])
     space.validate(values)

@@ -134,7 +134,6 @@ def _sf_aggregate(
 ) -> np.ndarray:
     """Per-coordinate mean of shared values, falling back to the round-start
     global where no client shares (optionally averaging holes as W_old)."""
-    K = len(results)
     if cfg.sf_average_all:
         stacked = np.stack(
             [np.where(r.shared_mask, w, round_start) for r, w in zip(results, locals_)]

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "ConstraintSpec",
     "Archive",
-    "ArchiveEntry",
     "Problem",
     "EvaluationError",
     "dominates",
@@ -104,8 +103,10 @@ def pareto_front_mask(vs) -> np.ndarray:
     Y = _as_2d(vs)
     n = Y.shape[0]
     mask = np.ones(n, dtype=bool)
-    # chunked pairwise check keeps memory bounded for large grids
-    chunk = max(1, int(2**22 // max(n, 1)))
+    # chunked pairwise check: each chunk builds (chunk, n, m) boolean
+    # temporaries, and the final Archive.front_indices call covers a whole
+    # archive, so this cap sets the peak RSS of a run
+    chunk = max(1, int(2**18 // max(n, 1)))
     for start in range(0, n, chunk):
         block = Y[start : start + chunk]  # (c, m)
         le = np.all(Y[None, :, :] <= block[:, None, :], axis=2)  # Y_j <= block_i
@@ -304,70 +305,54 @@ def aggregate_objective(locals_, weights=None, mode: str = "average") -> float:
 
 
 @dataclass
-class ArchiveEntry:
-    """One evaluated solution with its raw/penalized objectives."""
-
-    index: int
-    genes: np.ndarray
-    raw: np.ndarray
-    penalized: np.ndarray
-    feasible: bool
-    generation: int
-
-
-@dataclass
 class Archive:
-    """Append-only record of every evaluation made during a run."""
+    """Append-only record of every evaluation made during a run.
+
+    Row i of the columns `genes` (n, d), `raw` (n, m) and `generation` (n,)
+    is evaluation i.  Appends replace each column with a new array and never
+    write into one a caller may still hold.
+    """
 
     constraints: ConstraintSpec
-    entries: list[ArchiveEntry] = field(default_factory=list)
+    genes: np.ndarray = field(init=False)
+    raw: np.ndarray = field(init=False)
+    generation: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.genes = np.empty((0, 0))
+        self.raw = np.empty((0, self.constraints.m))
+        self.generation = np.empty(0, dtype=int)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.raw.shape[0]
 
-    def append_batch(self, genes: np.ndarray, raw: np.ndarray, generation: int) -> None:
+    def append_batch(self, genes: np.ndarray, raw: np.ndarray, generation: int | np.ndarray) -> None:
+        """Append n evaluations; `generation` is one int or one per row."""
         genes = np.atleast_2d(np.asarray(genes, dtype=float))
         raw = np.atleast_2d(np.asarray(raw, dtype=float))
-        pen = penalize(raw, self.constraints)
-        feas = is_feasible(raw, self.constraints)
-        base = len(self.entries)
-        for i in range(genes.shape[0]):
-            self.entries.append(
-                ArchiveEntry(
-                    index=base + i,
-                    genes=genes[i].copy(),
-                    raw=raw[i].copy(),
-                    penalized=np.asarray(pen)[i].copy(),
-                    feasible=bool(np.asarray(feas)[i]),
-                    generation=generation,
-                )
+        if raw.shape != (genes.shape[0], self.constraints.m):
+            raise ValueError(
+                f"raw objectives of shape {raw.shape} do not match {genes.shape[0]} "
+                f"solutions and the constraint spec's objective count m={self.constraints.m}"
             )
+        self.genes = np.concatenate([self.genes, genes]) if len(self) else genes.copy()
+        self.raw = np.concatenate([self.raw, raw])
+        gens = np.broadcast_to(np.asarray(generation, dtype=int), (genes.shape[0],))
+        self.generation = np.concatenate([self.generation, gens])
 
-    def raw_matrix(self) -> np.ndarray:
-        if not self.entries:
-            return np.empty((0, self.constraints.m))
-        return np.stack([e.raw for e in self.entries])
+    @property
+    def penalized(self) -> np.ndarray:
+        return penalize(self.raw, self.constraints)
 
-    def genes_matrix(self) -> np.ndarray:
-        if not self.entries:
-            return np.empty((0, 0))
-        return np.stack([e.genes for e in self.entries])
-
-    def feasible_mask(self) -> np.ndarray:
-        return np.array([e.feasible for e in self.entries], dtype=bool)
-
-    def feasible_raw(self) -> np.ndarray:
-        Y = self.raw_matrix()
-        return Y[self.feasible_mask()] if len(self.entries) else Y
+    @property
+    def feasible(self) -> np.ndarray:
+        return is_feasible(self.raw, self.constraints)
 
     def front_indices(self, feasible_only: bool = True) -> list[int]:
         """Indices of non-dominated entries (by raw objectives)."""
-        if not self.entries:
-            return []
-        Y = self.raw_matrix()
-        idx = np.arange(len(self.entries))
+        Y, idx = self.raw, np.arange(len(self))
         if feasible_only:
-            keep = self.feasible_mask()
+            keep = self.feasible
             Y, idx = Y[keep], idx[keep]
         if Y.shape[0] == 0:
             return []
@@ -375,11 +360,11 @@ class Archive:
         return [int(i) for i in idx[mask]]
 
     def hv(self, z, feasible_only: bool = True) -> float:
-        Y = self.feasible_raw() if feasible_only else self.raw_matrix()
+        Y = self.raw[self.feasible] if feasible_only else self.raw
         return hypervolume(Y, z)
 
     def best_per_objective(self, feasible_only: bool = True) -> np.ndarray:
-        Y = self.feasible_raw() if feasible_only else self.raw_matrix()
+        Y = self.raw[self.feasible] if feasible_only else self.raw
         if Y.shape[0] == 0:
             return np.full(self.constraints.m, np.nan)
         return Y.min(axis=0)

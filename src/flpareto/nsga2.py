@@ -249,7 +249,7 @@ def _record(archive: Archive, t: int, z: np.ndarray) -> GenerationRecord:
         generation=t,
         hv_feasible=archive.hv(z, feasible_only=True),
         hv_all=archive.hv(z, feasible_only=False),
-        feasible_count=int(archive.feasible_mask().sum()),
+        feasible_count=int(archive.feasible.sum()),
         best=tuple(float(v) for v in best),
         evaluations=len(archive),
     )
@@ -399,6 +399,6 @@ def run_random_search(
     return RunResult(
         archive=archive,
         records=records,
-        population=archive.genes_matrix()[-N:],
+        population=archive.genes[-N:],
         population_indices=list(range(max(0, len(archive) - N), len(archive))),
     )

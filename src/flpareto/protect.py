@@ -154,7 +154,6 @@ class SparsificationParams:
 
 @dataclass
 class SparsifyResult:
-    shared: np.ndarray  # W_new where shared, NaN holes elsewhere
     shared_mask: np.ndarray
     retained_mask: np.ndarray  # public but smallest-update, kept private
     never_public_mask: np.ndarray  # failed the connection draw (or ineligible)
@@ -197,9 +196,7 @@ def sf_protect(
 
     shared_mask = public & ~retained
     never_public = eligible & ~public
-    shared = np.where(shared_mask, W_new, np.nan)
     return SparsifyResult(
-        shared=shared,
         shared_mask=shared_mask,
         retained_mask=retained,
         never_public_mask=never_public,

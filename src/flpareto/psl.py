@@ -320,8 +320,8 @@ def run_psl(
         t_start = int(resume["generation"]) + 1
 
     for t in range(t_start, cfg.generations + 1):
-        X = archive.genes_matrix()
-        Y = archive.raw_matrix()
+        X = archive.genes
+        Y = archive.raw
         gps = _fit_objective_gps(X, Y)
         ideal = Y.min(axis=0) - cfg.ideal_margin
 
@@ -348,11 +348,7 @@ def run_psl(
             mean, std = gp_posterior(g, cand)
             lcb[:, j] = mean - cfg.lcb_beta * std
         cand_scores = penalize(lcb, constraints) if cfg.hvi_use_penalized else lcb
-        base = (
-            np.stack([e.penalized for e in archive.entries])
-            if cfg.hvi_use_penalized
-            else Y
-        )
+        base = archive.penalized if cfg.hvi_use_penalized else Y
         picked = greedy_hvi_select(cand_scores, base, N, z)
         X_new = cand[picked]
         seeds = np.array([spawn_seed(seed, TAG_EVAL, t, i) for i in range(N)])
@@ -384,7 +380,7 @@ def run_psl(
                 },
             )
 
-    last = archive.genes_matrix()[-N:] if len(archive) > n_init else archive.genes_matrix()
+    last = archive.genes[-N:] if len(archive) > n_init else archive.genes
     result = RunResult(
         archive=archive,
         records=records,

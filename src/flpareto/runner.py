@@ -33,7 +33,7 @@ from .psl import PslConfig, run_psl
 from .schema import SCHEMA_VERSION, TRACE_COLUMNS
 from .settings import FL_OPTION_KEYS, FL_SETTINGS, build_fl_problem, default_ref_point
 
-__all__ = ["normalize_manifest", "run_manifest", "load_front_file"]
+__all__ = ["normalize_manifest", "check_fl_options", "run_manifest", "load_front_file"]
 
 ALGORITHMS = ("nsga2", "psl", "random")
 CONSTRAINT_MODES = ("cmofl", "mofl-baseline")
@@ -71,6 +71,17 @@ def _require(cond: bool, field: str, msg: str) -> None:
 def _reject_unknown(given: dict, known, prefix: str = "") -> None:
     extra = sorted(set(given) - set(known))
     _require(not extra, ",".join(prefix + k for k in extra), "unknown field(s)")
+
+
+def check_fl_options(fl: dict) -> dict:
+    """Validate a manifest's `fl` block: known keys, integer fields >= their bounds."""
+    fl = dict(fl)
+    _reject_unknown(fl, FL_OPTION_KEYS, "fl.")
+    for key, lo in (("clients", 1), ("rounds", 0), ("local_epochs", 1), ("batch_size", 1), ("width_max", 1)):
+        if key in fl:
+            fl[key] = int(fl[key])
+            _require(fl[key] >= lo, f"fl.{key}", f"must be >= {lo}")
+    return fl
 
 
 def normalize_manifest(raw: dict) -> dict:
@@ -126,14 +137,7 @@ def normalize_manifest(raw: dict) -> dict:
         )
         m["ref_point"] = [float(v) for v in rp]
 
-    fl = dict(m.get("fl", {}))
-    _reject_unknown(fl, FL_OPTION_KEYS, "fl.")
-    if setting in FL_SETTINGS:
-        for key, lo in (("clients", 1), ("rounds", 0), ("local_epochs", 1), ("batch_size", 1), ("width_max", 1)):
-            if key in fl:
-                fl[key] = int(fl[key])
-                _require(fl[key] >= lo, f"fl.{key}", f"must be >= {lo}")
-    m["fl"] = fl
+    m["fl"] = check_fl_options(m.get("fl", {}))
 
     for block, defaults in (("ga", _GA_DEFAULTS), ("psl", _PSL_DEFAULTS)):
         _reject_unknown(m.get(block, {}), defaults, f"{block}.")
@@ -201,25 +205,17 @@ def _dump_json(path: Path, obj) -> None:
 
 def _archive_to_dict(archive: Archive) -> dict:
     return {
-        "solutions": [e.genes.tolist() for e in archive.entries],
-        "raw": [e.raw.tolist() for e in archive.entries],
-        "penalized": [e.penalized.tolist() for e in archive.entries],
-        "feasible": [bool(e.feasible) for e in archive.entries],
-        "generation": [int(e.generation) for e in archive.entries],
+        "solutions": archive.genes.tolist(),
+        "raw": archive.raw.tolist(),
+        "penalized": archive.penalized.tolist(),
+        "feasible": archive.feasible.tolist(),
+        "generation": archive.generation.tolist(),
     }
 
 
 def _archive_from_dict(d: dict, constraints: ConstraintSpec) -> Archive:
     archive = Archive(constraints=constraints)
-    sols = d["solutions"]
-    raws = d["raw"]
-    gens = d["generation"]
-    for start in range(len(sols)):
-        archive.append_batch(
-            np.asarray(sols[start], dtype=float),
-            np.asarray(raws[start], dtype=float),
-            generation=int(gens[start]),
-        )
+    archive.append_batch(d["solutions"], d["raw"], d["generation"])
     return archive
 
 

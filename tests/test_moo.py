@@ -196,10 +196,19 @@ class TestArchive:
             generation=0,
         )
         assert len(a) == 2
-        assert [e.feasible for e in a.entries] == [False, True]
-        assert a.entries[0].penalized[1] == pytest.approx(2.9)
-        assert [e.index for e in a.entries] == [0, 1]
+        assert a.feasible.tolist() == [False, True]
+        assert a.penalized[0, 1] == pytest.approx(2.9)
         assert a.front_indices() == [1]
+        a.append_batch(np.array([[0.5, 0.6]]), np.array([[0.1, 0.1]]), generation=1)
+        assert a.genes.shape == (3, 2)
+        assert a.generation.tolist() == [0, 0, 1]
+        assert a.front_indices() == [2]
+
+    def test_wrong_objective_count_rejected(self):
+        a = Archive(constraints=ConstraintSpec.unconstrained(2))
+        with pytest.raises(ValueError, match="objective count"):
+            a.append_batch(np.zeros((2, 3)), np.zeros((2, 3)), generation=0)
+        assert len(a) == 0
 
     def test_front_mask_keeps_duplicates(self):
         mask = pareto_front_mask([[1, 1], [1, 1], [2, 2]])

@@ -168,7 +168,7 @@ class TestRunNsga2:
         res = run_nsga2(_quad_problem(), NsgaConfig(population_size=10, generations=0), seed=3)
         assert len(res.archive) == 10
         assert res.records == []
-        assert np.array_equal(res.population, res.archive.genes_matrix())
+        assert np.array_equal(res.population, res.archive.genes)
 
     def test_population_size_invariant_and_budget(self):
         cfg = NsgaConfig(population_size=8, generations=5)
@@ -182,13 +182,13 @@ class TestRunNsga2:
             _quad_problem(), NsgaConfig(population_size=6, generations=2), seed=0,
             constraints=cs,
         )
-        assert not any(e.feasible for e in res.archive.entries)
+        assert not res.archive.feasible.any()
 
     def test_determinism_same_seed(self):
         cfg = NsgaConfig(population_size=10, generations=4)
         a = run_nsga2(_quad_problem(), cfg, seed=9)
         b = run_nsga2(_quad_problem(), cfg, seed=9)
-        assert np.array_equal(a.archive.raw_matrix(), b.archive.raw_matrix())
+        assert np.array_equal(a.archive.raw, b.archive.raw)
         assert np.array_equal(a.population, b.population)
 
     def test_zdt1_improves_and_monotone_trace(self):
@@ -205,7 +205,7 @@ class TestRunNsga2:
         res = run_nsga2(_quad_problem(), cfg, seed=2)
         assert res.population.shape == (8, 3 * 8)
         assert set(np.unique(res.population)) <= {0.0, 1.0}
-        assert np.all((res.archive.genes_matrix() >= 0) & (res.archive.genes_matrix() <= 1))
+        assert np.all((res.archive.genes >= 0) & (res.archive.genes <= 1))
 
     def test_evaluator_failure_reports_solution(self):
         def bad(X, seeds):
@@ -242,8 +242,8 @@ class TestRunNsga2:
                 prob, cfg, seed=seed,
                 constraints=prob.constraints.with_zero_penalties(),
             )
-            cm_feas += int(cm.archive.feasible_mask().sum())
-            bl_feas += int(bl.archive.feasible_mask().sum())
+            cm_feas += int(cm.archive.feasible.sum())
+            bl_feas += int(bl.archive.feasible.sum())
         assert cm_feas > bl_feas
 
 

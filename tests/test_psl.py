@@ -206,7 +206,7 @@ class TestRunPsl:
                         model_steps=50)
         res = run_psl(zdt1_problem(3), cfg, seed=0)
         assert len(res.archive) == 4 + 3 * 2
-        gens = [e.generation for e in res.archive.entries]
+        gens = res.archive.generation.tolist()
         assert gens == sorted(gens)
 
     def test_hv_trace_monotone(self):
@@ -221,7 +221,7 @@ class TestRunPsl:
                         model_steps=30)
         a = run_psl(zdt1_problem(3), cfg, seed=8)
         b = run_psl(zdt1_problem(3), cfg, seed=8)
-        assert np.array_equal(a.archive.raw_matrix(), b.archive.raw_matrix())
+        assert np.array_equal(a.archive.raw, b.archive.raw)
 
     def test_penalized_screening_strictly_worse(self, rng):
         cs = ConstraintSpec(bounds=(None, 0.8), penalties=(0.0, 20.0))

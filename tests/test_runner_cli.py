@@ -123,12 +123,17 @@ class TestOptimizeArtifacts:
         assert pools == [2]  # capped at the seed count
         assert _hash_dir(a) == _hash_dir(b)
 
-    def test_resume_extends_budget_identically(self, tmp_path):
+    # constrained_toy checkpoints hold infeasible rows, which the resume must
+    # re-penalize to reproduce the direct run's bytes
+    @pytest.mark.parametrize("setting", ["zdt1", "constrained_toy"])
+    def test_resume_extends_budget_identically(self, tmp_path, setting):
         direct = tmp_path / "direct"
-        run_manifest(_zdt_manifest(direct, generations=6))
+        run_manifest(_zdt_manifest(direct, setting=setting, generations=6))
         resumed = tmp_path / "resumed"
-        run_manifest(_zdt_manifest(resumed, generations=3))
-        run_manifest(_zdt_manifest(resumed, generations=6))
+        run_manifest(_zdt_manifest(resumed, setting=setting, generations=3))
+        snap = json.loads((resumed / "checkpoints" / "seed0.json").read_text())
+        assert all(snap["archive"]["feasible"]) == (setting == "zdt1")
+        run_manifest(_zdt_manifest(resumed, setting=setting, generations=6))
         ha, hb = _hash_dir(direct), _hash_dir(resumed)
         assert ha == hb
 
@@ -215,6 +220,16 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "sigma_rd" in err and "[0.0, 1.0]" in err
+
+    def test_evaluate_config_rejects_unknown_fl_field(self, tmp_path, capsys):
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"fl": {"client": 3}}))
+        rc = main([
+            "evaluate", "--setting", "rd", "--seed", "0", "--config", str(cfg),
+            "--param", "lr=0.1", "--param", "sigma_rd=0.5", "--param", "c_clip=2",
+        ])
+        assert rc == 2
+        assert "fl.client" in capsys.readouterr().err
 
     def test_evaluate_deterministic_output(self, capsys):
         args = [
