@@ -2,12 +2,17 @@
 
 One evaluation = decode hyperparameters, train `rounds` federated rounds
 under the configured mechanism, and report (utility loss, privacy leakage,
-training cost).  Every stream of randomness derives from the evaluation
-seed, so identical configs are bit-identical regardless of worker count.
+training cost).  The K clients of a round start from the same global
+model, so they train in lockstep on stacked (K, n, d) data; each keeps its
+own shuffling stream, and its weights equal those of training it alone.
+Every stream of randomness derives from the evaluation seed, so identical
+configs are bit-identical regardless of worker count.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -83,26 +88,37 @@ def local_sgd(
     epochs: int,
     batch_size: int,
     lr: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | list[np.random.Generator],
 ) -> np.ndarray:
     """Minibatch SGD on cross-entropy with rng-driven shuffling.
 
-    Returns the updated parameter vector; non-finite values signal
-    divergence and are left for the caller to detect.
+    One client: X (n, d), y (n,) and one generator.  K clients in lockstep:
+    X (K, n, d), y (K, n) and a sequence of K generators, each shuffling its
+    own client; `params` is the shared (d_w,) start or one (K, d_w) row per
+    client.  Returns the updated (d_w,) or (K, d_w) parameters.  A client
+    whose loss turns non-finite gets an all-NaN row from then on; the
+    others train on, and the caller detects the divergence.
     """
-    w = np.asarray(params, dtype=float).copy()
-    n = X.shape[0]
+    single = X.ndim == 2
+    if single:
+        X, y, rng = X[None], y[None], [rng]
+    K, n = y.shape
+    w = np.broadcast_to(np.asarray(params, dtype=float), (K, spec.n_params)).copy()
+    rows = np.arange(K)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
-            order = rng.permutation(n)
+            order = np.stack([r.permutation(n) for r in rng])
+            Xs, ys = X[rows, order], y[rows, order]
             for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                loss, grad = loss_and_grad(w, X[idx], y[idx], spec)
-                if not np.isfinite(loss):
-                    w[:] = np.nan
-                    return w
+                stop = start + batch_size
+                loss, grad = loss_and_grad(w, Xs[:, start:stop], ys[:, start:stop], spec)
+                bad = ~np.isfinite(loss)
+                if bad.any():
+                    w[bad] = np.nan
+                    if bad.all():
+                        return w[0] if single else w
                 w -= lr * grad
-    return w
+    return w[0] if single else w
 
 
 def fedavg(models: list[np.ndarray], weights=None) -> np.ndarray:
@@ -120,6 +136,21 @@ def fedavg(models: list[np.ndarray], weights=None) -> np.ndarray:
     return (w[:, None] * M).sum(axis=0) / w.sum()
 
 
+@functools.lru_cache(maxsize=4)
+def _stacked_data(dataset_json: str, clients: int) -> tuple[np.ndarray, ...]:
+    """Read-only (K, n, d) client X, (K, n) client y, test X and test y.
+
+    Keyed by the canonical JSON of the dataset spec and the client count,
+    so every evaluation in a process after the first reuses the arrays.
+    """
+    spec = json.loads(dataset_json)
+    data = load_dataset(spec, clients, seed=int(spec.get("seed", 0)))
+    arrays = (np.stack(data.client_X), np.stack(data.client_y), data.test_X, data.test_y)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _train_time(cfg: FLRunConfig, d_w: int, n_k: int, elapsed: float) -> float:
     if cfg.cost_model:
         return cfg.flop_time * d_w * n_k * cfg.local_epochs
@@ -129,7 +160,7 @@ def _train_time(cfg: FLRunConfig, d_w: int, n_k: int, elapsed: float) -> float:
 def _sf_aggregate(
     cfg: FLRunConfig,
     round_start: np.ndarray,
-    locals_: list[np.ndarray],
+    locals_: np.ndarray,
     results: list[protect.SparsifyResult],
 ) -> np.ndarray:
     """Per-coordinate mean of shared values, falling back to the round-start
@@ -158,13 +189,25 @@ def flo_evaluate(cfg: FLRunConfig) -> EvaluationResult:
     cost averages.  Divergence and invalid mechanism configurations yield
     eps_u = 1 with the flag set, keeping the evaluator total.
     """
-    data = load_dataset(cfg.dataset, cfg.clients, seed=int(cfg.dataset.get("seed", 0)))
+    X, y, test_X, test_y = _stacked_data(json.dumps(cfg.dataset, sort_keys=True), cfg.clients)
     spec = cfg.model
     d_w = spec.n_params
-    K = cfg.clients
+    K, n_k = y.shape
     weight_mask = spec.weight_mask()
-    n_sizes = np.array([x.shape[0] for x in data.client_X], dtype=float)
-    fed_weights = n_sizes if cfg.weighted else None
+    fed_weights = np.full(K, float(n_k)) if cfg.weighted else None
+
+    if cfg.mechanism == "bc" and cfg.rounds:
+        try:
+            cfg.mechanism_params.checked_bits()
+        except ValueError as exc:
+            return EvaluationResult(
+                eps_u=1.0,
+                eps_p=0.0,
+                eps_c=0.0,
+                accuracy=0.0,
+                diverged=True,
+                round_trace=[{"error": str(exc)}],
+            )
 
     global_p = init_params(spec, stream(cfg.seed, TAG_FL_INIT))
 
@@ -179,56 +222,37 @@ def flo_evaluate(cfg: FLRunConfig) -> EvaluationResult:
     diverged = False
     for i in range(cfg.rounds):
         round_start = global_p
+        t0 = time.perf_counter()
+        locals_ = local_sgd(
+            round_start,
+            X,
+            y,
+            spec,
+            cfg.local_epochs,
+            cfg.batch_size,
+            cfg.lr,
+            [stream(cfg.seed, TAG_FL_CLIENT, i, k) for k in range(K)],
+        )
+        # the clients train together, so each is charged an equal share
+        train_times = [_train_time(cfg, d_w, n_k, (time.perf_counter() - t0) / K)] * K
         protected: list[np.ndarray] = []
-        locals_: list[np.ndarray] = []
         sf_results: list[protect.SparsifyResult] = []
         leaks: list[float] = []
-        costs: list[float] = []
-        train_times: list[float] = []
-        for k in range(K):
-            t0 = time.perf_counter()
-            w = local_sgd(
-                round_start,
-                data.client_X[k],
-                data.client_y[k],
-                spec,
-                cfg.local_epochs,
-                cfg.batch_size,
-                cfg.lr,
-                stream(cfg.seed, TAG_FL_CLIENT, i, k),
-            )
+        for k, w in enumerate(locals_):
             if not np.all(np.isfinite(w)):
                 diverged = True
                 break
-            t_train = _train_time(cfg, d_w, data.client_X[k].shape[0], time.perf_counter() - t0)
-            train_times.append(t_train)
-            locals_.append(w)
-
             if cfg.mechanism == "none":
                 protected.append(w)
                 leaks.append(1.0)
-                costs.append(t_train)
             elif cfg.mechanism == "rd":
                 p = cfg.mechanism_params
                 protected.append(
                     protect.rd_protect(w, p, stream(cfg.seed, TAG_FL_MECH, i, k))
                 )
                 leaks.append(protect.rd_leakage(p, d_w))
-                costs.append(t_train)
             elif cfg.mechanism == "bc":
-                p = cfg.mechanism_params
-                try:
-                    _, deq = protect.bc_protect(w, p)
-                except ValueError as exc:
-                    return EvaluationResult(
-                        eps_u=1.0,
-                        eps_p=0.0,
-                        eps_c=0.0,
-                        accuracy=0.0,
-                        diverged=True,
-                        round_trace=[{"error": str(exc)}],
-                    )
-                protected.append(deq)
+                protected.append(protect.bc_protect(w, cfg.mechanism_params))
                 leaks.append(0.0)
             else:  # sf
                 p = cfg.mechanism_params
@@ -253,7 +277,7 @@ def flo_evaluate(cfg: FLRunConfig) -> EvaluationResult:
             if cfg.mechanism == "bc":
                 round_cost = protect.bc_cost(d_w, cfg.mechanism_params, train_times)
             else:
-                round_cost = aggregate_objective(costs, mode=cfg.aggregation)
+                round_cost = aggregate_objective(train_times, mode=cfg.aggregation)
         round_leak = aggregate_objective(leaks, mode=cfg.aggregation)
         trace.append({"round": i, "eps_p": round_leak, "eps_c": round_cost})
         if not np.all(np.isfinite(global_p)):
@@ -273,7 +297,7 @@ def flo_evaluate(cfg: FLRunConfig) -> EvaluationResult:
             eps_u=1.0, eps_p=eps_p, eps_c=eps_c, accuracy=0.0,
             diverged=True, round_trace=trace,
         )
-    acc = accuracy(global_p, data.test_X, data.test_y, spec)
+    acc = accuracy(global_p, test_X, test_y, spec)
     return EvaluationResult(
         eps_u=1.0 - acc, eps_p=eps_p, eps_c=eps_c, accuracy=acc, round_trace=trace,
     )

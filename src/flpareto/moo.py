@@ -359,15 +359,9 @@ class Archive:
         mask = pareto_front_mask(Y)
         return [int(i) for i in idx[mask]]
 
-    def hv(self, z, feasible_only: bool = True) -> float:
-        Y = self.raw[self.feasible] if feasible_only else self.raw
-        return hypervolume(Y, z)
-
-    def best_per_objective(self, feasible_only: bool = True) -> np.ndarray:
-        Y = self.raw[self.feasible] if feasible_only else self.raw
-        if Y.shape[0] == 0:
-            return np.full(self.constraints.m, np.nan)
-        return Y.min(axis=0)
+    def hv(self, z, rows: np.ndarray | None = None) -> float:
+        """Hypervolume of every entry, or of the rows a boolean mask selects."""
+        return hypervolume(self.raw if rows is None else self.raw[rows], z)
 
 
 @dataclass

@@ -1,14 +1,18 @@
 """Two-hidden-layer ReLU perceptron on flat parameter vectors.
 
 Parameters live in a single float vector so protection mechanisms and
-federated averaging can treat the model as plain numbers.  Gradients are
-hand-derived (softmax cross-entropy) and are checked against finite
+federated averaging can treat the model as plain numbers; a (K, d_w)
+stack of them holds K clients' models, which the forward and backward
+passes handle through batched matmuls over the leading axis.  Gradients
+are hand-derived (softmax cross-entropy) and are checked against finite
 differences in the test suite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,24 +41,28 @@ class ModelSpec:
             (self.n_classes,),
         ]
 
+    @cached_property
+    def layout(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """(start, stop, shape) of each layer's slice of the flat vector."""
+        out, off = [], 0
+        for s in self.shapes:
+            size = math.prod(s)
+            out.append((off, off + size, s))
+            off += size
+        return tuple(out)
+
     @property
     def n_params(self) -> int:
-        return sum(int(np.prod(s)) for s in self.shapes)
+        return self.layout[-1][1]
 
     def weight_mask(self) -> np.ndarray:
         """True at weight-matrix entries, False at biases."""
-        mask = []
-        for s in self.shapes:
-            mask.append(np.full(int(np.prod(s)), len(s) == 2))
-        return np.concatenate(mask)
+        return np.concatenate([np.full(b - a, len(s) == 2) for a, b, s in self.layout])
 
     def unpack(self, params: np.ndarray) -> list[np.ndarray]:
-        out, off = [], 0
-        for s in self.shapes:
-            size = int(np.prod(s))
-            out.append(params[off : off + size].reshape(s))
-            off += size
-        return out
+        """Views of the layers; a leading client axis (K, d_w) gives (K, *shape)."""
+        lead = params.shape[:-1]
+        return [params[..., a:b].reshape(lead + s) for a, b, s in self.layout]
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
@@ -68,50 +76,61 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _forward(params: np.ndarray, X: np.ndarray, spec: ModelSpec):
-    W1, b1, W2, b2, W3, b3 = spec.unpack(params)
-    a1 = np.maximum(X @ W1 + b1, 0.0)
-    a2 = np.maximum(a1 @ W2 + b2, 0.0)
-    logits = a2 @ W3 + b3
+def _forward(layers: list[np.ndarray], X: np.ndarray):
+    W1, b1, W2, b2, W3, b3 = layers
+    a1 = np.maximum(X @ W1 + b1[..., None, :], 0.0)
+    a2 = np.maximum(a1 @ W2 + b2[..., None, :], 0.0)
+    logits = a2 @ W3 + b3[..., None, :]
     return logits, (a1, a2)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-1, -2)
 
 
 def loss_and_grad(
     params: np.ndarray, X: np.ndarray, y: np.ndarray, spec: ModelSpec
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient as a flat vector."""
-    W1, b1, W2, b2, W3, b3 = spec.unpack(params)
-    logits, (a1, a2) = _forward(params, X, spec)
-    n = X.shape[0]
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross-entropy and its gradient as a flat vector.
+
+    One model: params (d_w,), X (b, d), y (b,) give a scalar loss and a
+    (d_w,) gradient.  K stacked models: params (K, d_w), X (K, b, d),
+    y (K, b) give K losses and a (K, d_w) gradient; each client's numbers
+    equal those of its own single-model call bit for bit.
+    """
+    layers = spec.unpack(params)
+    W1, _, W2, _, W3, _ = layers
+    logits, (a1, a2) = _forward(layers, X)
+    n = X.shape[-2]
     logp = _log_softmax(logits)
-    loss = float(-np.mean(logp[np.arange(n), y]))
-    dlogits = np.exp(logp)
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
-    gW3 = a2.T @ dlogits
-    gb3 = dlogits.sum(axis=0)
-    da2 = dlogits @ W3.T
+    onehot = y[..., None] == np.arange(logits.shape[-1])
+    loss = -np.mean(logp[onehot].reshape(y.shape), axis=-1)
+    dlogits = (np.exp(logp) - onehot) / n
+    gW3 = _t(a2) @ dlogits
+    gb3 = dlogits.sum(axis=-2)
+    da2 = dlogits @ _t(W3)
     da2[a2 <= 0.0] = 0.0
-    gW2 = a1.T @ da2
-    gb2 = da2.sum(axis=0)
-    da1 = da2 @ W2.T
+    gW2 = _t(a1) @ da2
+    gb2 = da2.sum(axis=-2)
+    da1 = da2 @ _t(W2)
     da1[a1 <= 0.0] = 0.0
-    gW1 = X.T @ da1
-    gb1 = da1.sum(axis=0)
+    gW1 = _t(X) @ da1
+    gb1 = da1.sum(axis=-2)
+    flat = params.shape[:-1] + (-1,)
     grad = np.concatenate(
-        [gW1.ravel(), gb1, gW2.ravel(), gb2, gW3.ravel(), gb3]
+        [g.reshape(flat) for g in (gW1, gb1, gW2, gb2, gW3, gb3)], axis=-1
     )
     return loss, grad
 
 
 def predict(params: np.ndarray, X: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    logits, _ = _forward(params, X, spec)
-    return np.argmax(logits, axis=1)
+    logits, _ = _forward(spec.unpack(params), X)
+    return np.argmax(logits, axis=-1)
 
 
 def accuracy(params: np.ndarray, X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> float:

@@ -244,12 +244,14 @@ def tournament_pick(
 
 def _record(archive: Archive, t: int, z: np.ndarray) -> GenerationRecord:
     """Cumulative-archive metrics (append-only algorithms)."""
-    best = archive.best_per_objective()
+    feasible = archive.feasible
+    Y = archive.raw[feasible]
+    best = Y.min(axis=0) if len(Y) else np.full(Y.shape[1], np.nan)
     return GenerationRecord(
         generation=t,
-        hv_feasible=archive.hv(z, feasible_only=True),
-        hv_all=archive.hv(z, feasible_only=False),
-        feasible_count=int(archive.feasible.sum()),
+        hv_feasible=archive.hv(z, feasible),
+        hv_all=archive.hv(z),
+        feasible_count=int(feasible.sum()),
         best=tuple(float(v) for v in best),
         evaluations=len(archive),
     )

@@ -22,6 +22,7 @@ __all__ = [
     "rd_protect",
     "rd_leakage",
     "bc_protect",
+    "bc_pack",
     "bc_cost",
     "sf_protect",
     "sf_leakage",
@@ -83,47 +84,55 @@ class BatchCryptParams:
     def bits_per_value(self) -> int:
         return self.payload_bits // self.batch_size - self.headroom_bits
 
+    def checked_bits(self) -> int:
+        """bits_per_value, or ValueError if it leaves fewer than 2 bits."""
+        b = self.bits_per_value
+        if b < 2:
+            raise ValueError(
+                f"batch_size {self.batch_size} leaves {b} bits per value in a "
+                f"{self.payload_bits}-bit payload (headroom {self.headroom_bits}); need >= 2"
+            )
+        return b
+
     def n_batches(self, d_w: int) -> int:
         return math.ceil(d_w / self.batch_size)
 
 
-def bc_protect(
-    W: np.ndarray, p: BatchCryptParams
-) -> tuple[list[int], np.ndarray]:
-    """Symmetric uniform quantization packed batch-wise into big integers.
+def _bc_quantize(W: np.ndarray, p: BatchCryptParams) -> tuple[np.ndarray, float]:
+    """Integer codes and lattice scale of W at p's bits per value."""
+    b = p.checked_bits()
+    W = np.asarray(W, dtype=float)
+    r = float(np.max(np.abs(W))) if W.size else 0.0
+    if r == 0.0:
+        return np.zeros(W.shape, dtype=np.int64), 1.0
+    lattice_range = 2.0 ** math.ceil(math.log2(r))
+    scale = lattice_range / 2.0 ** (b - 1)
+    return np.rint(W / scale).astype(np.int64), scale
+
+
+def bc_protect(W: np.ndarray, p: BatchCryptParams) -> np.ndarray:
+    """Symmetric uniform quantization, dequantized for the training path.
 
     Values are quantized onto a power-of-two lattice (scale = next power of
     two above max|W| over 2^(b-1)), which keeps the max error within
     r / (2^(b-1) - 1) and makes quantize-dequantize exactly idempotent.
-    Returns (packed batches, dequantized vector for the training path).
     """
-    b = p.bits_per_value
-    if b < 2:
-        raise ValueError(
-            f"batch_size {p.batch_size} leaves {b} bits per value in a "
-            f"{p.payload_bits}-bit payload (headroom {p.headroom_bits}); need >= 2"
-        )
-    W = np.asarray(W, dtype=float)
-    r = float(np.max(np.abs(W))) if W.size else 0.0
-    if r == 0.0:
-        codes = np.zeros(W.shape, dtype=np.int64)
-        scale = 1.0
-    else:
-        lattice_range = 2.0 ** math.ceil(math.log2(r))
-        scale = lattice_range / 2.0 ** (b - 1)
-        codes = np.rint(W / scale).astype(np.int64)
-    dequantized = codes * scale
+    codes, scale = _bc_quantize(W, p)
+    return codes * scale
 
+
+def bc_pack(W: np.ndarray, p: BatchCryptParams) -> list[int]:
+    """The quantized codes of W, offset-binary, packed batch-wise into big integers."""
+    codes, _ = _bc_quantize(W, p)
     slot_width = p.payload_bits // p.batch_size
-    bias = 1 << (b - 1)
+    bias = 1 << (p.bits_per_value - 1)
     batches: list[int] = []
-    for start in range(0, W.size, p.batch_size):
-        chunk = codes[start : start + p.batch_size]
+    for start in range(0, codes.size, p.batch_size):
         payload = 0
-        for j, c in enumerate(chunk):
+        for j, c in enumerate(codes[start : start + p.batch_size]):
             payload |= (int(c) + bias) << (j * slot_width)
         batches.append(payload)
-    return batches, dequantized
+    return batches
 
 
 def bc_cost(d_w: int, p: BatchCryptParams, train_time) -> float:

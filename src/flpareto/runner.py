@@ -185,21 +185,18 @@ def _core_hash(manifest: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _to_jsonable(obj):
+def _json_default(obj):
+    """json's hook for what it cannot encode: numpy arrays and scalars."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+    if isinstance(obj, np.generic):
         return obj.item()
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _dump_json(path: Path, obj) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(_to_jsonable(obj), sort_keys=True, indent=1) + "\n")
+    tmp.write_text(json.dumps(obj, sort_keys=True, indent=1, default=_json_default) + "\n")
     os.replace(tmp, path)
 
 

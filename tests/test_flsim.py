@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -12,6 +13,7 @@ from flpareto.data import (
     load_idx_images,
     load_idx_labels,
 )
+import flpareto.flsim as flsim
 from flpareto.flsim import EvaluationResult, FLRunConfig, fedavg, flo_evaluate, local_sgd
 from flpareto.net import ModelSpec, accuracy, init_params, loss_and_grad
 from flpareto.protect import RandomizationParams, SparsificationParams, BatchCryptParams
@@ -65,6 +67,88 @@ class TestLocalSgd:
         out = local_sgd(w, X, y, SPEC, epochs=1, batch_size=64, lr=1e-3, rng=rng)
         after, _ = loss_and_grad(out, X, y, SPEC)
         assert after <= before
+
+
+def _sgd_reference(w, X, y, spec, epochs, batch_size, lr, rng):
+    """One client's minibatch SGD as a plain loop of single-model steps."""
+    w = w.copy()
+    for _ in range(epochs):
+        order = rng.permutation(X.shape[0])
+        for start in range(0, X.shape[0], batch_size):
+            idx = order[start : start + batch_size]
+            w -= lr * loss_and_grad(w, X[idx], y[idx], spec)[1]
+    return w
+
+
+class TestLockstep:
+    def _clients(self, rng, K=3, n=50):
+        return rng.normal(size=(K, n, 20)), rng.integers(0, 2, (K, n))
+
+    def test_stacked_loss_and_grad_equals_per_model_calls(self, rng):
+        X, y = self._clients(rng, n=9)
+        W = np.stack([init_params(SPEC, rng) for _ in range(3)])
+        loss, grad = loss_and_grad(W, X, y, SPEC)
+        for k in range(3):
+            lk, gk = loss_and_grad(W[k], X[k], y[k], SPEC)
+            assert loss[k] == lk and np.array_equal(grad[k], gk)
+
+    def test_stacked_clients_equal_separate_calls(self, rng):
+        X, y = self._clients(rng)
+        w0 = init_params(SPEC, rng)
+        rngs = [stream(9, TAG_FL_CLIENT, 0, k) for k in range(3)]
+        W = local_sgd(w0, X, y, SPEC, 2, 16, 0.1, rngs)
+        assert np.all(np.isfinite(W))
+        for k in range(3):
+            wk = local_sgd(w0, X[k], y[k], SPEC, 2, 16, 0.1, stream(9, TAG_FL_CLIENT, 0, k))
+            ref = _sgd_reference(w0, X[k], y[k], SPEC, 2, 16, 0.1, stream(9, TAG_FL_CLIENT, 0, k))
+            assert np.array_equal(W[k], wk) and np.array_equal(wk, ref)
+
+    def test_diverged_client_row_is_nan_and_others_train_on(self, rng):
+        X, y = self._clients(rng)
+        X[1] *= 1e300  # overflowing logits give client 1 a non-finite loss
+        w0 = init_params(SPEC, rng)
+        rngs = [stream(9, TAG_FL_CLIENT, 0, k) for k in range(3)]
+        W = local_sgd(w0, X, y, SPEC, 2, 16, 0.1, rngs)
+        assert np.all(np.isnan(W[1]))
+        for k in (0, 2):
+            wk = local_sgd(w0, X[k], y[k], SPEC, 2, 16, 0.1, stream(9, TAG_FL_CLIENT, 0, k))
+            assert np.array_equal(W[k], wk)
+
+    def test_mid_run_divergence_keeps_completed_rounds(self):
+        # at this lr and seed, round 0 completes and round 1 diverges
+        res = flo_evaluate(_cfg(lr=1e7, seed=2, rounds=4, local_epochs=1))
+        assert res.diverged and res.eps_u == 1.0 and res.accuracy == 0.0
+        assert [r["round"] for r in res.round_trace] == [0]
+        assert res.eps_c == flo_evaluate(_cfg(rounds=1, local_epochs=1)).eps_c
+
+
+class TestDatasetCache:
+    def _count_loads(self, monkeypatch):
+        calls = []
+
+        def counting(spec, n_clients, seed=0):
+            calls.append((spec.get("n_per_client"), n_clients))
+            return load_dataset(spec, n_clients, seed=seed)
+
+        flsim._stacked_data.cache_clear()
+        monkeypatch.setattr(flsim, "load_dataset", counting)
+        return calls
+
+    def test_cached_arrays_reject_writes(self):
+        flo_evaluate(_cfg(rounds=0))  # fills the entry for the default dataset
+        arrays = flsim._stacked_data(json.dumps(dict(SYNTHETIC_DEFAULTS), sort_keys=True), 5)
+        assert [a.shape for a in arrays] == [(5, 1000, 20), (5, 1000), (2000, 20), (2000,)]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_one_load_per_dataset_and_client_count(self, monkeypatch):
+        calls = self._count_loads(monkeypatch)
+        small = {**SYNTHETIC_DEFAULTS, "n_per_client": 40}
+        reordered = dict(reversed(list(small.items())))
+        for ds, clients in ((small, 5), (reordered, 5), (small, 3), (SYNTHETIC_DEFAULTS, 3)):
+            flo_evaluate(_cfg(dataset=dict(ds), clients=clients, rounds=1, local_epochs=1))
+        assert calls == [(40, 5), (40, 3), (1000, 3)]
 
 
 class TestFedavg:

@@ -8,6 +8,7 @@ from flpareto.protect import (
     RandomizationParams,
     SparsificationParams,
     bc_cost,
+    bc_pack,
     bc_protect,
     rd_leakage,
     rd_protect,
@@ -59,7 +60,8 @@ class TestRandomization:
 class TestBatchCrypt:
     def test_all_zero_roundtrip(self):
         p = BatchCryptParams(batch_size=100)
-        batches, deq = bc_protect(np.zeros(250), p)
+        deq = bc_protect(np.zeros(250), p)
+        batches = bc_pack(np.zeros(250), p)
         assert np.array_equal(deq, np.zeros(250))
         assert all(isinstance(b, int) for b in batches)
 
@@ -68,7 +70,7 @@ class TestBatchCrypt:
         b = p.bits_per_value
         for _ in range(20):
             W = rng.normal(size=500) * rng.random()
-            _, deq = bc_protect(W, p)
+            deq = bc_protect(W, p)
             r = np.max(np.abs(W))
             assert np.max(np.abs(deq - W)) <= r / (2 ** (b - 1) - 1) + 1e-15
 
@@ -76,14 +78,14 @@ class TestBatchCrypt:
         p = BatchCryptParams(batch_size=200)
         for _ in range(20):
             W = rng.normal(size=333)
-            _, d1 = bc_protect(W, p)
-            _, d2 = bc_protect(d1, p)
+            d1 = bc_protect(W, p)
+            d2 = bc_protect(d1, p)
             assert np.array_equal(d1, d2)
 
     def test_sixteen_bit_mode_near_identity(self, rng):
         p = BatchCryptParams(batch_size=100)  # 36 bits per value
         W = rng.normal(size=1000)
-        _, deq = bc_protect(W, p)
+        deq = bc_protect(W, p)
         assert np.max(np.abs(deq - W)) < 1e-3 * np.max(np.abs(W))
 
     def test_batch_too_large_for_payload(self):
@@ -99,7 +101,7 @@ class TestBatchCrypt:
 
     def test_single_batch_when_small(self):
         p = BatchCryptParams(batch_size=100)
-        batches, _ = bc_protect(np.ones(60), p)
+        batches = bc_pack(np.ones(60), p)
         assert len(batches) == 1
 
     def test_cost_halves_when_bs_doubles(self):
@@ -127,7 +129,7 @@ class TestBatchCrypt:
         for _ in range(p.clients):
             W = rng.normal(size=200)
             W[0] = np.max(np.abs(W)) + 1.0  # force a full-scale code
-            batches, _ = bc_protect(W, p)
+            batches = bc_pack(W, p)
             total += batches[0]
         assert total < 1 << (slot * 200)
 
@@ -201,7 +203,7 @@ class TestSparsification:
         W = rng.normal(size=100) * 0.1
         rd = rd_protect(W, RandomizationParams(0.0, 4.0), rng)
         assert np.array_equal(rd, W)
-        _, deq = bc_protect(W, BatchCryptParams(batch_size=100))
+        deq = bc_protect(W, BatchCryptParams(batch_size=100))
         assert np.max(np.abs(deq - W)) < 1e-3 * np.max(np.abs(W))
         sf = sf_protect(W, np.zeros(100), SparsificationParams(1.0, 0.0), rng)
         assert sf.shared_mask.all()
