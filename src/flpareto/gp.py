@@ -127,7 +127,7 @@ def _posterior_std_units(
     """Posterior mean/variance in standardized units plus solver byproducts."""
     kq = _kernel_from_sq(_sq_dists(Xq, g.X), g.hyper)  # (q, n)
     mean = kq @ g.alpha
-    v = solve_triangular(g.L, kq.T, lower=True)  # (n, q)
+    v = solve_triangular(g.L, kq.T, lower=True, check_finite=False)  # (n, q)
     var = g.hyper.signal_var - np.sum(v * v, axis=0)
     var = np.where(var < 1e-12, 0.0, var)
     return mean, var, kq, v
@@ -158,13 +158,14 @@ def gp_posterior_grad(
     where the posterior std underflows (clamped), matching the forward pass.
     """
     Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-    mean_s, var_s, kq, _ = _posterior_std_units(g, Xq)
+    mean_s, var_s, kq, v = _posterior_std_units(g, Xq)
     ls2 = g.hyper.length_scale**2
     # dk[q, i, j] = k(xq, Xi) * (Xi - xq)_j / ls^2
     diff = (g.X[None, :, :] - Xq[:, None, :]) / ls2
     dk = kq[:, :, None] * diff
     dmean_s = np.einsum("qid,i->qd", dk, g.alpha)
-    kinv_kq = cho_solve((g.L, True), kq.T)  # (n, q)
+    # K^-1 kq by back-solving L^T x = v, the forward solve's result
+    kinv_kq = solve_triangular(g.L, v, lower=True, trans="T", check_finite=False)  # (n, q)
     dvar_s = -2.0 * np.einsum("iq,qid->qd", kinv_kq, dk)
     std_s = np.sqrt(var_s)
     safe = std_s > 1e-9

@@ -23,6 +23,7 @@ __all__ = [
     "nondominated_sort",
     "crowding_distance",
     "hypervolume",
+    "hypervolume_contributions",
     "penalize",
     "is_feasible",
     "aggregate_objective",
@@ -196,15 +197,75 @@ def _hv3d(Y: np.ndarray, z: np.ndarray) -> float:
         return 0.0
     order = np.argsort(Y[:, 2], kind="stable")
     Y = Y[order]
-    levels = np.unique(Y[:, 2])
+    levels, counts = np.unique(Y[:, 2], return_counts=True)
     edges = np.append(levels, z[2])
+    # rows are sorted by f3, so the rows with f3 <= lo are a prefix
+    ends = np.cumsum(counts)
     hv = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    for lo, hi, end in zip(edges[:-1], edges[1:], ends):
         if hi <= lo:
             continue
-        active = Y[Y[:, 2] <= lo, :2]
-        hv += _hv2d(active, z[:2]) * (hi - lo)
+        hv += _hv2d(Y[:end, :2], z[:2]) * (hi - lo)
     return float(hv)
+
+
+def _hv2d_rows(f1: np.ndarray, f2: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """2-D hypervolumes of C point sets at once; row c of the (C, n) arrays
+    `f1`, `f2` is one set of points <= z, with f1 nondecreasing along it."""
+    level = np.minimum.accumulate(f2, axis=1)
+    level = np.concatenate([np.full((f2.shape[0], 1), z[1]), level[:, :-1]], axis=1)
+    return np.sum((z[0] - f1) * np.maximum(level - f2, 0.0), axis=1)
+
+
+def hypervolume_contributions(points, candidates, z) -> np.ndarray:
+    """HV(points U {y}) - HV(points) for each row y of `candidates` (m in {2, 3}).
+
+    Each gain is the exclusive contribution prod(z - y) - HV(limit set),
+    where the limit set holds max(s, y) for the non-dominated points s <= z
+    (While et al. 2012, WFG).  The limit sets of all candidates are swept at
+    once: max(., y) keeps the order of every coordinate, so one sort of the
+    points orders every candidate's limit set.  A candidate that is not
+    <= z, or that a point weakly dominates, contributes exactly 0.
+    """
+    z = np.asarray(z, dtype=float)
+    m = z.shape[0]
+    if m not in (2, 3):
+        raise ValueError(f"hypervolume supports m in {{2, 3}}, got m={m}")
+    C = _as_2d(candidates)
+    S = np.asarray(points, dtype=float)
+    S = _as_2d(S) if S.size else np.empty((0, m))
+    if C.shape[1] != m or S.shape[1] != m:
+        raise ValueError(
+            f"points have m={S.shape[1]} and candidates m={C.shape[1]}, but reference has m={m}"
+        )
+    S = S[np.all(S <= z, axis=1)]
+    gains = np.zeros(C.shape[0])
+    live = np.all(C <= z, axis=1)
+    if S.shape[0]:
+        S = S[pareto_front_mask(S)]
+        live &= ~np.any(np.all(S[None, :, :] <= C[:, None, :], axis=2), axis=1)
+    y = C[live]
+    gains[live] = np.prod(z - y, axis=1)
+    if S.shape[0] == 0 or y.shape[0] == 0:
+        return gains
+    if m == 2:
+        S = S[np.argsort(S[:, 0], kind="stable")]
+        L = np.maximum(S[None, :, :], y[:, None, :])
+        gains[live] -= _hv2d_rows(L[..., 0], L[..., 1], z)
+        return gains
+    # slabs along f3: the first j limit points (by f3) are active between
+    # the j-th and the (j+1)-th f3 value
+    S = S[np.argsort(S[:, 2], kind="stable")]
+    f3 = np.maximum(S[None, :, 2], y[:, 2:3])
+    heights = np.diff(np.concatenate([f3, np.full((y.shape[0], 1), z[2])], axis=1), axis=1)
+    limit = np.zeros(y.shape[0])
+    for j in range(1, S.shape[0] + 1):
+        P = S[:j][np.argsort(S[:j, 0], kind="stable")]
+        f1 = np.maximum(P[None, :, 0], y[:, 0:1])
+        f2 = np.maximum(P[None, :, 1], y[:, 1:2])
+        limit += _hv2d_rows(f1, f2, z) * heights[:, j - 1]
+    gains[live] -= limit
+    return gains
 
 
 def hypervolume(points, z) -> float:

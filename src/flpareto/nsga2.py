@@ -188,7 +188,11 @@ def _chromosome_to_genes(chrom: np.ndarray, cfg: NsgaConfig, dim: int) -> np.nda
 
 
 def evaluate_batch(problem: Problem, X: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Evaluate the rows of X one at a time, in order."""
+    """Evaluate the rows of X one at a time, in order.
+
+    Raises EvaluationError naming the solution when the evaluator fails or
+    returns anything but n_obj finite values.
+    """
     rows = np.empty((X.shape[0], problem.n_obj))
     for i in range(X.shape[0]):
         try:
@@ -199,6 +203,18 @@ def evaluate_batch(problem: Problem, X: np.ndarray, seeds: np.ndarray) -> np.nda
             raise EvaluationError(
                 f"evaluator failed on solution {X[i].tolist()}: {exc}", solution=X[i]
             ) from exc
+        if y.size != problem.n_obj:
+            raise EvaluationError(
+                f"evaluator returned {y.size} values for solution {X[i].tolist()}, "
+                f"expected n_obj={problem.n_obj}",
+                solution=X[i],
+            )
+        if not np.all(np.isfinite(y)):
+            raise EvaluationError(
+                f"evaluator returned non-finite objectives {y.ravel().tolist()} "
+                f"for solution {X[i].tolist()}",
+                solution=X[i],
+            )
         rows[i] = y.reshape(problem.n_obj)
     return rows
 

@@ -16,7 +16,14 @@ import numpy as np
 from scipy.special import expit
 
 from .gp import GPModel, gp_fit, gp_posterior, gp_posterior_grad
-from .moo import Archive, ConstraintSpec, Problem, hypervolume, penalize
+from .moo import (
+    Archive,
+    ConstraintSpec,
+    Problem,
+    hypervolume,
+    hypervolume_contributions,
+    penalize,
+)
 from .nsga2 import GenerationRecord, RunResult, evaluate_batch, latin_hypercube, _record
 from .seeding import TAG_EVAL, TAG_INIT, TAG_PSL_MODEL, TAG_PSL_PREF, spawn_seed, stream
 
@@ -242,30 +249,55 @@ def greedy_hvi_select(
 ) -> list[int]:
     """Indices of n_select candidates picked by greedy hypervolume improvement.
 
-    Each pick maximizes HV(base U picked U candidate) - HV(base U picked);
-    ties resolve to the lowest candidate index.
+    Each pick maximizes the gain HV(base U picked U candidate) - hv_now,
+    where hv_now is HV(base) plus the gains picked so far; a gain beats the
+    best so far only by more than 1e-15, so ties resolve to the lowest
+    candidate index.  `hypervolume_contributions` scores every remaining
+    candidate in one pass; only the candidates that could win are scored
+    again with `hypervolume`, and those gains decide the pick.
     """
     Y = np.atleast_2d(np.asarray(surrogate_Y, dtype=float))
     base = np.atleast_2d(np.asarray(base_Y, dtype=float)) if len(base_Y) else np.empty((0, Y.shape[1]))
     z = np.asarray(z, dtype=float)
     if n_select > Y.shape[0]:
         raise ValueError("cannot select more candidates than provided")
+    inside = np.all(Y <= z, axis=1)
+    pts = np.vstack([base, Y])
+    pts = pts[np.all(pts <= z, axis=1)]
+    box = float(np.prod(z - pts.min(axis=0))) if pts.shape[0] else 0.0
+    # The fast and the exact gains differ by rounding only, far below 1e-9
+    # of the box volume.  The re-scored set runs down the sorted fast gains
+    # to the first drop wider than `margin`, so each candidate left out has
+    # an exact gain over 1e-15 below every re-scored one: it can neither win
+    # nor, through the 1e-15 tie rule, change which of them wins.
+    margin = 1e-9 * box + 1e-14
     chosen: list[int] = []
     current = base
     hv_now = hypervolume(current, z)
-    remaining = list(range(Y.shape[0]))
+    remaining = np.arange(Y.shape[0])
     for _ in range(n_select):
-        best_gain, best_idx = -1.0, remaining[0]
-        for i in remaining:
+        fast = hypervolume_contributions(current, Y[remaining], z)
+        order = np.argsort(-fast, kind="stable")
+        gaps = np.flatnonzero(-np.diff(fast[order]) > margin)
+        close = np.sort(remaining[order[: gaps[0] + 1 if gaps.size else order.size]])
+        hv_outside = None
+        best_gain, best_idx = -1.0, int(close[0])
+        for i in close:
             # a candidate weakly dominated by the current set cannot add volume
             if current.shape[0] and np.any(np.all(current <= Y[i], axis=1)):
                 gain = 0.0
+            elif not inside[i]:
+                # hypervolume drops a point outside z, so each such gain is
+                # HV(current) - hv_now
+                if hv_outside is None:
+                    hv_outside = hypervolume(current, z) - hv_now
+                gain = hv_outside
             else:
                 gain = hypervolume(np.vstack([current, Y[i : i + 1]]), z) - hv_now
             if gain > best_gain + 1e-15:
-                best_gain, best_idx = gain, i
+                best_gain, best_idx = gain, int(i)
         chosen.append(best_idx)
-        remaining.remove(best_idx)
+        remaining = remaining[remaining != best_idx]
         current = np.vstack([current, Y[best_idx : best_idx + 1]])
         hv_now += max(best_gain, 0.0)
     return chosen

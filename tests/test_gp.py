@@ -1,7 +1,40 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, solve_triangular
 
-from flpareto.gp import GPHyper, GpFitError, gp_fit, gp_posterior, gp_posterior_grad
+from flpareto.gp import (
+    GPHyper,
+    GpFitError,
+    _kernel_from_sq,
+    _sq_dists,
+    gp_fit,
+    gp_posterior,
+    gp_posterior_grad,
+)
+
+
+def _reference_posterior_grad(g, Xq):
+    """gp_posterior_grad with K^-1 kq from a full Cholesky solve."""
+    kq = _kernel_from_sq(_sq_dists(Xq, g.X), g.hyper)
+    mean_s = kq @ g.alpha
+    v = solve_triangular(g.L, kq.T, lower=True)
+    var_s = g.hyper.signal_var - np.sum(v * v, axis=0)
+    var_s = np.where(var_s < 1e-12, 0.0, var_s)
+    diff = (g.X[None, :, :] - Xq[:, None, :]) / g.hyper.length_scale**2
+    dk = kq[:, :, None] * diff
+    dmean_s = np.einsum("qid,i->qd", dk, g.alpha)
+    kinv_kq = cho_solve((g.L, True), kq.T)
+    dvar_s = -2.0 * np.einsum("iq,qid->qd", kinv_kq, dk)
+    std_s = np.sqrt(var_s)
+    safe = std_s > 1e-9
+    dstd_s = np.zeros_like(dvar_s)
+    dstd_s[safe] = dvar_s[safe] / (2.0 * std_s[safe, None])
+    return (
+        g.y_shift + g.y_scale * mean_s,
+        g.y_scale * std_s,
+        g.y_scale * dmean_s,
+        g.y_scale * dstd_s,
+    )
 
 
 class TestFit:
@@ -95,3 +128,15 @@ class TestPosterior:
             fds = (sp[0] - sm[0]) / (2 * h)
             assert abs(fdm - dm[0, j]) / max(abs(fdm), 1e-12) < 1e-5
             assert abs(fds - ds[0, j]) / max(abs(fds), 1e-12) < 1e-5
+
+    def test_posterior_grad_bitwise_equals_cholesky_solve(self, rng):
+        # the back-solve from the forward solve's result must reproduce the
+        # full cho_solve formula bit for bit, training points included
+        for trial in range(12):
+            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+            X = rng.random((n, d))
+            y = rng.random(n) * 10.0 ** rng.integers(-3, 4)
+            g = gp_fit(X, y) if trial % 2 else gp_fit(X, y, GPHyper(0.3, 1.0, 1e-6))
+            Xq = np.vstack([rng.random((16, d)), X[:2]])
+            for got, want in zip(gp_posterior_grad(g, Xq), _reference_posterior_grad(g, Xq)):
+                assert np.array_equal(got, want)

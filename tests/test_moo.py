@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flpareto.moo import _hv2d, _hv3d
 from flpareto.moo import (
     Archive,
     ConstraintSpec,
@@ -10,6 +11,7 @@ from flpareto.moo import (
     crowding_distance,
     dominates,
     hypervolume,
+    hypervolume_contributions,
     nondominated_sort,
     pareto_front_mask,
     penalize,
@@ -131,6 +133,72 @@ class TestHypervolume:
         assert hypervolume(np.vstack([Y, extra]), z) >= base - 1e-12
         dominated = Y[0] + 0.1  # strictly worse than an existing point
         assert hypervolume(np.vstack([Y, dominated]), z) == pytest.approx(base)
+
+
+def _reference_hv3d(Y, z):
+    """_hv3d with each slab's active rows found by a mask over all rows."""
+    Y = Y[np.all(Y <= z, axis=1)]
+    if Y.shape[0] == 0:
+        return 0.0
+    Y = Y[np.argsort(Y[:, 2], kind="stable")]
+    edges = np.append(np.unique(Y[:, 2]), z[2])
+    hv = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi <= lo:
+            continue
+        hv += _hv2d(Y[Y[:, 2] <= lo, :2], z[:2]) * (hi - lo)
+    return float(hv)
+
+
+def _point_sets(rng, m, trials):
+    """Random (points, candidates, z) with exact ties, duplicate rows, rows
+    outside z, empty point sets and points on the faces of the box."""
+    for trial in range(trials):
+        z = np.ones(m)
+        S = rng.random((int(rng.integers(0, 25)), m)) * 1.2
+        C = rng.random((int(rng.integers(1, 30)), m)) * 1.2
+        if trial % 3 == 0:
+            S, C = np.round(S * 4) / 4, np.round(C * 4) / 4
+        if trial % 4 == 1 and len(S) > 1:
+            S = np.vstack([S, S[:2], C[:1]])
+            C = np.vstack([C, C[:1], S[:1]])
+        yield S, C, z
+
+
+class TestHypervolumeContributions:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_hypervolume_differences(self, m, rng):
+        for S, C, z in _point_sets(rng, m, 60):
+            got = hypervolume_contributions(S, C, z)
+            hv_s = hypervolume(S, z)
+            want = [hypervolume(np.vstack([S, y]), z) - hv_s for y in C]
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_outside_or_weakly_dominated_is_exactly_zero(self, m):
+        S = np.array([[0.2] * m, [0.5] * m])
+        C = np.array([[0.2] * m, [0.6] * m, [1.5] + [0.0] * (m - 1), [0.1] * m])
+        got = hypervolume_contributions(S, C, np.ones(m))
+        assert got[:3].tolist() == [0.0, 0.0, 0.0]
+        assert got[3] == pytest.approx(0.9**m - 0.8**m)
+
+    def test_empty_points_give_the_candidate_boxes(self):
+        got = hypervolume_contributions(np.empty((0, 3)), [[0.5, 0.5, 0.5], [0, 0, 2]], [1, 1, 1])
+        assert got.tolist() == [0.125, 0.0]
+
+    def test_dimension_checked(self):
+        with pytest.raises(ValueError):
+            hypervolume_contributions([[0, 0, 0, 0]], [[1, 1, 1, 1]], [2, 2, 2, 2])
+        with pytest.raises(ValueError, match="candidates m=2"):
+            hypervolume_contributions([[0, 0, 0]], [[1, 1], [1, 1], [1, 1]], [2, 2, 2])
+
+    def test_hv3d_prefix_slabs_bitwise(self, rng):
+        for S, C, z in _point_sets(rng, 3, 60):
+            Y = np.vstack([S, C])
+            assert _hv3d(Y, z) == _reference_hv3d(Y, z)
+        Y = rng.random((1200, 3))
+        Y[::3, 2] = Y[1::3, 2][: len(Y[::3])]  # tied f3 levels
+        assert _hv3d(Y, np.ones(3)) == _reference_hv3d(Y, np.ones(3))
 
 
 class TestPenalize:

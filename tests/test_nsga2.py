@@ -14,6 +14,7 @@ from flpareto.nsga2 import (
     NsgaConfig,
     binary_variation,
     bits_to_unit,
+    evaluate_batch,
     latin_hypercube,
     polynomial_mutation,
     run_nsga2,
@@ -216,6 +217,19 @@ class TestRunNsga2:
         with pytest.raises(EvaluationError) as exc:
             run_nsga2(prob, NsgaConfig(population_size=4, generations=1), seed=0)
         assert exc.value.solution is not None
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [([[1.0, 2.0, 3.0]], "3 values"), ([[np.nan, 1.0]], "non-finite"), ([1.0, np.inf], "non-finite")],
+    )
+    def test_malformed_evaluator_output_reports_solution(self, row, message):
+        prob = _quad_problem()
+        prob.evaluate = lambda X, seeds: np.asarray(row)
+        X = np.array([[0.1, 0.2, 0.3]])
+        with pytest.raises(EvaluationError, match=message) as exc:
+            evaluate_batch(prob, X, np.array([7]))
+        assert np.array_equal(exc.value.solution, X[0])
+        assert "[0.1, 0.2, 0.3]" in str(exc.value)
 
     def test_constrained_toy_beats_baseline_on_feasible_hv(self):
         # median over 5 seeds; per-seed outcomes are noisy at this budget

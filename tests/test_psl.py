@@ -3,6 +3,7 @@ import pytest
 
 from flpareto.bench import zdt1_problem
 from flpareto.gp import GPHyper, gp_fit
+from flpareto import psl
 from flpareto.moo import ConstraintSpec, Problem, hypervolume, penalize
 from flpareto.psl import (
     ParetoSetModel,
@@ -150,7 +151,108 @@ class TestTraining:
             assert np.unique(np.round(X[:, j], 6)).size >= 2
 
 
+def _reference_greedy_hvi_select(
+    surrogate_Y: np.ndarray, base_Y: np.ndarray, n_select: int, z
+) -> list[int]:
+    """Indices of n_select candidates picked by greedy hypervolume improvement.
+
+    Each pick maximizes HV(base U picked U candidate) - HV(base U picked);
+    ties resolve to the lowest candidate index.
+    """
+    Y = np.atleast_2d(np.asarray(surrogate_Y, dtype=float))
+    base = np.atleast_2d(np.asarray(base_Y, dtype=float)) if len(base_Y) else np.empty((0, Y.shape[1]))
+    z = np.asarray(z, dtype=float)
+    if n_select > Y.shape[0]:
+        raise ValueError("cannot select more candidates than provided")
+    chosen: list[int] = []
+    current = base
+    hv_now = hypervolume(current, z)
+    remaining = list(range(Y.shape[0]))
+    for _ in range(n_select):
+        best_gain, best_idx = -1.0, remaining[0]
+        for i in remaining:
+            # a candidate weakly dominated by the current set cannot add volume
+            if current.shape[0] and np.any(np.all(current <= Y[i], axis=1)):
+                gain = 0.0
+            else:
+                gain = hypervolume(np.vstack([current, Y[i : i + 1]]), z) - hv_now
+            if gain > best_gain + 1e-15:
+                best_gain, best_idx = gain, i
+        chosen.append(best_idx)
+        remaining.remove(best_idx)
+        current = np.vstack([current, Y[best_idx : best_idx + 1]])
+        hv_now += max(best_gain, 0.0)
+    return chosen
+
+
+HVI_KINDS = (
+    "plain", "ties", "duplicates", "near_ties", "outside", "empty_base", "dominated_tail", "large_ties",
+)
+
+
+def _hvi_instance(rng, m, kind):
+    """(candidates, base, n_select, z) for one randomized selection."""
+    C, nb = int(rng.integers(1, 13)), int(rng.integers(0, 8))
+    cand, base = rng.random((C, m)), rng.random((nb, m))
+    n_select = int(rng.integers(1, C + 1))
+    if kind == "ties":  # grid coordinates: equal gains and equal coordinates
+        cand, base = np.round(cand * 3) / 3, np.round(base * 3) / 3
+    elif kind == "duplicates":
+        cand = cand[rng.integers(0, max(1, C // 2), C)]
+    elif kind == "near_ties":  # copies whose gains differ by 1e-15 to 1e-12
+        rows = cand[rng.integers(0, C, C)]
+        rows[np.arange(C), rng.integers(0, m, C)] += rng.choice([-1, 1], C) * 10.0 ** rng.uniform(-15, -12, C)
+        cand = np.vstack([cand, rows])
+    elif kind == "outside":  # candidates and base points beyond z
+        cand, base = cand * 1.5, base * 1.5
+    elif kind == "empty_base":
+        base = np.empty((0, m))
+    elif kind == "dominated_tail":  # most candidates add nothing; pick them all
+        base = np.vstack([base, rng.random((3, m)) * 0.4])
+        cand = 0.3 + 0.7 * cand
+        n_select = C
+    elif kind == "large_ties":  # rounding of order 1e-7 decides exact ties
+        cand, base = np.round(cand * 4) * (1000.0 / 3), np.round(base * 4) * (1000.0 / 3)
+        n_select = C
+        return cand, base, n_select, np.full(m, 1000.0)
+    if rng.random() < 0.2:
+        n_select = cand.shape[0]
+    return cand, base, n_select, np.ones(m)
+
+
 class TestGreedyHvi:
+    @pytest.mark.parametrize("kind", HVI_KINDS)
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_picks_equal_reference_selector(self, m, kind):
+        rng = np.random.default_rng([m, HVI_KINDS.index(kind)])
+        for _ in range(40):  # 640 instances over the parametrization
+            cand, base, k, z = _hvi_instance(rng, m, kind)
+            assert greedy_hvi_select(cand, base, k, z) == _reference_greedy_hvi_select(cand, base, k, z)
+
+    def test_dense_near_tie_chain(self):
+        # gains 6e-16 apart: the 1e-15 tie rule chains across the whole
+        # set, so re-scoring only the gains near the best would pick 19
+        z = np.array([1e-6, 1.0])
+        w = 5e-7 + 6e-16 * np.arange(21)
+        cand = np.column_stack([z[0] - w, np.zeros(21)])
+        for k in (1, 3):
+            want = _reference_greedy_hvi_select(cand, np.empty((0, 2)), k, z)
+            assert greedy_hvi_select(cand, np.empty((0, 2)), k, z) == want
+        assert want[0] == 20
+
+    def test_few_hypervolume_calls_per_pick(self, rng, monkeypatch):
+        calls = []
+
+        def counted(points, z):
+            calls.append(len(points))
+            return hypervolume(points, z)
+
+        monkeypatch.setattr(psl, "hypervolume", counted)
+        cand, base = rng.random((500, 3)), rng.random((40, 3)) + 0.3
+        picks = greedy_hvi_select(cand, base, 5, np.full(3, 1.5))
+        assert picks == _reference_greedy_hvi_select(cand, base, 5, np.full(3, 1.5))
+        assert len(calls) < 10
+
     def test_matches_exhaustive_oracle(self, rng):
         z = np.array([2.0, 2.0])
         for _ in range(15):
