@@ -22,7 +22,7 @@ import numpy as np
 
 from .bench import BENCHMARKS
 from .moo import hypervolume
-from .runner import ManifestError, check_fl_options, load_front_file, run_manifest
+from .runner import ManifestError, fl_options, load_front_file, run_manifest
 from .settings import FL_SETTINGS, build_space, make_run_config
 from .flsim import flo_evaluate
 
@@ -61,12 +61,11 @@ def _cmd_benchmark(args) -> int:
         "algorithm": args.algorithm,
         "setting": args.name,
         "seeds": list(args.seed) if args.seed else [0],
-        "generations": args.generations,
-        "population": args.population,
         "out_dir": args.out or f"runs/{args.name}-{args.algorithm}",
     }
-    if args.dim is not None:
-        manifest["dim"] = args.dim
+    for key in ("generations", "population", "dim"):
+        if getattr(args, key) is not None:
+            manifest[key] = getattr(args, key)
     manifest = _apply_common_overrides(manifest, args)
     paths = run_manifest(manifest)
     print(json.dumps(paths, indent=1, sort_keys=True))
@@ -88,14 +87,15 @@ def _parse_params(pairs: list[str]) -> dict:
 
 
 def _cmd_evaluate(args) -> int:
-    fl_options = {}
+    fl = {}
     if args.config:
         with open(args.config) as fh:
-            fl_options = check_fl_options(json.load(fh).get("fl", {}))
-    space = build_space(args.setting, int(fl_options.get("width_max", 32)))
+            fl = json.load(fh).get("fl", {})
+    opts = fl_options(fl)
+    space = build_space(args.setting, opts.width_max)
     values = _parse_params(args.param or [])
     space.validate(values)
-    cfg = make_run_config(args.setting, values, fl_options, args.seed[0] if args.seed else 0)
+    cfg = make_run_config(args.setting, values, opts, args.seed[0] if args.seed else 0)
     result = flo_evaluate(cfg)
     flat = result.as_flat()
     print(" ".join(f"{k}={flat[k]!r}" for k in ("eps_u", "eps_p", "eps_c", "accuracy", "diverged")))
@@ -152,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_b = sub.add_parser("benchmark", help="optimize a named benchmark without a config file")
     p_b.add_argument("--name", required=True, choices=sorted(BENCHMARKS))
     p_b.add_argument("--algorithm", default="nsga2", choices=("nsga2", "psl", "random"))
-    p_b.add_argument("--generations", type=int, default=20)
-    p_b.add_argument("--population", type=int, default=20)
+    p_b.add_argument("--generations", type=int, default=None)
+    p_b.add_argument("--population", type=int, default=None)
     p_b.add_argument("--dim", type=int, default=None)
     add_common(p_b)
     p_b.add_argument("--baseline", action="store_true")

@@ -61,6 +61,8 @@ class NsgaConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.chromosome not in ("real", "binary"):
             raise ValueError("chromosome must be 'real' or 'binary'")
+        if self.bits_per_var < 1:
+            raise ValueError("bits_per_var must be >= 1")
 
 
 @dataclass

@@ -37,6 +37,9 @@ __all__ = [
     "run_psl",
 ]
 
+PENALTY_SHARPNESS = 50.0  # softplus sharpness of the surrogate's constraint penalty
+IDEAL_MARGIN = 0.05  # Tchebycheff ideal point sits this far below the archive's best
+
 
 @dataclass(frozen=True)
 class PslConfig:
@@ -49,16 +52,19 @@ class PslConfig:
     model_batch: int = 16
     hidden: tuple[int, int] = (64, 64)
     lcb_beta: float = 0.1
-    penalty_sharpness: float = 50.0
-    ideal_margin: float = 0.05
     warm_start: bool = True
     hvi_use_penalized: bool = True
 
     def __post_init__(self):
-        if self.generations < 0 or self.batch_size < 1:
-            raise ValueError("generations must be >= 0 and batch_size >= 1")
+        for name, lo in (("generations", 0), ("batch_size", 1), ("model_steps", 0), ("model_batch", 1)):
+            if getattr(self, name) < lo:
+                raise ValueError(f"{name} must be >= {lo}")
         if self.n_candidates < self.batch_size:
-            raise ValueError("n_candidates must be >= batch_size")
+            raise ValueError("n_candidates must be >= batch_size (the population)")
+        if self.n_init is not None and self.n_init < 2:
+            raise ValueError("n_init must be >= 2")
+        if len(self.hidden) != 2 or min(self.hidden) < 1:
+            raise ValueError("hidden must hold two widths >= 1")
 
 
 def tchebycheff(y, lam, z) -> float:
@@ -208,10 +214,10 @@ def train_pareto_set_model(
     steps: int,
     rng: np.random.Generator,
     ideal: np.ndarray,
-    lr: float = 1e-5,
-    batch: int = 16,
-    beta: float = 0.1,
-    sharpness: float = 50.0,
+    lr: float = PslConfig.model_lr,
+    batch: int = PslConfig.model_batch,
+    beta: float = PslConfig.lcb_beta,
+    sharpness: float = PENALTY_SHARPNESS,
 ) -> tuple[ParetoSetModel, list[float]]:
     """Adam-train the model in place for `steps` updates; returns loss trace."""
     if steps < 0:
@@ -325,8 +331,6 @@ def run_psl(
     constraints = constraints if constraints is not None else problem.constraints
     z = np.asarray(ref_point if ref_point is not None else problem.ref_point, float)
     n_init = cfg.n_init if cfg.n_init is not None else max(5, problem.dim + 1)
-    if n_init < 2:
-        raise ValueError("initial design needs at least 2 points")
     N = cfg.batch_size
 
     records: list[GenerationRecord] = []
@@ -355,7 +359,7 @@ def run_psl(
         X = archive.genes
         Y = archive.raw
         gps = _fit_objective_gps(X, Y)
-        ideal = Y.min(axis=0) - cfg.ideal_margin
+        ideal = Y.min(axis=0) - IDEAL_MARGIN
 
         if not cfg.warm_start:
             model = ParetoSetModel.create(
@@ -371,7 +375,6 @@ def run_psl(
             lr=cfg.model_lr,
             batch=cfg.model_batch,
             beta=cfg.lcb_beta,
-            sharpness=cfg.penalty_sharpness,
         )
 
         cand = generate_candidates(model, cfg.n_candidates, stream(seed, TAG_PSL_PREF, t))

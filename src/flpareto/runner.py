@@ -18,9 +18,13 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import dataclasses
 import hashlib
 import json
+import numbers
 import os
+import types
+import typing
 from itertools import repeat
 from pathlib import Path
 
@@ -31,41 +35,31 @@ from .moo import Archive, ConstraintSpec, Problem
 from .nsga2 import GenerationRecord, NsgaConfig, RunResult, run_nsga2, run_random_search
 from .psl import PslConfig, run_psl
 from .schema import SCHEMA_VERSION, TRACE_COLUMNS
-from .settings import FL_OPTION_KEYS, FL_SETTINGS, build_fl_problem, default_ref_point
+from .settings import FL_SETTINGS, FlOptions, build_fl_problem
 
-__all__ = ["normalize_manifest", "check_fl_options", "run_manifest", "load_front_file"]
+__all__ = ["normalize_manifest", "fl_options", "algorithm_config", "run_manifest", "load_front_file"]
 
 ALGORITHMS = ("nsga2", "psl", "random")
 CONSTRAINT_MODES = ("cmofl", "mofl-baseline")
 
-_GA_DEFAULTS = {
-    "crossover_prob": 0.9,
-    "mutation_prob": 0.1,
-    "eta_crossover": 2.0,
-    "eta_mutation": 20.0,
-    "chromosome": "real",
-    "bits_per_var": 12,
-}
-_PSL_DEFAULTS = {
-    "n_init": None,
-    "candidates": 1000,
-    "model_steps": 1000,
-    "model_lr": 1e-5,
-    "model_batch": 16,
-    "lcb_beta": 0.1,
-    "hidden": [64, 64],
-    "warm_start": True,
-    "hvi_use_penalized": True,
-}
+# An algorithm's manifest block holds its config class's fields, less those
+# the manifest sets at top level, and under one rename
+_BLOCKS = {"nsga2": ("ga", NsgaConfig), "psl": ("psl", PslConfig)}
+_TOP_LEVEL = {"population_size": "population", "batch_size": "population", "generations": "generations"}
+_BLOCK_KEY = {"n_candidates": "candidates"}
 
 
 class ManifestError(ValueError):
     """Invalid manifest; the message names the offending field."""
 
 
+def _field_error(field: str, msg: str) -> ManifestError:
+    return ManifestError(f"manifest field {field!r}: {msg}")
+
+
 def _require(cond: bool, field: str, msg: str) -> None:
     if not cond:
-        raise ManifestError(f"manifest field {field!r}: {msg}")
+        raise _field_error(field, msg)
 
 
 def _reject_unknown(given: dict, known, prefix: str = "") -> None:
@@ -73,15 +67,51 @@ def _reject_unknown(given: dict, known, prefix: str = "") -> None:
     _require(not extra, ",".join(prefix + k for k in extra), "unknown field(s)")
 
 
-def check_fl_options(fl: dict) -> dict:
-    """Validate a manifest's `fl` block: known keys, integer fields >= their bounds."""
-    fl = dict(fl)
-    _reject_unknown(fl, FL_OPTION_KEYS, "fl.")
-    for key, lo in (("clients", 1), ("rounds", 0), ("local_epochs", 1), ("batch_size", 1), ("width_max", 1)):
-        if key in fl:
-            fl[key] = int(fl[key])
-            _require(fl[key] >= lo, f"fl.{key}", f"must be >= {lo}")
-    return fl
+def _coerce(value, hint):
+    """A JSON value as a config field annotated `hint` takes it."""
+    if isinstance(hint, types.UnionType):  # `int | None`
+        return None if value is None else _coerce(value, typing.get_args(hint)[0])
+    if typing.get_origin(hint) is tuple:
+        return tuple(_coerce(v, typing.get_args(hint)[0]) for v in value)
+    if hint is int and not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return hint(value) if hint in (int, float, bool) else value
+
+
+def _config(cls, values: dict, field_name):
+    """Build config `cls` from JSON `values`; errors name `field_name(field)`.
+
+    The classes' own checks raise ValueError with the field's name first.
+    """
+    hints = typing.get_type_hints(cls)
+    _reject_unknown(values, hints, field_name(""))  # field_name("") is the block prefix
+    kwargs = {}
+    for name, value in values.items():
+        try:
+            kwargs[name] = _coerce(value, hints[name])
+        except (TypeError, ValueError) as exc:
+            raise _field_error(field_name(name), str(exc)) from None
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        name, _, msg = str(exc).partition(" ")
+        raise _field_error(field_name(name), msg) from None
+
+
+def fl_options(fl: dict) -> FlOptions:
+    """A manifest's `fl` block as FlOptions; errors name the `fl.*` field."""
+    return _config(FlOptions, fl, lambda name: f"fl.{name}")
+
+
+def algorithm_config(manifest: dict) -> NsgaConfig | PslConfig | None:
+    """The chosen algorithm's config from a normalized manifest; None for random."""
+    if manifest["algorithm"] not in _BLOCKS:
+        return None
+    block, cls = _BLOCKS[manifest["algorithm"]]
+    field_of = {key: name for name, key in _BLOCK_KEY.items()}
+    values = {f.name: manifest[_TOP_LEVEL[f.name]] for f in dataclasses.fields(cls) if f.name in _TOP_LEVEL}
+    values.update((field_of.get(k, k), v) for k, v in manifest[block].items())
+    return _config(cls, values, lambda name: _TOP_LEVEL.get(name) or f"{block}.{_BLOCK_KEY.get(name, name)}")
 
 
 def normalize_manifest(raw: dict) -> dict:
@@ -115,8 +145,6 @@ def normalize_manifest(raw: dict) -> dict:
     _require(m["generations"] >= 0, "generations", "must be >= 0")
     m["population"] = int(m.get("population", 20))
     _require(m["population"] >= 1, "population", "must be >= 1")
-    if m["algorithm"] == "nsga2":
-        _require(m["population"] >= 2, "population", "must be >= 2 for nsga2")
     m["workers"] = int(m.get("workers", 1))
     _require(m["workers"] >= 1, "workers", "must be >= 1")
     m["out_dir"] = str(m.get("out_dir", "runs/out"))
@@ -137,23 +165,24 @@ def normalize_manifest(raw: dict) -> dict:
         )
         m["ref_point"] = [float(v) for v in rp]
 
-    m["fl"] = check_fl_options(m.get("fl", {}))
+    # the echo keeps only the given fl keys, with integer fields as integers
+    fl = m.get("fl", {})
+    opts, hints = fl_options(fl), typing.get_type_hints(FlOptions)
+    m["fl"] = {k: getattr(opts, k) if hints[k] is int else v for k, v in fl.items()}
 
-    for block, defaults in (("ga", _GA_DEFAULTS), ("psl", _PSL_DEFAULTS)):
+    for block, cls in _BLOCKS.values():
+        fields = dataclasses.fields(cls)
+        defaults = {_BLOCK_KEY.get(f.name, f.name): f.default for f in fields if f.name not in _TOP_LEVEL}
         _reject_unknown(m.get(block, {}), defaults, f"{block}.")
         m[block] = {**defaults, **m.get(block, {})}
-    ga = m["ga"]
-    _require(ga["chromosome"] in ("real", "binary"), "ga.chromosome", "must be 'real' or 'binary'")
-    for key in ("crossover_prob", "mutation_prob"):
-        _require(0.0 <= float(ga[key]) <= 1.0, f"ga.{key}", "must lie in [0, 1]")
-    _require(int(m["psl"]["candidates"]) >= m["population"], "psl.candidates", "must be >= population")
+    algorithm_config(m)
     return m
 
 
 def _build_problem(manifest: dict) -> Problem:
     if manifest["setting"] in BENCHMARKS:
         return get_benchmark(manifest["setting"], manifest.get("dim"))
-    return build_fl_problem(manifest["setting"], manifest["fl"])
+    return build_fl_problem(manifest["setting"], fl_options(manifest["fl"]))
 
 
 def _constraints_for_mode(problem: Problem, mode: str) -> ConstraintSpec:
@@ -169,8 +198,6 @@ def _ref_point(manifest: dict, problem: Problem) -> np.ndarray:
                 f"{manifest['setting']!r}"
             )
         return z
-    if manifest["setting"] in FL_SETTINGS:
-        return default_ref_point(manifest["setting"], manifest["fl"])
     return np.asarray(problem.ref_point, dtype=float)
 
 
@@ -216,34 +243,6 @@ def _archive_from_dict(d: dict, constraints: ConstraintSpec) -> Archive:
     return archive
 
 
-def _records_to_list(records: list[GenerationRecord]) -> list[dict]:
-    return [
-        {
-            "generation": r.generation,
-            "hv_feasible": r.hv_feasible,
-            "hv_all": r.hv_all,
-            "feasible_count": r.feasible_count,
-            "best": list(r.best),
-            "evaluations": r.evaluations,
-        }
-        for r in records
-    ]
-
-
-def _records_from_list(rows: list[dict]) -> list[GenerationRecord]:
-    return [
-        GenerationRecord(
-            generation=int(r["generation"]),
-            hv_feasible=float(r["hv_feasible"]),
-            hv_all=float(r["hv_all"]),
-            feasible_count=int(r["feasible_count"]),
-            best=tuple(float(v) for v in r["best"]),
-            evaluations=int(r["evaluations"]),
-        )
-        for r in rows
-    ]
-
-
 def _run_one_seed(manifest: dict, seed: int, out: Path) -> RunResult:
     """Run one seed; rebuilds its own Problem, so it can run in a worker process."""
     problem = _build_problem(manifest)
@@ -263,7 +262,7 @@ def _run_one_seed(manifest: dict, seed: int, out: Path) -> RunResult:
             resume = {
                 "generation": int(snap["generation"]),
                 "archive": _archive_from_dict(snap["archive"], constraints),
-                "records": _records_from_list(snap["records"]),
+                "records": [GenerationRecord(**row) for row in snap["records"]],
                 "state": snap["state"],
             }
 
@@ -279,51 +278,17 @@ def _run_one_seed(manifest: dict, seed: int, out: Path) -> RunResult:
                 "core_hash": core,
                 "seed": seed,
                 "generation": t,
-                "records": _records_to_list(records),
+                "records": [dataclasses.asdict(r) for r in records],
                 "archive": _archive_to_dict(archive),
                 "state": state,
             },
         )
 
-    if algo == "nsga2":
-        cfg = NsgaConfig(
-            population_size=manifest["population"],
-            generations=T,
-            crossover_prob=float(manifest["ga"]["crossover_prob"]),
-            mutation_prob=float(manifest["ga"]["mutation_prob"]),
-            eta_crossover=float(manifest["ga"]["eta_crossover"]),
-            eta_mutation=float(manifest["ga"]["eta_mutation"]),
-            chromosome=manifest["ga"]["chromosome"],
-            bits_per_var=int(manifest["ga"]["bits_per_var"]),
-        )
-        return run_nsga2(
-            problem, cfg, seed, constraints=constraints, ref_point=z,
-            on_generation=checkpoint, resume=resume,
-        )
-    if algo == "psl":
-        p = manifest["psl"]
-        cfg = PslConfig(
-            generations=T,
-            batch_size=manifest["population"],
-            n_candidates=int(p["candidates"]),
-            n_init=None if p["n_init"] is None else int(p["n_init"]),
-            model_steps=int(p["model_steps"]),
-            model_lr=float(p["model_lr"]),
-            model_batch=int(p["model_batch"]),
-            hidden=tuple(int(h) for h in p["hidden"]),
-            lcb_beta=float(p["lcb_beta"]),
-            warm_start=bool(p["warm_start"]),
-            hvi_use_penalized=bool(p["hvi_use_penalized"]),
-        )
-        return run_psl(
-            problem, cfg, seed, constraints=constraints, ref_point=z,
-            on_generation=checkpoint, resume=resume,
-        )
-    return run_random_search(
-        problem, manifest["population"], T, seed,
-        constraints=constraints, ref_point=z,
-        on_generation=checkpoint, resume=resume,
-    )
+    cfg = algorithm_config(manifest)
+    run = dict(constraints=constraints, ref_point=z, on_generation=checkpoint, resume=resume)
+    if cfg is None:
+        return run_random_search(problem, manifest["population"], T, seed, **run)
+    return (run_nsga2 if algo == "nsga2" else run_psl)(problem, cfg, seed, **run)
 
 
 def _write_trace(path: Path, per_seed: dict[int, list[GenerationRecord]]) -> None:

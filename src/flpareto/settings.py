@@ -16,6 +16,8 @@ hidden widths [1, width_max], rho [0, 1], xi [0, 0.99].
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .data import SYNTHETIC_DEFAULTS
@@ -27,6 +29,7 @@ from .spaces import SearchSpace, Var
 
 __all__ = [
     "FL_SETTINGS",
+    "FlOptions",
     "build_space",
     "build_constraints",
     "build_fl_problem",
@@ -41,7 +44,7 @@ COST_BOUND_SECONDS = 500.0
 PENALTY = 20.0
 
 
-def build_space(setting: str, width_max: int = 32) -> SearchSpace:
+def build_space(setting: str, width_max: int) -> SearchSpace:
     lr = Var("lr", "real", 0.01, 0.3)
     if setting == "rd":
         return SearchSpace((lr, Var("sigma_rd", "real", 0.0, 1.0), Var("c_clip", "real", 1.0, 4.0)))
@@ -79,20 +82,47 @@ def build_constraints(setting: str) -> ConstraintSpec:
     raise ValueError(f"unknown FL setting {setting!r}")
 
 
-def _max_weight_count(fl_options: dict) -> int:
-    ds = {**SYNTHETIC_DEFAULTS, **fl_options.get("dataset", {})}
-    width = int(fl_options.get("width_max", 32))
+@dataclass(frozen=True)
+class FlOptions:
+    """A manifest's `fl` block; defaults but `dataset` and `width_max` are the simulator's."""
+
+    dataset: dict = field(default_factory=dict)  # overrides of data.SYNTHETIC_DEFAULTS
+    clients: int = FLRunConfig.clients
+    rounds: int = FLRunConfig.rounds
+    local_epochs: int = FLRunConfig.local_epochs
+    batch_size: int = FLRunConfig.batch_size
+    width_max: int = 32  # upper bound of the searched hidden widths
+    c1: float = RandomizationParams.c1
+    payload_bits: int = BatchCryptParams.payload_bits
+    c2: float = SparsificationParams.c2
+    weighted: bool = FLRunConfig.weighted
+    cost_model: bool = FLRunConfig.cost_model
+    sf_average_all: bool = FLRunConfig.sf_average_all
+
+    def __post_init__(self):
+        for name, lo in (("clients", 1), ("rounds", 0), ("local_epochs", 1), ("batch_size", 1), ("width_max", 1)):
+            if getattr(self, name) < lo:
+                raise ValueError(f"{name} must be >= {lo}")
+        if not isinstance(self.dataset, dict):
+            raise ValueError("dataset must be an object")
+        if self.dataset.get("kind", "synthetic") == "synthetic":
+            extra = sorted(set(self.dataset) - set(SYNTHETIC_DEFAULTS))
+            if extra:
+                raise ValueError(f"dataset.{extra[0]} is not a synthetic dataset field")
+
+
+def _max_weight_count(fl_options: FlOptions) -> int:
+    ds = {**SYNTHETIC_DEFAULTS, **fl_options.dataset}
     spec = ModelSpec(
         in_dim=int(ds["features"]),
-        hidden1=width,
-        hidden2=width,
+        hidden1=fl_options.width_max,
+        hidden2=fl_options.width_max,
         n_classes=int(ds["classes"]),
     )
     return int(spec.weight_mask().sum())
 
 
-def default_ref_point(setting: str, fl_options: dict | None = None) -> np.ndarray:
-    fl_options = fl_options or {}
+def default_ref_point(setting: str, fl_options: FlOptions) -> np.ndarray:
     if setting == "rd":
         return np.array([1.05, 1.05])
     if setting == "bc":
@@ -102,41 +132,32 @@ def default_ref_point(setting: str, fl_options: dict | None = None) -> np.ndarra
     raise ValueError(f"unknown FL setting {setting!r}")
 
 
-# The fl options this module reads; a manifest may set no other
-FL_OPTION_KEYS = ("dataset", "clients", "rounds", "local_epochs", "batch_size", "width_max",
-                  "c1", "payload_bits", "c2", "weighted", "cost_model", "sf_average_all")
-
-
-def make_run_config(setting: str, values: dict, fl_options: dict, seed: int) -> FLRunConfig:
+def make_run_config(setting: str, values: dict, fl_options: FlOptions, seed: int) -> FLRunConfig:
     """Assemble an FLRunConfig from decoded hyperparameter values."""
-    ds = {**SYNTHETIC_DEFAULTS, **fl_options.get("dataset", {})}
-    clients = int(fl_options.get("clients", 5))
-    features = int(ds.get("features", 20))
-    classes = int(ds.get("classes", 2))
-    default_width = int(fl_options.get("width_max", 32))
+    ds = {**SYNTHETIC_DEFAULTS, **fl_options.dataset}
     spec = ModelSpec(
-        in_dim=features,
-        hidden1=int(values.get("hidden1", default_width)),
-        hidden2=int(values.get("hidden2", default_width)),
-        n_classes=classes,
+        in_dim=int(ds["features"]),
+        hidden1=int(values.get("hidden1", fl_options.width_max)),
+        hidden2=int(values.get("hidden2", fl_options.width_max)),
+        n_classes=int(ds["classes"]),
     )
     if setting == "rd":
         mech, params = "rd", RandomizationParams(
             sigma_rd=float(values["sigma_rd"]),
             c_clip=float(values["c_clip"]),
-            c1=float(fl_options.get("c1", 1.0)),
+            c1=fl_options.c1,
         )
     elif setting == "bc":
         mech, params = "bc", BatchCryptParams(
             batch_size=int(values["bs"]),
-            payload_bits=int(fl_options.get("payload_bits", 4096)),
-            clients=clients,
+            payload_bits=fl_options.payload_bits,
+            clients=fl_options.clients,
         )
     elif setting == "sf":
         mech, params = "sf", SparsificationParams(
             rho=float(values["rho"]),
             xi=float(values["xi"]),
-            c2=float(fl_options.get("c2", 8.0)),
+            c2=fl_options.c2,
         )
     else:
         raise ValueError(f"unknown FL setting {setting!r}")
@@ -144,16 +165,16 @@ def make_run_config(setting: str, values: dict, fl_options: dict, seed: int) -> 
         model=spec,
         dataset=ds,
         lr=float(values["lr"]),
-        clients=clients,
-        rounds=int(fl_options.get("rounds", 10)),
-        local_epochs=int(fl_options.get("local_epochs", 5)),
-        batch_size=int(fl_options.get("batch_size", 64)),
+        clients=fl_options.clients,
+        rounds=fl_options.rounds,
+        local_epochs=fl_options.local_epochs,
+        batch_size=fl_options.batch_size,
         mechanism=mech,
         mechanism_params=params,
         seed=int(seed),
-        weighted=bool(fl_options.get("weighted", False)),
-        cost_model=bool(fl_options.get("cost_model", True)),
-        sf_average_all=bool(fl_options.get("sf_average_all", False)),
+        weighted=fl_options.weighted,
+        cost_model=fl_options.cost_model,
+        sf_average_all=fl_options.sf_average_all,
     )
 
 
@@ -165,10 +186,11 @@ def _objective_tuple(setting: str, result) -> np.ndarray:
     return np.array([result.eps_u, result.eps_p, result.eps_c])
 
 
-def build_fl_problem(setting: str, fl_options: dict | None = None) -> Problem:
+def build_fl_problem(setting: str, fl_options: FlOptions | dict | None = None) -> Problem:
     """An FL setting behind the same evaluator seam as the benchmarks."""
-    fl_options = dict(fl_options or {})
-    space = build_space(setting, int(fl_options.get("width_max", 32)))
+    if not isinstance(fl_options, FlOptions):
+        fl_options = FlOptions(**(fl_options or {}))
+    space = build_space(setting, fl_options.width_max)
     constraints = build_constraints(setting)
 
     def evaluate(X: np.ndarray, seeds) -> np.ndarray:

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from flpareto.cli import main
-from flpareto.runner import ManifestError, load_front_file, normalize_manifest, run_manifest
+from flpareto.runner import (
+    ManifestError,
+    algorithm_config,
+    load_front_file,
+    normalize_manifest,
+    run_manifest,
+)
 from flpareto.schema import TRACE_COLUMNS
 from flpareto.spaces import SearchSpace, Var
 
@@ -76,6 +82,48 @@ class TestManifestValidation:
         assert m["workers"] == 1
         assert m["ga"]["crossover_prob"] == 0.9
         assert m["psl"]["candidates"] == 1000
+
+    @pytest.mark.parametrize("algorithm", ["nsga2", "random"])
+    def test_psl_block_not_checked_for_other_algorithms(self, algorithm):
+        m = normalize_manifest(_zdt_manifest("x", algorithm=algorithm, population=1001))
+        assert m["population"] == 1001
+        assert m["psl"]["candidates"] == 1000
+
+    def test_psl_candidates_below_population_rejected(self):
+        with pytest.raises(ManifestError, match="psl.candidates"):
+            normalize_manifest(_zdt_manifest("x", algorithm="psl", psl={"candidates": 7}))
+
+    @pytest.mark.parametrize(
+        "algorithm,block,key,value",
+        [
+            ("nsga2", "ga", "bits_per_var", 0),
+            ("psl", "psl", "model_batch", 0),
+            ("psl", "psl", "hidden", [0, 0]),
+            ("psl", "psl", "model_steps", 2.7),
+            ("psl", "psl", "n_init", 1),
+        ],
+    )
+    def test_out_of_range_config_field_named(self, algorithm, block, key, value):
+        m = _zdt_manifest("x", algorithm=algorithm, **{block: {key: value}})
+        with pytest.raises(ManifestError, match=f"'{block}.{key}'"):
+            normalize_manifest(m)
+
+    def test_integral_json_values_keep_their_echo(self):
+        m = normalize_manifest(_zdt_manifest(
+            "x", algorithm="psl", psl={"model_steps": 20.0, "hidden": [8.0, 4]}, fl={"rounds": 2.0},
+        ))
+        assert m["psl"]["model_steps"] == 20.0 and isinstance(m["psl"]["model_steps"], float)
+        assert m["fl"] == {"rounds": 2} and isinstance(m["fl"]["rounds"], int)
+        cfg = algorithm_config(m)
+        assert cfg.model_steps == 20 and isinstance(cfg.model_steps, int)
+        assert cfg.hidden == (8, 4)
+        assert (cfg.batch_size, cfg.generations) == (8, 4)
+
+    def test_synthetic_dataset_typo_named(self):
+        with pytest.raises(ManifestError, match="fl.dataset.featurs"):
+            normalize_manifest(_zdt_manifest("x", fl={"dataset": {"featurs": 7}}))
+        idx = {"kind": "idx", "train_images": "a", "train_labels": "b"}
+        assert normalize_manifest(_zdt_manifest("x", fl={"dataset": idx}))["fl"] == {"dataset": idx}
 
 
 class TestOptimizeArtifacts:
@@ -231,6 +279,31 @@ class TestCli:
         assert rc == 2
         assert "fl.client" in capsys.readouterr().err
 
+    def test_evaluate_config_rejects_dataset_typo(self, tmp_path, capsys):
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"fl": {"dataset": {"featurs": 7}}}))
+        rc = main([
+            "evaluate", "--setting", "rd", "--seed", "0", "--config", str(cfg),
+            "--param", "lr=0.1", "--param", "sigma_rd=0.5", "--param", "c_clip=2",
+        ])
+        assert rc == 2
+        assert "fl.dataset.featurs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value", [("clients", 0), ("rounds", -1), ("local_epochs", 0), ("batch_size", 0), ("width_max", 0)]
+    )
+    def test_fl_bounds_named(self, tmp_path, capsys, key, value):
+        with pytest.raises(ManifestError, match=f"'fl.{key}'"):
+            normalize_manifest(_zdt_manifest("x", fl={key: value}))
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"fl": {key: value}}))
+        rc = main([
+            "evaluate", "--setting", "rd", "--seed", "0", "--config", str(cfg),
+            "--param", "lr=0.1", "--param", "sigma_rd=0.5", "--param", "c_clip=2",
+        ])
+        assert rc == 2
+        assert f"fl.{key}" in capsys.readouterr().err
+
     def test_evaluate_deterministic_output(self, capsys):
         args = [
             "evaluate", "--setting", "rd", "--seed", "7",
@@ -249,6 +322,12 @@ class TestCli:
         ])
         assert rc == 0
         assert (tmp_path / "b" / "trace.csv").exists()
+
+    def test_benchmark_budget_defaults_from_manifest(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert main(["benchmark", "--name", "zdt1", "--algorithm", "random", "--out", str(out)]) == 0
+        echo = json.loads((out / "manifest.json").read_text())
+        assert (echo["generations"], echo["population"]) == (20, 20)
 
     def test_env_override_out_dir(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "m.json"
