@@ -4,7 +4,8 @@ Targets are standardized internally; posteriors are reported in the
 original units.  Hyperparameters are either given explicitly or picked by
 log-marginal-likelihood search over a fixed log-spaced grid, which keeps
 fitting deterministic and dependency-free.  Posterior input gradients are
-analytic (the Pareto-set model trains through them).
+analytic (the Pareto-set model trains through them); `gp_posterior_grads`
+serves several GPs fitted on one X with one distance pass.
 """
 
 from __future__ import annotations
@@ -12,9 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import LinAlgError, cho_solve, cholesky
+from scipy.linalg.lapack import dtrtrs
 
-__all__ = ["GPHyper", "GPModel", "GpFitError", "gp_fit", "gp_posterior", "gp_posterior_grad"]
+__all__ = [
+    "GPHyper",
+    "GPModel",
+    "GpFitError",
+    "gp_fit",
+    "gp_posterior",
+    "gp_posterior_grad",
+    "gp_posterior_grads",
+]
 
 # fixed search grid: 5 length scales x 5 signal variances x 3 noise variances
 LENGTH_SCALES = tuple(np.geomspace(0.05, 2.0, 5))
@@ -121,13 +131,31 @@ def gp_fit(X, y, hyper: GPHyper | None = None) -> GPModel:
     )
 
 
+def _solve_lower(L: np.ndarray, B: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Solve L x = B (trans 0) or L^T x = B (trans 1) for lower-triangular L.
+
+    LAPACK dtrtrs called as scipy's `solve_triangular` calls it for a
+    Fortran-ordered L (cholesky's output), without its Python-side input
+    handling; the result is bitwise the same.
+    """
+    x, info = dtrtrs(L, B, lower=1, trans=trans)
+    if info > 0:
+        raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
 def _posterior_std_units(
-    g: GPModel, Xq: np.ndarray
+    g: GPModel, sq: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Posterior mean/variance in standardized units plus solver byproducts."""
-    kq = _kernel_from_sq(_sq_dists(Xq, g.X), g.hyper)  # (q, n)
+    """Posterior mean/variance in standardized units plus solver byproducts.
+
+    `sq` holds the squared distances from the queries to `g.X`, (q, n).
+    """
+    kq = _kernel_from_sq(sq, g.hyper)  # (q, n)
     mean = kq @ g.alpha
-    v = solve_triangular(g.L, kq.T, lower=True, check_finite=False)  # (n, q)
+    v = _solve_lower(g.L, kq.T)  # (n, q)
     var = g.hyper.signal_var - np.sum(v * v, axis=0)
     var = np.where(var < 1e-12, 0.0, var)
     return mean, var, kq, v
@@ -143,10 +171,46 @@ def gp_posterior(g: GPModel, x) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     Xq = np.atleast_2d(arr)
-    mean_s, var_s, _, _ = _posterior_std_units(g, Xq)
+    mean_s, var_s, _, _ = _posterior_std_units(g, _sq_dists(Xq, g.X))
     mean = g.y_shift + g.y_scale * mean_s
     std = g.y_scale * np.sqrt(var_s)
     return (float(mean[0]), float(std[0])) if single else (mean, std)
+
+
+def gp_posterior_grads(
+    gps: list[GPModel], Xq: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Batched posteriors with analytic input gradients of GPs that share X.
+
+    Returns one (mean (q,), std (q,), dmean (q, d), dstd (q, d)) per GP, in
+    original units.  The distances from Xq to the shared training inputs
+    are computed once; each GP then does its own solves and reductions.
+    dstd is 0 where the posterior std underflows (clamped), matching the
+    forward pass.
+    """
+    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
+    X = gps[0].X
+    if any(not np.array_equal(g.X, X) for g in gps[1:]):
+        raise ValueError("the GPs must share their training inputs X")
+    sq = _sq_dists(Xq, X)
+    diff = X[None, :, :] - Xq[:, None, :]  # (q, n, d)
+    out = []
+    for g in gps:
+        mean_s, var_s, kq, v = _posterior_std_units(g, sq)
+        # dk[q, i, j] = k(xq, Xi) * (Xi - xq)_j / ls^2
+        dk = kq[:, :, None] * (diff / g.hyper.length_scale**2)
+        dmean_s = np.einsum("qid,i->qd", dk, g.alpha)
+        # K^-1 kq by back-solving L^T x = v, the forward solve's result
+        kinv_kq = _solve_lower(g.L, v, trans=1)  # (n, q)
+        dvar_s = -2.0 * np.einsum("iq,qid->qd", kinv_kq, dk)
+        std_s = np.sqrt(var_s)
+        safe = std_s > 1e-9
+        dstd_s = np.zeros_like(dvar_s)
+        dstd_s[safe] = dvar_s[safe] / (2.0 * std_s[safe, None])
+        mean = g.y_shift + g.y_scale * mean_s
+        std = g.y_scale * std_s
+        out.append((mean, std, g.y_scale * dmean_s, g.y_scale * dstd_s))
+    return out
 
 
 def gp_posterior_grad(
@@ -154,23 +218,7 @@ def gp_posterior_grad(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched posterior with analytic input gradients (original units).
 
-    Returns (mean (q,), std (q,), dmean (q, d), dstd (q, d)).  dstd is 0
-    where the posterior std underflows (clamped), matching the forward pass.
+    Returns (mean (q,), std (q,), dmean (q, d), dstd (q, d)); see
+    `gp_posterior_grads`.
     """
-    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-    mean_s, var_s, kq, v = _posterior_std_units(g, Xq)
-    ls2 = g.hyper.length_scale**2
-    # dk[q, i, j] = k(xq, Xi) * (Xi - xq)_j / ls^2
-    diff = (g.X[None, :, :] - Xq[:, None, :]) / ls2
-    dk = kq[:, :, None] * diff
-    dmean_s = np.einsum("qid,i->qd", dk, g.alpha)
-    # K^-1 kq by back-solving L^T x = v, the forward solve's result
-    kinv_kq = solve_triangular(g.L, v, lower=True, trans="T", check_finite=False)  # (n, q)
-    dvar_s = -2.0 * np.einsum("iq,qid->qd", kinv_kq, dk)
-    std_s = np.sqrt(var_s)
-    safe = std_s > 1e-9
-    dstd_s = np.zeros_like(dvar_s)
-    dstd_s[safe] = dvar_s[safe] / (2.0 * std_s[safe, None])
-    mean = g.y_shift + g.y_scale * mean_s
-    std = g.y_scale * std_s
-    return mean, std, g.y_scale * dmean_s, g.y_scale * dstd_s
+    return gp_posterior_grads([g], Xq)[0]

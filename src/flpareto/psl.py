@@ -15,7 +15,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from .gp import GPModel, gp_fit, gp_posterior, gp_posterior_grad
+# gp_posterior_grad is unused here, but perfbench/tracer.py wraps psl.gp_posterior_grad
+from .gp import GPModel, gp_fit, gp_posterior, gp_posterior_grad, gp_posterior_grads  # noqa: F401
 from .moo import (
     Archive,
     ConstraintSpec,
@@ -135,6 +136,20 @@ class ParetoSetModel:
         grads["b1"] = dz1.sum(axis=0)
         return grads
 
+    def flatten(self) -> np.ndarray:
+        """Gather the parameters into one new flat vector and return it.
+
+        `params` keeps its keys and values, each now a view into the vector,
+        so an update of the vector is an update of every layer.
+        """
+        flat = np.concatenate([np.ravel(v) for v in self.params.values()])
+        views, start = {}, 0
+        for k, v in self.params.items():
+            views[k] = flat[start : start + np.size(v)].reshape(np.shape(v))
+            start += np.size(v)
+        self.params = views
+        return flat
+
     def copy(self) -> "ParetoSetModel":
         return ParetoSetModel(
             params={k: v.copy() for k, v in self.params.items()},
@@ -162,19 +177,35 @@ def surrogate_loss_and_grads(
     so the loss stays differentiable; screening and selection elsewhere use
     the exact hinge.
     """
+    return _loss_and_grads(model, lam, gps, _penalty_terms(constraints), ideal, beta, sharpness)
+
+
+def _penalty_terms(constraints: ConstraintSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bounds, 0 where unbounded; penalty coefficients; bounded mask)."""
+    bounds = constraints.bounds_array()
+    finite = np.isfinite(bounds)
+    return np.where(finite, bounds, 0.0), constraints.penalties_array(), finite
+
+
+def _loss_and_grads(
+    model: ParetoSetModel,
+    lam: np.ndarray,
+    gps: list[GPModel],
+    penalty_terms: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ideal: np.ndarray,
+    beta: float,
+    sharpness: float,
+) -> tuple[float, dict[str, np.ndarray]]:
     B = lam.shape[0]
     m = len(gps)
     x, cache = model.forward(lam)
     lcb = np.empty((B, m))
     dlcb = np.empty((B, m, model.dim))
-    for j, g in enumerate(gps):
-        mean, std, dmean, dstd = gp_posterior_grad(g, x)
+    for j, (mean, std, dmean, dstd) in enumerate(gp_posterior_grads(gps, x)):
         lcb[:, j] = mean - beta * std
         dlcb[:, j, :] = dmean - beta * dstd
-    bounds = constraints.bounds_array()
-    alphas = constraints.penalties_array()
-    finite = np.isfinite(bounds)
-    u = np.where(finite, lcb - np.where(finite, bounds, 0.0), 0.0)
+    bounds, alphas, finite = penalty_terms
+    u = np.where(finite, lcb - bounds, 0.0)
     pen = lcb + np.where(finite, alphas * _softplus(u, sharpness), 0.0)
     dpen_dlcb = 1.0 + np.where(finite, alphas * expit(sharpness * u), 0.0)
 
@@ -189,22 +220,22 @@ def surrogate_loss_and_grads(
 
 
 class _Adam:
-    def __init__(self, params: dict[str, np.ndarray], lr: float):
+    """Adam over one flat parameter vector, updated in place."""
+
+    def __init__(self, size: int, lr: float):
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
-        for k in params:
-            g = grads[k]
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            mhat = self.m[k] / (1 - b1**self.t)
-            vhat = self.v[k] / (1 - b2**self.t)
-            params[k] -= self.lr * mhat / (np.sqrt(vhat) + eps)
+        self.m = b1 * self.m + (1 - b1) * grad
+        self.v = b2 * self.v + (1 - b2) * grad * grad
+        mhat = self.m / (1 - b1**self.t)
+        vhat = self.v / (1 - b2**self.t)
+        flat -= self.lr * mhat / (np.sqrt(vhat) + eps)
 
 
 def train_pareto_set_model(
@@ -219,22 +250,25 @@ def train_pareto_set_model(
     beta: float = PslConfig.lcb_beta,
     sharpness: float = PENALTY_SHARPNESS,
 ) -> tuple[ParetoSetModel, list[float]]:
-    """Adam-train the model in place for `steps` updates; returns loss trace."""
+    """Adam-train the model in place for `steps` updates; returns loss trace.
+
+    `model.params` become views into one flat vector that Adam updates.
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    opt = _Adam(model.params, lr)
+    flat = model.flatten()
+    opt = _Adam(flat.size, lr)
+    penalty_terms = _penalty_terms(constraints)
     losses: list[float] = []
     for step in range(steps):
         lam = sample_preferences(batch, model.n_obj, rng)
-        loss, grads = surrogate_loss_and_grads(
-            model, lam, gps, constraints, ideal, beta, sharpness
-        )
+        loss, grads = _loss_and_grads(model, lam, gps, penalty_terms, ideal, beta, sharpness)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"non-finite surrogate loss at step {step}: loss={loss}, "
                 f"ideal={ideal.tolist()}"
             )
-        opt.step(model.params, grads)
+        opt.step(flat, np.concatenate([np.ravel(grads[k]) for k in model.params]))
         losses.append(loss)
     return model, losses
 

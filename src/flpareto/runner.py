@@ -75,7 +75,19 @@ def _coerce(value, hint):
         return tuple(_coerce(v, typing.get_args(hint)[0]) for v in value)
     if hint is int and not (isinstance(value, numbers.Real) and float(value).is_integer()):
         raise ValueError(f"must be an integer, got {value!r}")
-    return hint(value) if hint in (int, float, bool) else value
+    if hint is bool and not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return hint(value) if hint in (int, float) else value
+
+
+def _integer(m: dict, field: str, default, lo: int) -> int:
+    """Top-level integer `field` of manifest `m`, by `_coerce`'s rule, >= lo."""
+    try:
+        value = _coerce(m.get(field, default), int)
+    except ValueError as exc:
+        raise _field_error(field, str(exc)) from None
+    _require(value >= lo, field, f"must be >= {lo}")
+    return value
 
 
 def _config(cls, values: dict, field_name):
@@ -141,20 +153,15 @@ def normalize_manifest(raw: dict) -> dict:
         "must be a nonempty list of nonnegative integers",
     )
     _require(len(set(seeds)) == len(seeds), "seeds", "must not repeat")
-    m["generations"] = int(m.get("generations", 20))
-    _require(m["generations"] >= 0, "generations", "must be >= 0")
-    m["population"] = int(m.get("population", 20))
-    _require(m["population"] >= 1, "population", "must be >= 1")
-    m["workers"] = int(m.get("workers", 1))
-    _require(m["workers"] >= 1, "workers", "must be >= 1")
+    m["generations"] = _integer(m, "generations", 20, 0)
+    m["population"] = _integer(m, "population", 20, 1)
+    m["workers"] = _integer(m, "workers", 1, 1)
     m["out_dir"] = str(m.get("out_dir", "runs/out"))
-    m["checkpoint_every"] = int(m.get("checkpoint_every", 1))
-    _require(m["checkpoint_every"] >= 1, "checkpoint_every", "must be >= 1")
+    m["checkpoint_every"] = _integer(m, "checkpoint_every", 1, 1)
 
     if m.get("dim") is not None:
         _require(setting in BENCHMARKS, "dim", "only benchmarks take a dimension")
-        m["dim"] = int(m["dim"])
-        _require(m["dim"] >= 2, "dim", "must be >= 2")
+        m["dim"] = _integer(m, "dim", None, 2)
 
     if m.get("ref_point") is not None:
         rp = m["ref_point"]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import LinAlgError, cho_solve, solve_triangular
 
 from flpareto.gp import (
+    NOISE_VARS,
     GPHyper,
     GpFitError,
     _kernel_from_sq,
@@ -10,6 +11,7 @@ from flpareto.gp import (
     gp_fit,
     gp_posterior,
     gp_posterior_grad,
+    gp_posterior_grads,
 )
 
 
@@ -24,6 +26,32 @@ def _reference_posterior_grad(g, Xq):
     dk = kq[:, :, None] * diff
     dmean_s = np.einsum("qid,i->qd", dk, g.alpha)
     kinv_kq = cho_solve((g.L, True), kq.T)
+    dvar_s = -2.0 * np.einsum("iq,qid->qd", kinv_kq, dk)
+    std_s = np.sqrt(var_s)
+    safe = std_s > 1e-9
+    dstd_s = np.zeros_like(dvar_s)
+    dstd_s[safe] = dvar_s[safe] / (2.0 * std_s[safe, None])
+    return (
+        g.y_shift + g.y_scale * mean_s,
+        g.y_scale * std_s,
+        g.y_scale * dmean_s,
+        g.y_scale * dstd_s,
+    )
+
+
+def _per_gp_posterior_grad(g, Xq):
+    """One GP's posterior gradient by its own distances and scipy's
+    solve_triangular: the computation the shared-distance path replaced."""
+    kq = _kernel_from_sq(_sq_dists(Xq, g.X), g.hyper)
+    mean_s = kq @ g.alpha
+    v = solve_triangular(g.L, kq.T, lower=True, check_finite=False)
+    var_s = g.hyper.signal_var - np.sum(v * v, axis=0)
+    var_s = np.where(var_s < 1e-12, 0.0, var_s)
+    ls2 = g.hyper.length_scale**2
+    diff = (g.X[None, :, :] - Xq[:, None, :]) / ls2
+    dk = kq[:, :, None] * diff
+    dmean_s = np.einsum("qid,i->qd", dk, g.alpha)
+    kinv_kq = solve_triangular(g.L, v, lower=True, trans="T", check_finite=False)
     dvar_s = -2.0 * np.einsum("iq,qid->qd", kinv_kq, dk)
     std_s = np.sqrt(var_s)
     safe = std_s > 1e-9
@@ -140,3 +168,46 @@ class TestPosterior:
             Xq = np.vstack([rng.random((16, d)), X[:2]])
             for got, want in zip(gp_posterior_grad(g, Xq), _reference_posterior_grad(g, Xq)):
                 assert np.array_equal(got, want)
+
+
+class TestSharedPosteriorGrad:
+    def test_bitwise_equals_per_gp_oracle(self, rng):
+        # m GPs on one X, each with its own hyperparameters and targets;
+        # the queries include training points, where the std is clamped
+        for trial in range(40):
+            n, q, d = int(rng.integers(1, 61)), int(rng.integers(1, 41)), int(rng.integers(2, 7))
+            m = 2 + trial % 2
+            X = rng.random((n, d))
+            Xq = np.vstack([rng.random((q, d)), X[:2]])
+            gps = [
+                gp_fit(
+                    X,
+                    rng.random(n) * 10.0 ** rng.integers(-3, 4),
+                    GPHyper(rng.uniform(0.05, 2.0), rng.uniform(0.25, 4.0), NOISE_VARS[j]),
+                )
+                for j in range(m)
+            ]
+            for g, got in zip(gps, gp_posterior_grads(gps, Xq), strict=True):
+                want = _per_gp_posterior_grad(g, Xq)
+                for a, b in zip(got, want, strict=True):
+                    assert np.array_equal(a, b)
+                for a, b in zip(gp_posterior_grad(g, Xq), want, strict=True):
+                    assert np.array_equal(a, b)
+                for a, b in zip(gp_posterior(g, Xq), want[:2], strict=True):
+                    assert np.array_equal(a, b)
+
+    def test_singular_factor_raises(self, rng):
+        X = rng.random((5, 2))
+        g = gp_fit(X, rng.random(5), GPHyper(0.3, 1.0, 1e-4))
+        g.L[2, 2] = 0.0
+        with pytest.raises(LinAlgError, match="singular"):
+            gp_posterior_grad(g, rng.random((3, 2)))
+        with pytest.raises(LinAlgError, match="singular"):
+            gp_posterior(g, rng.random((3, 2)))
+
+    def test_gps_must_share_training_inputs(self, rng):
+        h = GPHyper(0.3, 1.0, 1e-4)
+        a = gp_fit(rng.random((5, 2)), rng.random(5), h)
+        b = gp_fit(rng.random((5, 2)), rng.random(5), h)
+        with pytest.raises(ValueError, match="share"):
+            gp_posterior_grads([a, b], rng.random((3, 2)))

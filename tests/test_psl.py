@@ -73,7 +73,52 @@ class TestParetoSetModel:
             generate_candidates(model, 0, rng)
 
 
+class _PerLayerAdam:
+    """The per-layer Adam that the flat-vector update replaced."""
+
+    def __init__(self, params, lr):
+        self.lr, self.t = lr, 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params, grads):
+        self.t += 1
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for k in params:
+            g = grads[k]
+            self.m[k] = b1 * self.m[k] + (1 - b1) * g
+            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
+            mhat = self.m[k] / (1 - b1**self.t)
+            vhat = self.v[k] / (1 - b2**self.t)
+            params[k] -= self.lr * mhat / (np.sqrt(vhat) + eps)
+
+
 class TestTraining:
+    def test_flat_adam_bitwise_equals_per_layer_oracle(self, rng):
+        gps, _ = _toy_gps(rng)
+        cs = ConstraintSpec(bounds=(None, 0.5), penalties=(0.0, 20.0))
+        ideal = np.array([-0.1, -0.1])
+        model = ParetoSetModel.create(2, 2, (8, 6), rng)
+        oracle = model.copy()
+        _, losses = train_pareto_set_model(
+            model, gps, cs, steps=50, rng=np.random.default_rng(3), ideal=ideal, lr=1e-2
+        )
+        opt = _PerLayerAdam(oracle.params, 1e-2)
+        step_rng = np.random.default_rng(3)
+        want = []
+        for _ in range(50):
+            lam = sample_preferences(PslConfig.model_batch, 2, step_rng)
+            loss, grads = surrogate_loss_and_grads(
+                oracle, lam, gps, cs, ideal, PslConfig.lcb_beta, psl.PENALTY_SHARPNESS
+            )
+            opt.step(oracle.params, grads)
+            want.append(loss)
+        assert losses == want
+        assert list(model.params) == list(oracle.params)
+        for k in oracle.params:
+            assert np.array_equal(model.params[k], oracle.params[k])
+        assert not np.array_equal(model.params["W3"], 0.0)
+
     def test_zero_steps_identity(self, rng):
         gps, _ = _toy_gps(rng)
         model = ParetoSetModel.create(2, 2, (16, 16), rng)

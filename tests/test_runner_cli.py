@@ -101,12 +101,29 @@ class TestManifestValidation:
             ("psl", "psl", "hidden", [0, 0]),
             ("psl", "psl", "model_steps", 2.7),
             ("psl", "psl", "n_init", 1),
+            ("psl", "psl", "warm_start", "false"),
+            ("psl", "psl", "hvi_use_penalized", 0),
+            ("nsga2", "fl", "weighted", "false"),
+            ("nsga2", "fl", "cost_model", "no"),
+            ("nsga2", "fl", "sf_average_all", 1),
         ],
     )
     def test_out_of_range_config_field_named(self, algorithm, block, key, value):
         m = _zdt_manifest("x", algorithm=algorithm, **{block: {key: value}})
         with pytest.raises(ManifestError, match=f"'{block}.{key}'"):
             normalize_manifest(m)
+
+    def test_json_false_reaches_the_config(self):
+        m = normalize_manifest(_zdt_manifest("x", algorithm="psl", psl={"warm_start": False}, fl={"weighted": False}))
+        assert algorithm_config(m).warm_start is False
+        assert m["fl"] == {"weighted": False}
+
+    @pytest.mark.parametrize("key", ["generations", "population", "workers", "checkpoint_every", "dim"])
+    def test_non_integral_top_level_integer_named(self, key):
+        with pytest.raises(ManifestError, match=f"'{key}'.*2.7"):
+            normalize_manifest(_zdt_manifest("x", **{key: 2.7}))
+        m = normalize_manifest(_zdt_manifest("x", **{key: 3.0}))
+        assert m[key] == 3 and isinstance(m[key], int)
 
     def test_integral_json_values_keep_their_echo(self):
         m = normalize_manifest(_zdt_manifest(
