@@ -43,10 +43,8 @@ class FLRunConfig:
     mechanism: str = "none"  # "none" | "rd" | "bc" | "sf"
     mechanism_params: Any = None
     seed: int = 0
-    aggregation: str = "average"  # "average" | "worst" for leakage/cost
     weighted: bool = False  # n_k/n federated weighting instead of 1/K
     cost_model: bool = True  # deterministic timing; False measures wall clock
-    flop_time: float = DEFAULT_FLOP_TIME
     sf_average_all: bool = False  # average holes as W_old over all K instead
 
     def __post_init__(self):
@@ -66,9 +64,6 @@ class EvaluationResult:
     accuracy: float
     diverged: bool = False
     round_trace: list[dict] = field(default_factory=list)
-
-    def objectives(self) -> tuple[float, float, float]:
-        return (self.eps_u, self.eps_p, self.eps_c)
 
     def as_flat(self) -> dict:
         return {
@@ -153,7 +148,7 @@ def _stacked_data(dataset_json: str, clients: int) -> tuple[np.ndarray, ...]:
 
 def _train_time(cfg: FLRunConfig, d_w: int, n_k: int, elapsed: float) -> float:
     if cfg.cost_model:
-        return cfg.flop_time * d_w * n_k * cfg.local_epochs
+        return DEFAULT_FLOP_TIME * d_w * n_k * cfg.local_epochs
     return elapsed
 
 
@@ -277,8 +272,8 @@ def flo_evaluate(cfg: FLRunConfig) -> EvaluationResult:
             if cfg.mechanism == "bc":
                 round_cost = protect.bc_cost(d_w, cfg.mechanism_params, train_times)
             else:
-                round_cost = aggregate_objective(train_times, mode=cfg.aggregation)
-        round_leak = aggregate_objective(leaks, mode=cfg.aggregation)
+                round_cost = aggregate_objective(train_times)
+        round_leak = aggregate_objective(leaks)
         trace.append({"round": i, "eps_p": round_leak, "eps_c": round_cost})
         if not np.all(np.isfinite(global_p)):
             diverged = True

@@ -275,6 +275,41 @@ def _record(archive: Archive, t: int, z: np.ndarray) -> GenerationRecord:
     )
 
 
+def _start(
+    problem: Problem,
+    constraints: ConstraintSpec | None,
+    ref_point: np.ndarray | None,
+    resume: dict | None,
+) -> tuple[ConstraintSpec, np.ndarray, Archive, list[GenerationRecord], int]:
+    """Where an engine starts: constraints, reference point, archive, records
+    and the last completed generation.
+
+    Unset constraints and reference point default to the problem's.  A fresh
+    run starts from an empty archive at generation 0, a resumed one from
+    what `resume` carries.
+    """
+    constraints = constraints if constraints is not None else problem.constraints
+    z = np.asarray(ref_point if ref_point is not None else problem.ref_point, float)
+    if resume is None:
+        return constraints, z, Archive(constraints=constraints), [], 0
+    return constraints, z, resume["archive"], resume["records"], int(resume["generation"])
+
+
+def _evaluate_generation(
+    problem: Problem, archive: Archive, X: np.ndarray, seed: int, t: int
+) -> np.ndarray:
+    """Evaluate generation t's batch X and append it to the archive.
+
+    Row i is evaluated under seed spawn_seed(seed, TAG_EVAL, t, i), so each
+    evaluation's seed depends only on its place in the run.  Returns the
+    raw objectives.
+    """
+    seeds = np.array([spawn_seed(seed, TAG_EVAL, t, i) for i in range(X.shape[0])])
+    raw = evaluate_batch(problem, X, seeds)
+    archive.append_batch(X, raw, generation=t)
+    return raw
+
+
 def run_nsga2(
     problem: Problem,
     cfg: NsgaConfig,
@@ -293,38 +328,28 @@ def run_nsga2(
     generation; `resume` restarts from a dict with keys generation /
     archive / records / state.
     """
-    constraints = constraints if constraints is not None else problem.constraints
-    z = np.asarray(ref_point if ref_point is not None else problem.ref_point, float)
+    constraints, z, archive, records, t_done = _start(problem, constraints, ref_point, resume)
     N = cfg.population_size
     chrom_len = (
         problem.dim if cfg.chromosome == "real" else problem.dim * cfg.bits_per_var
     )
 
-    records: list[GenerationRecord] = []
     if resume is None:
-        archive = Archive(constraints=constraints)
         rng_init = stream(seed, TAG_INIT)
         if cfg.chromosome == "real":
             pop = latin_hypercube(N, chrom_len, rng_init)
         else:
             pop = rng_init.integers(0, 2, size=(N, chrom_len)).astype(float)
         genes = _chromosome_to_genes(pop, cfg, problem.dim)
-        seeds = np.array([spawn_seed(seed, TAG_EVAL, 0, i) for i in range(N)])
-        raw = evaluate_batch(problem, genes, seeds)
-        archive.append_batch(genes, raw, generation=0)
-        pop_raw = raw
+        pop_raw = _evaluate_generation(problem, archive, genes, seed, 0)
         pop_idx = list(range(N))
-        t_start = 1
     else:
-        archive = resume["archive"]
-        records = resume["records"]
         state = resume["state"]
         pop = np.asarray(state["population"], dtype=float)
         pop_raw = np.asarray(state["population_raw"], dtype=float)
         pop_idx = [int(i) for i in state["population_indices"]]
-        t_start = int(resume["generation"]) + 1
 
-    for t in range(t_start, cfg.generations + 1):
+    for t in range(t_done + 1, cfg.generations + 1):
         rng_t = stream(seed, TAG_VARIATION, t)
         # binary-tournament mating under the crowded-comparison order
         rank, crowd = rank_and_crowding(selection_penalty(pop_raw, constraints))
@@ -346,11 +371,9 @@ def run_nsga2(
             kids.extend([c1, c2])
         children = np.stack(kids[:N])  # odd N drops the final pair's second child
 
-        child_genes = _chromosome_to_genes(children, cfg, problem.dim)
-        seeds = np.array([spawn_seed(seed, TAG_EVAL, t, i) for i in range(N)])
-        child_raw = evaluate_batch(problem, child_genes, seeds)
         first_child_idx = len(archive)
-        archive.append_batch(child_genes, child_raw, generation=t)
+        child_genes = _chromosome_to_genes(children, cfg, problem.dim)
+        child_raw = _evaluate_generation(problem, archive, child_genes, seed, t)
 
         merged = np.vstack([pop, children])
         merged_raw = np.vstack([pop_raw, child_raw])
@@ -391,27 +414,13 @@ def run_random_search(
     resume: dict | None = None,
 ) -> RunResult:
     """Uniform random sampling at the same budget and record cadence."""
-    constraints = constraints if constraints is not None else problem.constraints
-    z = np.asarray(ref_point if ref_point is not None else problem.ref_point, float)
+    constraints, z, archive, records, t_done = _start(problem, constraints, ref_point, resume)
     N = population_size
 
     if resume is None:
-        archive = Archive(constraints=constraints)
-        records: list[GenerationRecord] = []
-        rng0 = stream(seed, TAG_INIT)
-        X0 = rng0.random((N, problem.dim))
-        seeds = np.array([spawn_seed(seed, TAG_EVAL, 0, i) for i in range(N)])
-        archive.append_batch(X0, evaluate_batch(problem, X0, seeds), 0)
-        t_start = 1
-    else:
-        archive = resume["archive"]
-        records = resume["records"]
-        t_start = int(resume["generation"]) + 1
-
-    for t in range(t_start, generations + 1):
-        X = stream(seed, TAG_RANDOM, t).random((N, problem.dim))
-        seeds = np.array([spawn_seed(seed, TAG_EVAL, t, i) for i in range(N)])
-        archive.append_batch(X, evaluate_batch(problem, X, seeds), t)
+        _evaluate_generation(problem, archive, stream(seed, TAG_INIT).random((N, problem.dim)), seed, 0)
+    for t in range(t_done + 1, generations + 1):
+        _evaluate_generation(problem, archive, stream(seed, TAG_RANDOM, t).random((N, problem.dim)), seed, t)
         records.append(_record(archive, t, z))
         if on_generation is not None:
             on_generation(t, archive, records, {})

@@ -25,8 +25,9 @@ from .moo import (
     hypervolume_contributions,
     penalize,
 )
-from .nsga2 import GenerationRecord, RunResult, evaluate_batch, latin_hypercube, _record
-from .seeding import TAG_EVAL, TAG_INIT, TAG_PSL_MODEL, TAG_PSL_PREF, spawn_seed, stream
+# evaluate_batch is unused here, but perfbench/tracer.py wraps psl.evaluate_batch
+from .nsga2 import RunResult, evaluate_batch, latin_hypercube, _evaluate_generation, _record, _start  # noqa: F401
+from .seeding import TAG_INIT, TAG_PSL_MODEL, TAG_PSL_PREF, stream
 
 __all__ = [
     "PslConfig",
@@ -362,34 +363,26 @@ def run_psl(
     checkpointing (network weights, diagnostics) flows through
     `on_generation`; `resume` restarts after the last completed generation.
     """
-    constraints = constraints if constraints is not None else problem.constraints
-    z = np.asarray(ref_point if ref_point is not None else problem.ref_point, float)
+    constraints, z, archive, records, t_done = _start(problem, constraints, ref_point, resume)
     n_init = cfg.n_init if cfg.n_init is not None else max(5, problem.dim + 1)
     N = cfg.batch_size
 
-    records: list[GenerationRecord] = []
     diagnostics: list[dict] = []
     if resume is None:
-        archive = Archive(constraints=constraints)
         X0 = latin_hypercube(n_init, problem.dim, stream(seed, TAG_INIT))
-        seeds = np.array([spawn_seed(seed, TAG_EVAL, 0, i) for i in range(n_init)])
-        archive.append_batch(X0, evaluate_batch(problem, X0, seeds), 0)
+        _evaluate_generation(problem, archive, X0, seed, 0)
         model = ParetoSetModel.create(
             problem.n_obj, problem.dim, cfg.hidden, stream(seed, TAG_PSL_MODEL, 0)
         )
-        t_start = 1
     else:
-        archive = resume["archive"]
-        records = resume["records"]
         state = resume["state"]
         model = ParetoSetModel(
             params={k: np.asarray(v, dtype=float) for k, v in state["model"].items()},
             n_obj=problem.n_obj,
             dim=problem.dim,
         )
-        t_start = int(resume["generation"]) + 1
 
-    for t in range(t_start, cfg.generations + 1):
+    for t in range(t_done + 1, cfg.generations + 1):
         X = archive.genes
         Y = archive.raw
         gps = _fit_objective_gps(X, Y)
@@ -419,9 +412,7 @@ def run_psl(
         cand_scores = penalize(lcb, constraints) if cfg.hvi_use_penalized else lcb
         base = archive.penalized if cfg.hvi_use_penalized else Y
         picked = greedy_hvi_select(cand_scores, base, N, z)
-        X_new = cand[picked]
-        seeds = np.array([spawn_seed(seed, TAG_EVAL, t, i) for i in range(N)])
-        archive.append_batch(X_new, evaluate_batch(problem, X_new, seeds), t)
+        _evaluate_generation(problem, archive, cand[picked], seed, t)
 
         records.append(_record(archive, t, z))
         diag = {

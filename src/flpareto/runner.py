@@ -73,19 +73,28 @@ def _coerce(value, hint):
         return None if value is None else _coerce(value, typing.get_args(hint)[0])
     if typing.get_origin(hint) is tuple:
         return tuple(_coerce(v, typing.get_args(hint)[0]) for v in value)
-    if hint is int and not (isinstance(value, numbers.Real) and float(value).is_integer()):
-        raise ValueError(f"must be an integer, got {value!r}")
+    if hint in (int, float):
+        # JSON numbers only, integral for int; a bool is also a numbers.Real
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not number or (hint is int and not float(value).is_integer()):
+            raise ValueError(f"must be {'an integer' if hint is int else 'a number'}, got {value!r}")
+        return hint(value)
     if hint is bool and not isinstance(value, bool):
         raise ValueError(f"must be true or false, got {value!r}")
-    return hint(value) if hint in (int, float) else value
+    return value
+
+
+def _number(value, hint, field: str):
+    """A top-level JSON number by `_coerce`'s rule; errors name `field`."""
+    try:
+        return _coerce(value, hint)
+    except ValueError as exc:
+        raise _field_error(field, str(exc)) from None
 
 
 def _integer(m: dict, field: str, default, lo: int) -> int:
     """Top-level integer `field` of manifest `m`, by `_coerce`'s rule, >= lo."""
-    try:
-        value = _coerce(m.get(field, default), int)
-    except ValueError as exc:
-        raise _field_error(field, str(exc)) from None
+    value = _number(m.get(field, default), int, field)
     _require(value >= lo, field, f"must be >= {lo}")
     return value
 
@@ -147,11 +156,9 @@ def normalize_manifest(raw: dict) -> dict:
         f"must be one of {CONSTRAINT_MODES}",
     )
     seeds = m.get("seeds")
-    _require(
-        isinstance(seeds, list) and seeds and all(isinstance(s, int) and s >= 0 for s in seeds),
-        "seeds",
-        "must be a nonempty list of nonnegative integers",
-    )
+    _require(isinstance(seeds, list) and seeds, "seeds", "must be a nonempty list of nonnegative integers")
+    m["seeds"] = seeds = [_number(s, int, "seeds") for s in seeds]
+    _require(min(seeds) >= 0, "seeds", "must be a nonempty list of nonnegative integers")
     _require(len(set(seeds)) == len(seeds), "seeds", "must not repeat")
     m["generations"] = _integer(m, "generations", 20, 0)
     m["population"] = _integer(m, "population", 20, 1)
@@ -165,12 +172,9 @@ def normalize_manifest(raw: dict) -> dict:
 
     if m.get("ref_point") is not None:
         rp = m["ref_point"]
-        _require(
-            isinstance(rp, list) and all(isinstance(v, (int, float)) for v in rp),
-            "ref_point",
-            "must be a list of numbers",
-        )
-        m["ref_point"] = [float(v) for v in rp]
+        _require(isinstance(rp, list), "ref_point", "must be a list of numbers")
+        m["ref_point"] = [_number(v, float, "ref_point") for v in rp]
+        _require(all(np.isfinite(m["ref_point"])), "ref_point", f"must be finite, got {rp!r}")
 
     # the echo keeps only the given fl keys, with integer fields as integers
     fl = m.get("fl", {})

@@ -2,11 +2,13 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from flpareto.bench import get_benchmark
 from flpareto.cli import main
 from flpareto.runner import (
     ManifestError,
@@ -15,7 +17,7 @@ from flpareto.runner import (
     normalize_manifest,
     run_manifest,
 )
-from flpareto.schema import TRACE_COLUMNS
+from flpareto.schema import ARCHIVE_FIELDS, SUMMARY_GENERATION_FIELDS, TRACE_COLUMNS
 from flpareto.spaces import SearchSpace, Var
 
 
@@ -100,6 +102,11 @@ class TestManifestValidation:
             ("psl", "psl", "model_batch", 0),
             ("psl", "psl", "hidden", [0, 0]),
             ("psl", "psl", "model_steps", 2.7),
+            ("psl", "psl", "model_steps", True),
+            ("psl", "psl", "model_lr", "1e-3"),
+            ("psl", "psl", "hidden", [True, 4]),
+            ("nsga2", "ga", "crossover_prob", True),
+            ("nsga2", "fl", "rounds", True),
             ("psl", "psl", "n_init", 1),
             ("psl", "psl", "warm_start", "false"),
             ("psl", "psl", "hvi_use_penalized", 0),
@@ -118,12 +125,21 @@ class TestManifestValidation:
         assert algorithm_config(m).warm_start is False
         assert m["fl"] == {"weighted": False}
 
-    @pytest.mark.parametrize("key", ["generations", "population", "workers", "checkpoint_every", "dim"])
+    # JSON numbers only: a bool or a numeric string is rejected, not cast
+    @pytest.mark.parametrize("key", ["generations", "population", "workers", "checkpoint_every", "dim", "seeds"])
     def test_non_integral_top_level_integer_named(self, key):
-        with pytest.raises(ManifestError, match=f"'{key}'.*2.7"):
-            normalize_manifest(_zdt_manifest("x", **{key: 2.7}))
-        m = normalize_manifest(_zdt_manifest("x", **{key: 3.0}))
-        assert m[key] == 3 and isinstance(m[key], int)
+        given = (lambda v: [v]) if key == "seeds" else (lambda v: v)
+        for bad in (2.7, True, "3"):
+            with pytest.raises(ManifestError, match=f"'{key}'.*{re.escape(repr(bad))}"):
+                normalize_manifest(_zdt_manifest("x", **{key: given(bad)}))
+        m = normalize_manifest(_zdt_manifest("x", **{key: given(3.0)}))
+        value = m[key][0] if key == "seeds" else m[key]
+        assert value == 3 and isinstance(value, int)
+
+    @pytest.mark.parametrize("ref_point", [[True, 11.0], ["11", 11.0], [11.0, float("nan")], [float("inf"), 11.0]])
+    def test_ref_point_takes_finite_numbers(self, ref_point):
+        with pytest.raises(ManifestError, match="'ref_point'"):
+            normalize_manifest(_zdt_manifest("x", ref_point=ref_point))
 
     def test_integral_json_values_keep_their_echo(self):
         m = normalize_manifest(_zdt_manifest(
@@ -157,13 +173,18 @@ class TestOptimizeArtifacts:
             per_seed.setdefault(r[0], []).append(int(r[1]))
         assert per_seed == {"0": [1, 2, 3, 4, 5], "1": [1, 2, 3, 4, 5]}
 
+    # the artifacts hold exactly the frozen schema's fields, whatever the
+    # checkpoints hold
     def test_archive_fields_frozen(self, tmp_path):
         out = tmp_path / "run"
-        run_manifest(_zdt_manifest(out))
-        payload = json.loads((out / "archive_seed0.json").read_text())
-        for field in ("schema_version", "solutions", "raw", "penalized", "feasible", "generation"):
-            assert field in payload
-        assert len(payload["solutions"]) == 8 + 4 * 8
+        run_manifest(_zdt_manifest(out, seeds=[0, 1]))
+        for seed in (0, 1):
+            payload = json.loads((out / f"archive_seed{seed}.json").read_text())
+            assert sorted(payload) == sorted(ARCHIVE_FIELDS)
+            assert len(payload["solutions"]) == 8 + 4 * 8
+        rows = json.loads((out / "summary.json").read_text())["per_generation"]
+        assert len(rows) == 4
+        assert all(sorted(row) == sorted(SUMMARY_GENERATION_FIELDS) for row in rows)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "run"
@@ -190,15 +211,24 @@ class TestOptimizeArtifacts:
 
     # constrained_toy checkpoints hold infeasible rows, which the resume must
     # re-penalize to reproduce the direct run's bytes
-    @pytest.mark.parametrize("setting", ["zdt1", "constrained_toy"])
-    def test_resume_extends_budget_identically(self, tmp_path, setting):
+    @pytest.mark.parametrize(
+        "algorithm,setting",
+        [
+            pytest.param("nsga2", "zdt1", id="zdt1"),
+            pytest.param("nsga2", "constrained_toy", id="constrained_toy"),
+            pytest.param("random", "constrained_toy", id="random"),
+        ],
+    )
+    def test_resume_extends_budget_identically(self, tmp_path, algorithm, setting):
+        m = dict(algorithm=algorithm, setting=setting)
         direct = tmp_path / "direct"
-        run_manifest(_zdt_manifest(direct, setting=setting, generations=6))
+        run_manifest(_zdt_manifest(direct, generations=6, **m))
         resumed = tmp_path / "resumed"
-        run_manifest(_zdt_manifest(resumed, setting=setting, generations=3))
+        run_manifest(_zdt_manifest(resumed, generations=3, **m))
         snap = json.loads((resumed / "checkpoints" / "seed0.json").read_text())
-        assert all(snap["archive"]["feasible"]) == (setting == "zdt1")
-        run_manifest(_zdt_manifest(resumed, setting=setting, generations=6))
+        bounds = get_benchmark(setting, 4).constraints.bounds_array()
+        assert np.all(np.asarray(snap["archive"]["raw"]) <= bounds) == (setting == "zdt1")
+        run_manifest(_zdt_manifest(resumed, generations=6, **m))
         ha, hb = _hash_dir(direct), _hash_dir(resumed)
         assert ha == hb
 
