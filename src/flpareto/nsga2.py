@@ -281,13 +281,9 @@ def _start(
     ref_point: np.ndarray | None,
     resume: dict | None,
 ) -> tuple[ConstraintSpec, np.ndarray, Archive, list[GenerationRecord], int]:
-    """Where an engine starts: constraints, reference point, archive, records
-    and the last completed generation.
-
-    Unset constraints and reference point default to the problem's.  A fresh
-    run starts from an empty archive at generation 0, a resumed one from
-    what `resume` carries.
-    """
+    """Constraints (default: the problem's), reference point (likewise),
+    archive, records and last completed generation: empty at generation 0
+    for a fresh run, else what `resume` carries."""
     constraints = constraints if constraints is not None else problem.constraints
     z = np.asarray(ref_point if ref_point is not None else problem.ref_point, float)
     if resume is None:
@@ -298,12 +294,8 @@ def _start(
 def _evaluate_generation(
     problem: Problem, archive: Archive, X: np.ndarray, seed: int, t: int
 ) -> np.ndarray:
-    """Evaluate generation t's batch X and append it to the archive.
-
-    Row i is evaluated under seed spawn_seed(seed, TAG_EVAL, t, i), so each
-    evaluation's seed depends only on its place in the run.  Returns the
-    raw objectives.
-    """
+    """Evaluate generation t's batch X, row i under seed
+    spawn_seed(seed, TAG_EVAL, t, i); archive it and return its raw objectives."""
     seeds = np.array([spawn_seed(seed, TAG_EVAL, t, i) for i in range(X.shape[0])])
     raw = evaluate_batch(problem, X, seeds)
     archive.append_batch(X, raw, generation=t)
@@ -346,8 +338,8 @@ def run_nsga2(
     else:
         state = resume["state"]
         pop = np.asarray(state["population"], dtype=float)
-        pop_raw = np.asarray(state["population_raw"], dtype=float)
         pop_idx = [int(i) for i in state["population_indices"]]
+        pop_raw = archive.raw[pop_idx]
 
     for t in range(t_done + 1, cfg.generations + 1):
         rng_t = stream(seed, TAG_VARIATION, t)
@@ -387,16 +379,8 @@ def run_nsga2(
 
         records.append(_record(archive, t, z))
         if on_generation is not None:
-            on_generation(
-                t,
-                archive,
-                records,
-                {
-                    "population": pop.tolist(),
-                    "population_raw": pop_raw.tolist(),
-                    "population_indices": list(pop_idx),
-                },
-            )
+            state = {"population": pop.tolist(), "population_indices": list(pop_idx)}
+            on_generation(t, archive, records, state)
 
     return RunResult(
         archive=archive, records=records, population=pop, population_indices=pop_idx

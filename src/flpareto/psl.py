@@ -360,15 +360,16 @@ def run_psl(
     """Run the surrogate-assisted optimizer; archive is append-only.
 
     Total real evaluations: n_init + generations * batch_size.  State for
-    checkpointing (network weights, diagnostics) flows through
-    `on_generation`; `resume` restarts after the last completed generation.
+    checkpointing (network weights, every generation's diagnostics) flows
+    through `on_generation`; `resume` restarts after the last completed
+    generation and keeps the earlier diagnostics.
     """
     constraints, z, archive, records, t_done = _start(problem, constraints, ref_point, resume)
     n_init = cfg.n_init if cfg.n_init is not None else max(5, problem.dim + 1)
     N = cfg.batch_size
 
-    diagnostics: list[dict] = []
     if resume is None:
+        diagnostics: list[dict] = []
         X0 = latin_hypercube(n_init, problem.dim, stream(seed, TAG_INIT))
         _evaluate_generation(problem, archive, X0, seed, 0)
         model = ParetoSetModel.create(
@@ -376,6 +377,7 @@ def run_psl(
         )
     else:
         state = resume["state"]
+        diagnostics = state["diagnostics"]
         model = ParetoSetModel(
             params={k: np.asarray(v, dtype=float) for k, v in state["model"].items()},
             n_obj=problem.n_obj,
@@ -430,22 +432,14 @@ def run_psl(
         }
         diagnostics.append(diag)
         if on_generation is not None:
-            on_generation(
-                t,
-                archive,
-                records,
-                {
-                    "model": {k: v.tolist() for k, v in model.params.items()},
-                    "diagnostics": diag,
-                },
-            )
+            state = {"model": {k: v.tolist() for k, v in model.params.items()}, "diagnostics": diagnostics}
+            on_generation(t, archive, records, state)
 
     last = archive.genes[-N:] if len(archive) > n_init else archive.genes
-    result = RunResult(
+    return RunResult(
         archive=archive,
         records=records,
         population=last,
         population_indices=list(range(max(0, len(archive) - N), len(archive))),
+        diagnostics=diagnostics,
     )
-    result.diagnostics = diagnostics
-    return result

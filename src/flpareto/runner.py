@@ -10,8 +10,13 @@ executes one run per seed and writes byte-reproducible artifacts:
     summary.json           mean/std HV per generation across seeds
     checkpoints/seed<S>.json   per-generation state, enables resume
 
-Checkpoints survive completion; re-running the same manifest (or one with
-a larger generation budget) resumes from the last completed generation.
+A checkpoint holds only what resume reads: the records, the archive's
+solutions, raw objectives and generations (penalties and feasibility are
+derived from raw), and the engine's state (NSGA-II: population and its
+archive indices; PSL: network weights and diagnostics; random search:
+nothing).  Checkpoints survive completion; re-running the same manifest
+(or one with a larger generation budget) resumes from the last completed
+generation.
 """
 
 from __future__ import annotations
@@ -212,6 +217,10 @@ def _ref_point(manifest: dict, problem: Problem) -> np.ndarray:
     return np.asarray(problem.ref_point, dtype=float)
 
 
+# hashed into core_hash, so a checkpoint in an older layout starts the run afresh
+CHECKPOINT_FORMAT = 2
+
+
 def _core_hash(manifest: dict) -> str:
     """Hash of run-defining fields; budget/output/worker fields excluded."""
     core = {
@@ -219,6 +228,7 @@ def _core_hash(manifest: dict) -> str:
         for k in ("algorithm", "setting", "constraint_mode", "population", "dim", "fl", "ga", "psl", "ref_point")
         if k in manifest
     }
+    core["checkpoint_format"] = CHECKPOINT_FORMAT
     blob = json.dumps(core, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -239,11 +249,10 @@ def _dump_json(path: Path, obj) -> None:
 
 
 def _archive_to_dict(archive: Archive) -> dict:
+    """The archive columns a checkpoint stores and resume reads."""
     return {
         "solutions": archive.genes.tolist(),
         "raw": archive.raw.tolist(),
-        "penalized": archive.penalized.tolist(),
-        "feasible": archive.feasible.tolist(),
         "generation": archive.generation.tolist(),
     }
 
@@ -385,6 +394,8 @@ def run_manifest(manifest: dict) -> dict:
                 "schema_version": SCHEMA_VERSION,
                 "seed": seed,
                 **_archive_to_dict(res.archive),
+                "penalized": res.archive.penalized.tolist(),
+                "feasible": res.archive.feasible.tolist(),
                 "front_indices": res.archive.front_indices(),
                 "population_indices": list(res.population_indices),
             },

@@ -20,14 +20,14 @@ from test_golden import _hash_tree
 GOLDEN_PSL = {
     "constrained_toy": {
         "archive_seed3.json": "1773986157f659b495b4ee4f0106627617649aceb080e616f031e2969add476c",
-        "checkpoints/seed3.json": "3cb4460df2ffb15154a926f21c245b1bcf0af5a6b879490cd40586648a0426cf",
+        "checkpoints/seed3.json": "3c030b83b3574209b077ba25463574debe995275e5f41444ac203ec2440ce01c",
         "manifest.json": "a3ee3ff0eac1bf9814ce3b206865d9d85215e2282420eb038fd457eed54a9f63",
         "summary.json": "bc139957f497102078619e41396ec5d893e7da6c64ae57bf97d0bf74ad424fec",
         "trace.csv": "a5f03c84794265a22915bd1ee90b2de03aa253f348fff7316e0576cc98636bbb",
     },
     "zdt1": {
         "archive_seed3.json": "2dcf6faa46f413ab87ae8d977f2c2c8a35cac729c698fd6ff0c7ce466e434bc4",
-        "checkpoints/seed3.json": "383b8c8ae346117dadf7316ef661a8da1c73b1b6d172aab8f52607b80d0244f4",
+        "checkpoints/seed3.json": "25f8f4bcfd5c47da93c6cbddebf651fb9b8e084da92435d83c3825963fc951f4",
         "manifest.json": "8cdc232f39e5d4960e6337a4cd13090942d952e5d8cb528136fb465eb93dabe7",
         "summary.json": "ada131caf5b4931e188ee1c0d4c6af1efe91d2f55eed68f75d4f191d6b848eab",
         "trace.csv": "4ab4b102ca40be0ad711a5b0ec1e539bec24aeef979693ec0fbfa6ffcfd2676a",

@@ -3,6 +3,7 @@ import pytest
 
 from flpareto.bench import constrained_toy_problem, zdt1_problem
 from flpareto.moo import (
+    Archive,
     ConstraintSpec,
     EvaluationError,
     Problem,
@@ -184,6 +185,27 @@ class TestRunNsga2:
             constraints=cs,
         )
         assert not res.archive.feasible.any()
+
+    # every row violates a bound, so a resume that took the population's
+    # penalized values for its raw ones would select differently
+    def test_resume_with_infeasible_population_matches_direct_run(self):
+        cs = ConstraintSpec(bounds=(-1.0, -1.0), penalties=(20.0, 20.0))
+        cfg = NsgaConfig(population_size=6, generations=4)
+        direct = run_nsga2(_quad_problem(), cfg, seed=0, constraints=cs)
+        saved = {}
+
+        def keep(t, archive, records, state):
+            # appends replace the archive's columns, so these stay generation t's
+            saved[t] = (archive.genes, archive.raw, archive.generation, list(records), state)
+
+        run_nsga2(_quad_problem(), cfg, seed=0, constraints=cs, on_generation=keep)
+        genes, raw, generation, records, state = saved[2]
+        archive = Archive(constraints=cs)
+        archive.append_batch(genes, raw, generation)
+        resume = {"generation": 2, "archive": archive, "records": records, "state": state}
+        resumed = run_nsga2(_quad_problem(), cfg, seed=0, constraints=cs, resume=resume)
+        assert np.array_equal(resumed.archive.raw, direct.archive.raw)
+        assert np.array_equal(resumed.population, direct.population)
 
     def test_determinism_same_seed(self):
         cfg = NsgaConfig(population_size=10, generations=4)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flpareto import runner
 from flpareto.bench import get_benchmark
 from flpareto.cli import main
 from flpareto.runner import (
@@ -41,6 +42,18 @@ def _zdt_manifest(out, **kw):
     }
     m.update(kw)
     return m
+
+
+def _psl_manifest(out, **kw):
+    psl = {"candidates": 20, "model_steps": 20, "n_init": 4}
+    return _zdt_manifest(out, **{"algorithm": "psl", "population": 2, "dim": 3, "psl": psl, **kw})
+
+
+def _legacy_core_hash(manifest: dict) -> str:
+    """core_hash as computed before the checkpoint format number joined it."""
+    keys = ("algorithm", "setting", "constraint_mode", "population", "dim", "fl", "ga", "psl", "ref_point")
+    core = {k: manifest[k] for k in keys if k in manifest}
+    return hashlib.sha256(json.dumps(core, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
 class TestManifestValidation:
@@ -244,14 +257,54 @@ class TestOptimizeArtifacts:
         assert _hash_dir(direct) == _hash_dir(resumed)
 
     def test_resume_psl(self, tmp_path):
-        base = dict(algorithm="psl", setting="zdt1", seeds=[0], population=2,
-                    dim=3, psl={"candidates": 20, "model_steps": 20, "n_init": 4})
         direct = tmp_path / "direct"
-        run_manifest({**base, "generations": 4, "out_dir": str(direct)})
+        run_manifest(_psl_manifest(direct, generations=4))
         resumed = tmp_path / "resumed"
-        run_manifest({**base, "generations": 2, "out_dir": str(resumed)})
-        run_manifest({**base, "generations": 4, "out_dir": str(resumed)})
+        run_manifest(_psl_manifest(resumed, generations=2))
+        run_manifest(_psl_manifest(resumed, generations=4))
         assert _hash_dir(direct) == _hash_dir(resumed)
+
+    def test_resumed_psl_keeps_diagnostics(self, tmp_path, monkeypatch):
+        def run(out, generations):
+            return runner._run_one_seed(normalize_manifest(_psl_manifest(out, generations=generations)), 0, out)
+
+        direct = run(tmp_path / "direct", 4)
+        run(tmp_path / "resumed", 2)
+        reads = []
+        read = runner._archive_from_dict
+        monkeypatch.setattr(runner, "_archive_from_dict", lambda *a: reads.append(a) or read(*a))
+        resumed = run(tmp_path / "resumed", 4)
+        assert len(reads) == 1  # the second half really resumed
+        assert [d["generation"] for d in direct.diagnostics] == [1, 2, 3, 4]
+        assert resumed.diagnostics == direct.diagnostics
+
+    @pytest.mark.parametrize(
+        "algorithm,state",
+        [("nsga2", {"population", "population_indices"}), ("psl", {"model", "diagnostics"}), ("random", set())],
+    )
+    def test_checkpoint_holds_what_resume_reads(self, tmp_path, algorithm, state):
+        manifest = _psl_manifest if algorithm == "psl" else _zdt_manifest
+        run_manifest(manifest(tmp_path, algorithm=algorithm, generations=2))
+        snap = json.loads((tmp_path / "checkpoints" / "seed0.json").read_text())
+        assert set(snap) == {"schema_version", "core_hash", "seed", "generation", "records", "archive", "state"}
+        assert set(snap["archive"]) == {"solutions", "raw", "generation"}
+        assert set(snap["state"]) == state
+
+    # records tampered in a checkpoint reach trace.csv only if it is resumed
+    def test_checkpoint_without_format_number_ignored(self, tmp_path):
+        direct, out = tmp_path / "direct", tmp_path / "stale"
+        run_manifest(_zdt_manifest(direct, generations=3))
+        run_manifest(_zdt_manifest(out, generations=3))
+        ckpt = out / "checkpoints" / "seed0.json"
+        snap = json.loads(ckpt.read_text())
+        snap["records"][-1]["hv_all"] = -1.0
+        ckpt.write_text(json.dumps(snap))
+        run_manifest(_zdt_manifest(out, generations=3))
+        assert _hash_dir(out)["trace.csv"] != _hash_dir(direct)["trace.csv"]
+        snap["core_hash"] = _legacy_core_hash(normalize_manifest(_zdt_manifest(out, generations=3)))
+        ckpt.write_text(json.dumps(snap))
+        run_manifest(_zdt_manifest(out, generations=3))
+        assert _hash_dir(out) == _hash_dir(direct)
 
     def test_baseline_mode_zeroes_penalties_but_keeps_flags(self, tmp_path):
         out = tmp_path / "bl"
