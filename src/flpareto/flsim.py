@@ -43,7 +43,6 @@ class FLRunConfig:
     mechanism: str = "none"  # "none" | "rd" | "bc" | "sf"
     mechanism_params: Any = None
     seed: int = 0
-    weighted: bool = False  # n_k/n federated weighting instead of 1/K
     cost_model: bool = True  # deterministic timing; False measures wall clock
     sf_average_all: bool = False  # average holes as W_old over all K instead
 
@@ -116,19 +115,14 @@ def local_sgd(
     return w[0] if single else w
 
 
-def fedavg(models: list[np.ndarray], weights=None) -> np.ndarray:
-    """Componentwise (optionally weighted) mean of parameter vectors."""
+def fedavg(models: list[np.ndarray]) -> np.ndarray:
+    """Componentwise mean of parameter vectors."""
     if not models:
         raise ValueError("need at least one model")
     M = np.stack([np.asarray(m, dtype=float) for m in models])
     if M.ndim != 2:
         raise ValueError("models must be flat vectors of equal dimension")
-    if weights is None:
-        return M.mean(axis=0)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (M.shape[0],):
-        raise ValueError("weights must match the number of models")
-    return (w[:, None] * M).sum(axis=0) / w.sum()
+    return M.mean(axis=0)
 
 
 @functools.lru_cache(maxsize=4)
@@ -189,7 +183,6 @@ def flo_evaluate(cfg: FLRunConfig) -> EvaluationResult:
     d_w = spec.n_params
     K, n_k = y.shape
     weight_mask = spec.weight_mask()
-    fed_weights = np.full(K, float(n_k)) if cfg.weighted else None
 
     if cfg.mechanism == "bc" and cfg.rounds:
         try:
@@ -268,7 +261,7 @@ def flo_evaluate(cfg: FLRunConfig) -> EvaluationResult:
             global_p = _sf_aggregate(cfg, round_start, locals_, sf_results)
             round_cost = protect.sf_cost([r.shared_mask for r in sf_results])
         else:
-            global_p = fedavg(protected, fed_weights)
+            global_p = fedavg(protected)
             if cfg.mechanism == "bc":
                 round_cost = protect.bc_cost(d_w, cfg.mechanism_params, train_times)
             else:

@@ -175,40 +175,6 @@ def crowding_distance(front) -> np.ndarray:
     return dist
 
 
-def _hv2d(Y: np.ndarray, z: np.ndarray) -> float:
-    """Exact 2-D hypervolume via a sort-and-sweep over the staircase."""
-    keep = np.all(Y <= z, axis=1)
-    Y = Y[keep]
-    if Y.shape[0] == 0:
-        return 0.0
-    order = np.lexsort((Y[:, 1], Y[:, 0]))  # f1 asc, f2 asc among ties
-    f1 = Y[order, 0]
-    f2 = Y[order, 1]
-    level = np.concatenate(([z[1]], np.minimum.accumulate(f2)[:-1]))
-    gain = np.where(f2 < level, (z[0] - f1) * (level - f2), 0.0)
-    return float(gain.sum())
-
-
-def _hv3d(Y: np.ndarray, z: np.ndarray) -> float:
-    """Exact 3-D hypervolume by sweeping slabs along the third objective."""
-    keep = np.all(Y <= z, axis=1)
-    Y = Y[keep]
-    if Y.shape[0] == 0:
-        return 0.0
-    order = np.argsort(Y[:, 2], kind="stable")
-    Y = Y[order]
-    levels, counts = np.unique(Y[:, 2], return_counts=True)
-    edges = np.append(levels, z[2])
-    # rows are sorted by f3, so the rows with f3 <= lo are a prefix
-    ends = np.cumsum(counts)
-    hv = 0.0
-    for lo, hi, end in zip(edges[:-1], edges[1:], ends):
-        if hi <= lo:
-            continue
-        hv += _hv2d(Y[:end, :2], z[:2]) * (hi - lo)
-    return float(hv)
-
-
 def _hv2d_rows(f1: np.ndarray, f2: np.ndarray, z: np.ndarray) -> np.ndarray:
     """2-D hypervolumes of C point sets at once; row c of the (C, n) arrays
     `f1`, `f2` is one set of points <= z, with f1 nondecreasing along it."""
@@ -217,15 +183,38 @@ def _hv2d_rows(f1: np.ndarray, f2: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.sum((z[0] - f1) * np.maximum(level - f2, 0.0), axis=1)
 
 
+def _limit_hv(S: np.ndarray, Y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Hypervolume of the limit set {max(s, y) : s in S} for each row y of Y.
+
+    S is a nonempty (n, m) array of points <= z, m in {2, 3}.  max(., y)
+    keeps the order of every coordinate, so one sort of S orders every
+    limit set.  In 3-D the sweep runs over slabs along f3: between the
+    j-th and the (j+1)-th f3 value the first j points (by f3) are active.
+    Only the last of equal f3 values opens a slab; the others' slabs have
+    zero height.
+    """
+    def staircase(P):
+        P = P[np.lexsort((P[:, 1], P[:, 0]))]  # f1 asc, f2 asc among ties
+        return _hv2d_rows(np.maximum(P[:, 0], Y[:, 0:1]), np.maximum(P[:, 1], Y[:, 1:2]), z)
+
+    if S.shape[1] == 2:
+        return staircase(S)
+    S = S[np.argsort(S[:, 2], kind="stable")]
+    f3 = np.maximum(S[:, 2], Y[:, 2:3])
+    heights = np.diff(np.concatenate([f3, np.full((Y.shape[0], 1), z[2])], axis=1), axis=1)
+    hv = np.zeros(Y.shape[0])
+    for j in np.flatnonzero(np.diff(S[:, 2], append=np.inf)) + 1:
+        hv += staircase(S[:j]) * heights[:, j - 1]
+    return hv
+
+
 def hypervolume_contributions(points, candidates, z) -> np.ndarray:
     """HV(points U {y}) - HV(points) for each row y of `candidates` (m in {2, 3}).
 
     Each gain is the exclusive contribution prod(z - y) - HV(limit set),
     where the limit set holds max(s, y) for the non-dominated points s <= z
-    (While et al. 2012, WFG).  The limit sets of all candidates are swept at
-    once: max(., y) keeps the order of every coordinate, so one sort of the
-    points orders every candidate's limit set.  A candidate that is not
-    <= z, or that a point weakly dominates, contributes exactly 0.
+    (While et al. 2012, WFG).  A candidate that is not <= z, or that a
+    point weakly dominates, contributes exactly 0.
     """
     z = np.asarray(z, dtype=float)
     m = z.shape[0]
@@ -246,25 +235,8 @@ def hypervolume_contributions(points, candidates, z) -> np.ndarray:
         live &= ~np.any(np.all(S[None, :, :] <= C[:, None, :], axis=2), axis=1)
     y = C[live]
     gains[live] = np.prod(z - y, axis=1)
-    if S.shape[0] == 0 or y.shape[0] == 0:
-        return gains
-    if m == 2:
-        S = S[np.argsort(S[:, 0], kind="stable")]
-        L = np.maximum(S[None, :, :], y[:, None, :])
-        gains[live] -= _hv2d_rows(L[..., 0], L[..., 1], z)
-        return gains
-    # slabs along f3: the first j limit points (by f3) are active between
-    # the j-th and the (j+1)-th f3 value
-    S = S[np.argsort(S[:, 2], kind="stable")]
-    f3 = np.maximum(S[None, :, 2], y[:, 2:3])
-    heights = np.diff(np.concatenate([f3, np.full((y.shape[0], 1), z[2])], axis=1), axis=1)
-    limit = np.zeros(y.shape[0])
-    for j in range(1, S.shape[0] + 1):
-        P = S[:j][np.argsort(S[:j, 0], kind="stable")]
-        f1 = np.maximum(P[None, :, 0], y[:, 0:1])
-        f2 = np.maximum(P[None, :, 1], y[:, 1:2])
-        limit += _hv2d_rows(f1, f2, z) * heights[:, j - 1]
-    gains[live] -= limit
+    if S.shape[0] and y.shape[0]:
+        gains[live] -= _limit_hv(S, y, z)
     return gains
 
 
@@ -284,7 +256,24 @@ def hypervolume(points, z) -> float:
     pts = _as_2d(pts)
     if pts.shape[1] != m:
         raise ValueError(f"points have m={pts.shape[1]} but reference has m={m}")
-    return _hv2d(pts, z) if m == 2 else _hv3d(pts, z)
+    pts = pts[np.all(pts <= z, axis=1)]
+    if pts.shape[0] == 0:
+        return 0.0
+    # the limit set of max(s, -inf) = s is the set itself
+    return float(_limit_hv(pts, np.full((1, m), -np.inf), z)[0])
+
+
+def _per_vector(y, constraints: ConstraintSpec, fn):
+    """fn(Y, bounds, penalties) on y as an (n, m) batch; a single vector
+    gets row 0 of the result.  m must match the constraint spec."""
+    arr = np.asarray(y, dtype=float)
+    Y = _as_2d(arr)
+    if Y.shape[1] != constraints.m:
+        raise ValueError(
+            f"objective count {Y.shape[1]} does not match constraint spec m={constraints.m}"
+        )
+    out = fn(Y, constraints.bounds_array(), constraints.penalties_array())
+    return out[0] if arr.ndim == 1 else out
 
 
 def penalize(y, constraints: ConstraintSpec) -> np.ndarray:
@@ -293,17 +282,7 @@ def penalize(y, constraints: ConstraintSpec) -> np.ndarray:
     Accepts a single vector or an (n, m) batch; unconstrained coordinates
     pass through unchanged.
     """
-    arr = np.asarray(y, dtype=float)
-    single = arr.ndim == 1
-    Y = _as_2d(arr)
-    if Y.shape[1] != constraints.m:
-        raise ValueError(
-            f"objective count {Y.shape[1]} does not match constraint spec m={constraints.m}"
-        )
-    bounds = constraints.bounds_array()
-    alphas = constraints.penalties_array()
-    out = Y + alphas * np.maximum(0.0, Y - bounds)
-    return out[0] if single else out
+    return _per_vector(y, constraints, lambda Y, phi, a: Y + a * np.maximum(0.0, Y - phi))
 
 
 def selection_penalty(y, constraints: ConstraintSpec) -> np.ndarray:
@@ -316,27 +295,14 @@ def selection_penalty(y, constraints: ConstraintSpec) -> np.ndarray:
     It agrees with `penalize` on the constrained coordinate whenever that
     coordinate is the sole violator, and is the identity on feasible input.
     """
-    arr = np.asarray(y, dtype=float)
-    single = arr.ndim == 1
-    Y = _as_2d(arr)
-    if Y.shape[1] != constraints.m:
-        raise ValueError(
-            f"objective count {Y.shape[1]} does not match constraint spec m={constraints.m}"
-        )
-    hinge = constraints.penalties_array() * np.maximum(
-        0.0, Y - constraints.bounds_array()
+    return _per_vector(
+        y, constraints, lambda Y, phi, a: Y + (a * np.maximum(0.0, Y - phi)).sum(axis=1, keepdims=True)
     )
-    out = Y + hinge.sum(axis=1, keepdims=True)
-    return out[0] if single else out
 
 
-def is_feasible(y, constraints: ConstraintSpec) -> np.ndarray | bool:
+def is_feasible(y, constraints: ConstraintSpec) -> np.ndarray | np.bool_:
     """Whether raw objective values satisfy every bound (vector or batch)."""
-    arr = np.asarray(y, dtype=float)
-    single = arr.ndim == 1
-    Y = _as_2d(arr)
-    ok = np.all(Y <= constraints.bounds_array(), axis=1)
-    return bool(ok[0]) if single else ok
+    return _per_vector(y, constraints, lambda Y, phi, a: np.all(Y <= phi, axis=1))
 
 
 def aggregate_objective(locals_, weights=None, mode: str = "average") -> float:

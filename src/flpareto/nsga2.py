@@ -59,6 +59,9 @@ class NsgaConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        for name in ("eta_crossover", "eta_mutation"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.chromosome not in ("real", "binary"):
             raise ValueError("chromosome must be 'real' or 'binary'")
         if self.bits_per_var < 1:

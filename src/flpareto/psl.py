@@ -67,6 +67,10 @@ class PslConfig:
             raise ValueError("n_init must be >= 2")
         if len(self.hidden) != 2 or min(self.hidden) < 1:
             raise ValueError("hidden must hold two widths >= 1")
+        if not 0.0 < self.model_lr < np.inf:
+            raise ValueError("model_lr must be finite and > 0")
+        if not 0.0 <= self.lcb_beta < np.inf:
+            raise ValueError("lcb_beta must be finite and >= 0")
 
 
 def tchebycheff(y, lam, z) -> float:

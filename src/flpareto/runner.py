@@ -16,7 +16,7 @@ derived from raw), and the engine's state (NSGA-II: population and its
 archive indices; PSL: network weights and diagnostics; random search:
 nothing).  Checkpoints survive completion; re-running the same manifest
 (or one with a larger generation budget) resumes from the last completed
-generation.
+generation; a smaller budget than the checkpoint's generation is refused.
 """
 
 from __future__ import annotations
@@ -278,7 +278,13 @@ def _run_one_seed(manifest: dict, seed: int, out: Path) -> RunResult:
     resume = None
     if ckpt_path.exists():
         snap = json.loads(ckpt_path.read_text())
-        if snap.get("core_hash") == core and snap.get("generation", 0) <= T:
+        if snap.get("core_hash") == core:
+            _require(
+                snap["generation"] <= T,
+                "generations",
+                f"{T} is below the generation of checkpoint {ckpt_path} ({snap['generation']}); "
+                "raise it or use another out_dir",
+            )
             resume = {
                 "generation": int(snap["generation"]),
                 "archive": _archive_from_dict(snap["archive"], constraints),

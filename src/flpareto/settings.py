@@ -95,7 +95,6 @@ class FlOptions:
     c1: float = RandomizationParams.c1
     payload_bits: int = BatchCryptParams.payload_bits
     c2: float = SparsificationParams.c2
-    weighted: bool = FLRunConfig.weighted
     cost_model: bool = FLRunConfig.cost_model
     sf_average_all: bool = FLRunConfig.sf_average_all
 
@@ -172,7 +171,6 @@ def make_run_config(setting: str, values: dict, fl_options: FlOptions, seed: int
         mechanism=mech,
         mechanism_params=params,
         seed=int(seed),
-        weighted=fl_options.weighted,
         cost_model=fl_options.cost_model,
         sf_average_all=fl_options.sf_average_all,
     )

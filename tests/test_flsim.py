@@ -170,11 +170,6 @@ class TestFedavg:
         with pytest.raises(ValueError):
             fedavg([np.zeros(3), np.zeros(4)])
 
-    def test_weighted_mode(self):
-        a, b = np.zeros(2), np.ones(2)
-        out = fedavg([a, b], weights=[1.0, 3.0])
-        assert np.allclose(out, 0.75)
-
 
 class TestFlo:
     def test_zero_rounds(self):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flpareto.moo import _hv2d, _hv3d
 from flpareto.moo import (
     Archive,
     ConstraintSpec,
@@ -12,9 +11,11 @@ from flpareto.moo import (
     dominates,
     hypervolume,
     hypervolume_contributions,
+    is_feasible,
     nondominated_sort,
     pareto_front_mask,
     penalize,
+    selection_penalty,
 )
 
 from conftest import mc_hypervolume, oracle_dominates, oracle_front_partition
@@ -135,6 +136,37 @@ class TestHypervolume:
         assert hypervolume(np.vstack([Y, dominated]), z) == pytest.approx(base)
 
 
+def _hv2d(Y, z):
+    """Exact 2-D hypervolume via a sort-and-sweep over the staircase."""
+    Y = Y[np.all(Y <= z, axis=1)]
+    if Y.shape[0] == 0:
+        return 0.0
+    order = np.lexsort((Y[:, 1], Y[:, 0]))  # f1 asc, f2 asc among ties
+    f1 = Y[order, 0]
+    f2 = Y[order, 1]
+    level = np.concatenate(([z[1]], np.minimum.accumulate(f2)[:-1]))
+    gain = np.where(f2 < level, (z[0] - f1) * (level - f2), 0.0)
+    return float(gain.sum())
+
+
+def _hv3d(Y, z):
+    """Exact 3-D hypervolume by sweeping slabs along the third objective."""
+    Y = Y[np.all(Y <= z, axis=1)]
+    if Y.shape[0] == 0:
+        return 0.0
+    Y = Y[np.argsort(Y[:, 2], kind="stable")]
+    levels, counts = np.unique(Y[:, 2], return_counts=True)
+    edges = np.append(levels, z[2])
+    # rows are sorted by f3, so the rows with f3 <= lo are a prefix
+    ends = np.cumsum(counts)
+    hv = 0.0
+    for lo, hi, end in zip(edges[:-1], edges[1:], ends):
+        if hi <= lo:
+            continue
+        hv += _hv2d(Y[:end, :2], z[:2]) * (hi - lo)
+    return float(hv)
+
+
 def _reference_hv3d(Y, z):
     """_hv3d with each slab's active rows found by a mask over all rows."""
     Y = Y[np.all(Y <= z, axis=1)]
@@ -192,13 +224,18 @@ class TestHypervolumeContributions:
         with pytest.raises(ValueError, match="candidates m=2"):
             hypervolume_contributions([[0, 0, 0]], [[1, 1], [1, 1], [1, 1]], [2, 2, 2])
 
+    def test_hv2d_staircase_bitwise(self, rng):
+        for S, C, z in _point_sets(rng, 2, 60):
+            Y = np.vstack([S, C])
+            assert hypervolume(Y, z) == _hv2d(Y, z)
+
     def test_hv3d_prefix_slabs_bitwise(self, rng):
         for S, C, z in _point_sets(rng, 3, 60):
             Y = np.vstack([S, C])
-            assert _hv3d(Y, z) == _reference_hv3d(Y, z)
+            assert hypervolume(Y, z) == _hv3d(Y, z) == _reference_hv3d(Y, z)
         Y = rng.random((1200, 3))
         Y[::3, 2] = Y[1::3, 2][: len(Y[::3])]  # tied f3 levels
-        assert _hv3d(Y, np.ones(3)) == _reference_hv3d(Y, np.ones(3))
+        assert hypervolume(Y, np.ones(3)) == _hv3d(Y, np.ones(3)) == _reference_hv3d(Y, np.ones(3))
 
 
 class TestPenalize:
@@ -236,6 +273,14 @@ class TestPenalize:
         infeas = np.array([0.1, 0.9])
         once = penalize(infeas, self.SPEC)
         assert not np.allclose(penalize(once, self.SPEC), once)
+
+    @pytest.mark.parametrize("fn", [penalize, selection_penalty, is_feasible])
+    def test_objective_count_checked(self, fn):
+        # one objective against a two-objective spec must not broadcast
+        with pytest.raises(ValueError, match="objective count 1"):
+            fn([[0.5]], self.SPEC)
+        with pytest.raises(ValueError, match="objective count 3"):
+            fn([0.5, 0.5, 0.5], self.SPEC)
 
 
 class TestAggregate:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flpareto import runner
+from flpareto import nsga2, runner
 from flpareto.bench import get_benchmark
 from flpareto.cli import main
 from flpareto.runner import (
@@ -123,9 +123,15 @@ class TestManifestValidation:
             ("psl", "psl", "n_init", 1),
             ("psl", "psl", "warm_start", "false"),
             ("psl", "psl", "hvi_use_penalized", 0),
-            ("nsga2", "fl", "weighted", "false"),
+            ("nsga2", "fl", "sf_average_all", "false"),
             ("nsga2", "fl", "cost_model", "no"),
             ("nsga2", "fl", "sf_average_all", 1),
+            ("psl", "psl", "model_lr", float("nan")),
+            ("psl", "psl", "model_lr", -1.0),
+            ("psl", "psl", "lcb_beta", -5.0),
+            ("psl", "psl", "lcb_beta", float("inf")),
+            ("nsga2", "ga", "eta_crossover", -3.0),
+            ("nsga2", "ga", "eta_mutation", float("nan")),
         ],
     )
     def test_out_of_range_config_field_named(self, algorithm, block, key, value):
@@ -134,9 +140,9 @@ class TestManifestValidation:
             normalize_manifest(m)
 
     def test_json_false_reaches_the_config(self):
-        m = normalize_manifest(_zdt_manifest("x", algorithm="psl", psl={"warm_start": False}, fl={"weighted": False}))
+        m = normalize_manifest(_zdt_manifest("x", algorithm="psl", psl={"warm_start": False}, fl={"cost_model": False}))
         assert algorithm_config(m).warm_start is False
-        assert m["fl"] == {"weighted": False}
+        assert m["fl"] == {"cost_model": False}
 
     # JSON numbers only: a bool or a numeric string is rejected, not cast
     @pytest.mark.parametrize("key", ["generations", "population", "workers", "checkpoint_every", "dim", "seeds"])
@@ -244,6 +250,19 @@ class TestOptimizeArtifacts:
         run_manifest(_zdt_manifest(resumed, generations=6, **m))
         ha, hb = _hash_dir(direct), _hash_dir(resumed)
         assert ha == hb
+
+    def test_checkpoint_past_budget_refused(self, tmp_path, monkeypatch):
+        run_manifest(_zdt_manifest(tmp_path, generations=6))
+        ckpt = tmp_path / "checkpoints" / "seed0.json"
+        before = ckpt.read_bytes()
+        with pytest.raises(ManifestError, match="'generations': 3 .*seed0.json \\(6\\)"):
+            run_manifest(_zdt_manifest(tmp_path, generations=3))
+        assert ckpt.read_bytes() == before
+        calls = []
+        monkeypatch.setattr(nsga2, "evaluate_batch", lambda *a: calls.append(a))
+        run_manifest(_zdt_manifest(tmp_path, generations=6))
+        assert calls == []  # the 6-generation state was resumed as it stood
+        assert ckpt.read_bytes() == before
 
     def test_resume_from_worker_checkpoints(self, tmp_path):
         direct = tmp_path / "direct"
