@@ -123,6 +123,7 @@ class TestManifestValidation:
             ("psl", "psl", "n_init", 1),
             ("psl", "psl", "warm_start", "false"),
             ("psl", "psl", "hvi_use_penalized", 0),
+            ("nsga2", "fl", "weighted", "false"),  # the deleted option is refused by name
             ("nsga2", "fl", "sf_average_all", "false"),
             ("nsga2", "fl", "cost_model", "no"),
             ("nsga2", "fl", "sf_average_all", 1),
