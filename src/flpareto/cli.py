@@ -1,14 +1,14 @@
 """Command-line entry points: optimize, evaluate, hv, benchmark.
 
     flpareto optimize  --config run.json [--seed N ...] [--workers N]
-                       [--out DIR] [--baseline] [--cost-model]
+                       [--out DIR] [--baseline]
     flpareto evaluate  --setting rd --seed 0 --param lr=0.1 --param sigma_rd=0.5 ...
     flpareto hv        --file front.json --ref 3 3
     flpareto benchmark --name zdt1 --algorithm nsga2 [--seed N ...] ...
 
 Environment overrides: FLPARETO_OUT (output directory) and FLPARETO_WORKERS
-(seeds run at once, one process each, capped at the seed count; evaluations
-within a seed run serially).  CLI flags beat both.
+(an integer: seeds run at once, one process each, capped at the seed count;
+evaluations within a seed run serially).  CLI flags beat both.
 """
 
 from __future__ import annotations
@@ -33,7 +33,11 @@ def _apply_common_overrides(manifest: dict, args) -> dict:
     if os.environ.get("FLPARETO_OUT"):
         manifest["out_dir"] = os.environ["FLPARETO_OUT"]
     if os.environ.get("FLPARETO_WORKERS"):
-        manifest["workers"] = int(os.environ["FLPARETO_WORKERS"])
+        value = os.environ["FLPARETO_WORKERS"]
+        try:
+            manifest["workers"] = int(value)
+        except ValueError:
+            raise ValueError(f"FLPARETO_WORKERS must be an integer, got {value!r}") from None
     if args.seed:
         manifest["seeds"] = list(args.seed)
     if args.workers is not None:
@@ -42,8 +46,6 @@ def _apply_common_overrides(manifest: dict, args) -> dict:
         manifest["out_dir"] = args.out
     if getattr(args, "baseline", False):
         manifest["constraint_mode"] = "mofl-baseline"
-    if getattr(args, "cost_model", False):
-        manifest.setdefault("fl", {})["cost_model"] = True
     return manifest
 
 
@@ -80,7 +82,7 @@ def _parse_params(pairs: list[str]) -> dict:
         name, _, val = pair.partition("=")
         try:
             num = float(val)
-            values[name] = int(num) if num == int(num) and "." not in val else num
+            values[name] = int(num) if num.is_integer() and "." not in val else num
         except ValueError:
             values[name] = val
     return values
@@ -134,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--config", required=True, help="manifest JSON path")
     add_common(p_opt)
     p_opt.add_argument("--baseline", action="store_true", help="force all penalty coefficients to 0")
-    p_opt.add_argument("--cost-model", action="store_true", help="force deterministic timing")
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_ev = sub.add_parser("evaluate", help="single federated evaluation of explicit hyperparameters")

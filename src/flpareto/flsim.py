@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -43,8 +42,6 @@ class FLRunConfig:
     mechanism: str = "none"  # "none" | "rd" | "bc" | "sf"
     mechanism_params: Any = None
     seed: int = 0
-    cost_model: bool = True  # deterministic timing; False measures wall clock
-    sf_average_all: bool = False  # average holes as W_old over all K instead
 
     def __post_init__(self):
         if self.clients < 1 or self.rounds < 0 or self.local_epochs < 1:
@@ -140,25 +137,13 @@ def _stacked_data(dataset_json: str, clients: int) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _train_time(cfg: FLRunConfig, d_w: int, n_k: int, elapsed: float) -> float:
-    if cfg.cost_model:
-        return DEFAULT_FLOP_TIME * d_w * n_k * cfg.local_epochs
-    return elapsed
-
-
 def _sf_aggregate(
-    cfg: FLRunConfig,
     round_start: np.ndarray,
     locals_: np.ndarray,
     results: list[protect.SparsifyResult],
 ) -> np.ndarray:
     """Per-coordinate mean of shared values, falling back to the round-start
-    global where no client shares (optionally averaging holes as W_old)."""
-    if cfg.sf_average_all:
-        stacked = np.stack(
-            [np.where(r.shared_mask, w, round_start) for r, w in zip(results, locals_)]
-        )
-        return stacked.mean(axis=0)
+    global where no client shares."""
     shared_sum = np.zeros_like(round_start)
     shared_cnt = np.zeros_like(round_start)
     for r, w in zip(results, locals_):
@@ -206,11 +191,12 @@ def flo_evaluate(cfg: FLRunConfig) -> EvaluationResult:
             stream(cfg.seed, TAG_FL_MASK, k).random(d_w) < p.rho for k in range(K)
         ]
 
+    # each client is charged the same modelled training time every round
+    train_times = [DEFAULT_FLOP_TIME * d_w * n_k * cfg.local_epochs] * K
     trace: list[dict] = []
     diverged = False
     for i in range(cfg.rounds):
         round_start = global_p
-        t0 = time.perf_counter()
         locals_ = local_sgd(
             round_start,
             X,
@@ -221,8 +207,6 @@ def flo_evaluate(cfg: FLRunConfig) -> EvaluationResult:
             cfg.lr,
             [stream(cfg.seed, TAG_FL_CLIENT, i, k) for k in range(K)],
         )
-        # the clients train together, so each is charged an equal share
-        train_times = [_train_time(cfg, d_w, n_k, (time.perf_counter() - t0) / K)] * K
         protected: list[np.ndarray] = []
         sf_results: list[protect.SparsifyResult] = []
         leaks: list[float] = []
@@ -258,7 +242,7 @@ def flo_evaluate(cfg: FLRunConfig) -> EvaluationResult:
             break
 
         if cfg.mechanism == "sf":
-            global_p = _sf_aggregate(cfg, round_start, locals_, sf_results)
+            global_p = _sf_aggregate(round_start, locals_, sf_results)
             round_cost = protect.sf_cost([r.shared_mask for r in sf_results])
         else:
             global_p = fedavg(protected)

@@ -305,30 +305,12 @@ def is_feasible(y, constraints: ConstraintSpec) -> np.ndarray | np.bool_:
     return _per_vector(y, constraints, lambda Y, phi, a: np.all(Y <= phi, axis=1))
 
 
-def aggregate_objective(locals_, weights=None, mode: str = "average") -> float:
-    """Combine per-client objective values into a system objective.
-
-    mode "average": weighted mean (weights must be nonnegative and sum to 1
-    within 1e-9; uniform when omitted).  mode "worst": maximum.
-    """
+def aggregate_objective(locals_) -> float:
+    """Combine per-client objective values into a system objective: their mean."""
     vals = np.asarray(locals_, dtype=float)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("locals must be a nonempty 1-d sequence")
-    if mode == "worst":
-        return float(np.max(vals))
-    if mode != "average":
-        raise ValueError(f"unknown aggregation mode: {mode!r}")
-    if weights is None:
-        w = np.full(vals.size, 1.0 / vals.size)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != vals.shape:
-            raise ValueError("weights must match locals in length")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {w.sum()!r}, expected 1 within 1e-9")
-    return float(np.dot(w, vals))
+    return float(np.dot(np.full(vals.size, 1.0 / vals.size), vals))
 
 
 @dataclass
@@ -375,12 +357,10 @@ class Archive:
     def feasible(self) -> np.ndarray:
         return is_feasible(self.raw, self.constraints)
 
-    def front_indices(self, feasible_only: bool = True) -> list[int]:
-        """Indices of non-dominated entries (by raw objectives)."""
-        Y, idx = self.raw, np.arange(len(self))
-        if feasible_only:
-            keep = self.feasible
-            Y, idx = Y[keep], idx[keep]
+    def front_indices(self) -> list[int]:
+        """Indices of non-dominated feasible entries (by raw objectives)."""
+        idx = np.flatnonzero(self.feasible)
+        Y = self.raw[idx]
         if Y.shape[0] == 0:
             return []
         mask = pareto_front_mask(Y)

@@ -54,8 +54,6 @@ class PslConfig:
     model_batch: int = 16
     hidden: tuple[int, int] = (64, 64)
     lcb_beta: float = 0.1
-    warm_start: bool = True
-    hvi_use_penalized: bool = True
 
     def __post_init__(self):
         for name, lo in (("generations", 0), ("batch_size", 1), ("model_steps", 0), ("model_batch", 1)):
@@ -394,10 +392,6 @@ def run_psl(
         gps = _fit_objective_gps(X, Y)
         ideal = Y.min(axis=0) - IDEAL_MARGIN
 
-        if not cfg.warm_start:
-            model = ParetoSetModel.create(
-                problem.n_obj, problem.dim, cfg.hidden, stream(seed, TAG_PSL_MODEL, 0)
-            )
         model, losses = train_pareto_set_model(
             model,
             gps,
@@ -415,9 +409,7 @@ def run_psl(
         for j, g in enumerate(gps):
             mean, std = gp_posterior(g, cand)
             lcb[:, j] = mean - cfg.lcb_beta * std
-        cand_scores = penalize(lcb, constraints) if cfg.hvi_use_penalized else lcb
-        base = archive.penalized if cfg.hvi_use_penalized else Y
-        picked = greedy_hvi_select(cand_scores, base, N, z)
+        picked = greedy_hvi_select(penalize(lcb, constraints), archive.penalized, N, z)
         _evaluate_generation(problem, archive, cand[picked], seed, t)
 
         records.append(_record(archive, t, z))

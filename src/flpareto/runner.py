@@ -46,6 +46,10 @@ __all__ = ["normalize_manifest", "fl_options", "algorithm_config", "run_manifest
 
 ALGORITHMS = ("nsga2", "psl", "random")
 CONSTRAINT_MODES = ("cmofl", "mofl-baseline")
+MANIFEST_KEYS = frozenset({
+    "algorithm", "setting", "constraint_mode", "seeds", "generations", "population",
+    "ref_point", "dim", "workers", "out_dir", "fl", "ga", "psl", "checkpoint_every",
+})
 
 # An algorithm's manifest block holds its config class's fields, less those
 # the manifest sets at top level, and under one rename
@@ -84,8 +88,6 @@ def _coerce(value, hint):
         if not number or (hint is int and not float(value).is_integer()):
             raise ValueError(f"must be {'an integer' if hint is int else 'a number'}, got {value!r}")
         return hint(value)
-    if hint is bool and not isinstance(value, bool):
-        raise ValueError(f"must be true or false, got {value!r}")
     return value
 
 
@@ -126,6 +128,7 @@ def _config(cls, values: dict, field_name):
 
 def fl_options(fl: dict) -> FlOptions:
     """A manifest's `fl` block as FlOptions; errors name the `fl.*` field."""
+    _require(isinstance(fl, dict), "fl", "must be an object")
     return _config(FlOptions, fl, lambda name: f"fl.{name}")
 
 
@@ -142,12 +145,7 @@ def algorithm_config(manifest: dict) -> NsgaConfig | PslConfig | None:
 
 def normalize_manifest(raw: dict) -> dict:
     """Validate a manifest and fill in defaults (field-level errors)."""
-    known = {
-        "algorithm", "setting", "constraint_mode", "seeds", "generations",
-        "population", "ref_point", "dim", "workers", "out_dir", "fl", "ga",
-        "psl", "checkpoint_every",
-    }
-    _reject_unknown(raw, known)
+    _reject_unknown(raw, MANIFEST_KEYS)
 
     m = dict(raw)
     _require(m.get("algorithm") in ALGORITHMS, "algorithm", f"must be one of {ALGORITHMS}")
@@ -189,8 +187,10 @@ def normalize_manifest(raw: dict) -> dict:
     for block, cls in _BLOCKS.values():
         fields = dataclasses.fields(cls)
         defaults = {_BLOCK_KEY.get(f.name, f.name): f.default for f in fields if f.name not in _TOP_LEVEL}
-        _reject_unknown(m.get(block, {}), defaults, f"{block}.")
-        m[block] = {**defaults, **m.get(block, {})}
+        given = m.get(block, {})
+        _require(isinstance(given, dict), block, "must be an object")
+        _reject_unknown(given, defaults, f"{block}.")
+        m[block] = {**defaults, **given}
     algorithm_config(m)
     return m
 

@@ -95,8 +95,6 @@ class FlOptions:
     c1: float = RandomizationParams.c1
     payload_bits: int = BatchCryptParams.payload_bits
     c2: float = SparsificationParams.c2
-    cost_model: bool = FLRunConfig.cost_model
-    sf_average_all: bool = FLRunConfig.sf_average_all
 
     def __post_init__(self):
         for name, lo in (("clients", 1), ("rounds", 0), ("local_epochs", 1), ("batch_size", 1), ("width_max", 1)):
@@ -171,8 +169,6 @@ def make_run_config(setting: str, values: dict, fl_options: FlOptions, seed: int
         mechanism=mech,
         mechanism_params=params,
         seed=int(seed),
-        cost_model=fl_options.cost_model,
-        sf_average_all=fl_options.sf_average_all,
     )
 
 

@@ -22,27 +22,27 @@ GOLDEN = {
     "rd": {
         "archive_seed0.json": "1b5a9952b8f61fc70e5c01176b417b4727dbdc253259c018bfd3720ba659ce2f",
         "archive_seed1.json": "79c00560310fd4a9998aa1c85cf3495c703b14ff41a92e883af226b0969cf914",
-        "checkpoints/seed0.json": "c60625996584683b9102de9798e90b4c431c349e9f0dc3d481ab73d0036a2a7f",
-        "checkpoints/seed1.json": "75f0d018ade58490d8b9593fa96b5b4ccf0c0da8ff2bfc07ad6b31293c477c64",
-        "manifest.json": "93e58bfbdf1254b02d5af82e51c43f285b4bba20a59ff295eb2aa9d182debb3f",
+        "checkpoints/seed0.json": "6e4dce6b1d2cb57334e824ba204dc0dd3083a44190eb735d3b3ed5c8bb0e90da",
+        "checkpoints/seed1.json": "6833d31bd7ef9f089414f65bce40e6136e210008eaf32f3aecfd9e8ef3719c9d",
+        "manifest.json": "36fd5de0bbc86c83e916c5758e4252ca1263e59e49ba01a1e37afba7dbc8f4df",
         "summary.json": "3267b68e0ec403e0c62466b845e8fdbd444878273c4ddb977896129fc4ffcb8f",
         "trace.csv": "89fc6f06850577980259e3e75feb4152bb42e6e9d0da82f67143fd2a0534ac33",
     },
     "bc": {
         "archive_seed0.json": "912e22a5a458ca58afc5406b1d517b7e829dde07872454ef716084c6963f2caa",
         "archive_seed1.json": "b10c81847404cd88062648c76a178928cbe2af7e214a48b47e76cd7e29d0ea50",
-        "checkpoints/seed0.json": "2de11b755ff803595c876c6eb2b2f6dffe7ae934b7b5bc1e95fda9798eaba308",
-        "checkpoints/seed1.json": "9875fcb9496f25194d2e58450029cf2b756d6efbb5426ea45a32a293117aacc4",
-        "manifest.json": "bcaed40159f92a9358dcde215133b9b7e2f8285cd63803bc4dd90a2b55b372a5",
+        "checkpoints/seed0.json": "73cce8cf855e9078e7dd375e21b982aeaff5739075beb70d4454d393f707d274",
+        "checkpoints/seed1.json": "aa91b324db8a31a4bb2a1584f290a690433cbe328b36a6c37a5b2fa747637d20",
+        "manifest.json": "aa84245c8594f75935c51813ca83092e654ba4337715c64c6cae30c46b0f6ea8",
         "summary.json": "b8f7e0a50d6f6a9f29b53af8829b620631ab776bea61cf656f38499b99a6dedb",
         "trace.csv": "e0bce8ed711f7085c09f72a80e9f773dbdaf3de526e8361dac76d2f60425cca3",
     },
     "sf": {
         "archive_seed0.json": "43dd89f74a7aa30f63678987500d48eeecdcc143ab548f239170bc2007ee79ee",
         "archive_seed1.json": "b02371f994cefd7189a4bc0cdc7d3d8a7e5029b1122f8457ba8b4ef0fa45af0a",
-        "checkpoints/seed0.json": "d2a8ce4644fa61ee56560b53a533aed70546ba90d77fd3293195ef7bf1eac512",
-        "checkpoints/seed1.json": "83ad0f79d0590eb043ef74675dd5e68d798ccc87efde826b3ecd677472a33fbf",
-        "manifest.json": "f01b1ca5d0e59d94cd67ae30f28d71f67fb1bf4e4c7118336de67585062c56fd",
+        "checkpoints/seed0.json": "9c9c2f10ff0c1d4968cba34e5575b1086d41a2c4a766cae6a4796c7ee7e6c793",
+        "checkpoints/seed1.json": "b61ec643560ee755e5c92dd4c8044f09c02dc289448e8e817ead76d57cfa8582",
+        "manifest.json": "34aa94c57501edc09e2851a9b8c340624bf25b0a5cd04ba4892738050169cebd",
         "summary.json": "3fb065fbd87d09d246c10914af304db6ca8707172352a9e724f94c89b7e81cfd",
         "trace.csv": "b01c58414d9f312d57885ddb2978b851777164bde88b041cdf6f3908e49e341d",
     },

@@ -20,15 +20,15 @@ from test_golden import _hash_tree
 GOLDEN_PSL = {
     "constrained_toy": {
         "archive_seed3.json": "1773986157f659b495b4ee4f0106627617649aceb080e616f031e2969add476c",
-        "checkpoints/seed3.json": "3c030b83b3574209b077ba25463574debe995275e5f41444ac203ec2440ce01c",
-        "manifest.json": "a3ee3ff0eac1bf9814ce3b206865d9d85215e2282420eb038fd457eed54a9f63",
+        "checkpoints/seed3.json": "a133164ba62ce2ad4d679cd3ef08683d80396cffe8096324b494addd1e9fbad0",
+        "manifest.json": "79abd84d145a54575cfeefcf53d3d1a5da796cc6227cebe840c97f6af1453809",
         "summary.json": "bc139957f497102078619e41396ec5d893e7da6c64ae57bf97d0bf74ad424fec",
         "trace.csv": "a5f03c84794265a22915bd1ee90b2de03aa253f348fff7316e0576cc98636bbb",
     },
     "zdt1": {
         "archive_seed3.json": "2dcf6faa46f413ab87ae8d977f2c2c8a35cac729c698fd6ff0c7ce466e434bc4",
-        "checkpoints/seed3.json": "25f8f4bcfd5c47da93c6cbddebf651fb9b8e084da92435d83c3825963fc951f4",
-        "manifest.json": "8cdc232f39e5d4960e6337a4cd13090942d952e5d8cb528136fb465eb93dabe7",
+        "checkpoints/seed3.json": "43df5a6124277a5646d77f39044762da86b829a85de60b29d730b9920930cd8b",
+        "manifest.json": "921cec96ca9d5bd463d68aa07921f98db2703cdf41dbe39b92423084375e106c",
         "summary.json": "ada131caf5b4931e188ee1c0d4c6af1efe91d2f55eed68f75d4f191d6b848eab",
         "trace.csv": "4ab4b102ca40be0ad711a5b0ec1e539bec24aeef979693ec0fbfa6ffcfd2676a",
     },

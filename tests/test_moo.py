@@ -284,19 +284,11 @@ class TestPenalize:
 
 
 class TestAggregate:
-    def test_weighted_mean(self):
-        assert aggregate_objective([0.2, 0.4], [0.5, 0.5], "average") == pytest.approx(0.3)
+    def test_mean(self):
+        assert aggregate_objective([0.2, 0.4]) == pytest.approx(0.3)
 
-    def test_worst(self):
-        assert aggregate_objective([0.2, 0.4], mode="worst") == pytest.approx(0.4)
-
-    def test_single_client_both_modes(self):
-        assert aggregate_objective([0.7], mode="average") == pytest.approx(0.7)
-        assert aggregate_objective([0.7], mode="worst") == pytest.approx(0.7)
-
-    def test_weight_sum_violated(self):
-        with pytest.raises(ValueError):
-            aggregate_objective([0.2, 0.4], [0.6, 0.6], "average")
+    def test_single_client(self):
+        assert aggregate_objective([0.7]) == pytest.approx(0.7)
 
 
 class TestArchive:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import hashlib
 import json
 import re
@@ -11,6 +12,7 @@ import pytest
 from flpareto import nsga2, runner
 from flpareto.bench import get_benchmark
 from flpareto.cli import main
+from flpareto.data import SYNTHETIC_DEFAULTS
 from flpareto.runner import (
     ManifestError,
     algorithm_config,
@@ -19,7 +21,10 @@ from flpareto.runner import (
     run_manifest,
 )
 from flpareto.schema import ARCHIVE_FIELDS, SUMMARY_GENERATION_FIELDS, TRACE_COLUMNS
+from flpareto.settings import FlOptions
 from flpareto.spaces import SearchSpace, Var
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _hash_dir(out: Path) -> dict[str, str]:
@@ -121,12 +126,17 @@ class TestManifestValidation:
             ("nsga2", "ga", "crossover_prob", True),
             ("nsga2", "fl", "rounds", True),
             ("psl", "psl", "n_init", 1),
+            # deleted options are refused by name, as unknown fields
             ("psl", "psl", "warm_start", "false"),
             ("psl", "psl", "hvi_use_penalized", 0),
-            ("nsga2", "fl", "weighted", "false"),  # the deleted option is refused by name
+            ("nsga2", "fl", "weighted", "false"),
             ("nsga2", "fl", "sf_average_all", "false"),
             ("nsga2", "fl", "cost_model", "no"),
             ("nsga2", "fl", "sf_average_all", 1),
+            ("psl", "psl", "warm_start", True),
+            ("psl", "psl", "hvi_use_penalized", True),
+            ("nsga2", "fl", "sf_average_all", False),
+            ("nsga2", "fl", "cost_model", True),
             ("psl", "psl", "model_lr", float("nan")),
             ("psl", "psl", "model_lr", -1.0),
             ("psl", "psl", "lcb_beta", -5.0),
@@ -140,10 +150,22 @@ class TestManifestValidation:
         with pytest.raises(ManifestError, match=f"'{block}.{key}'"):
             normalize_manifest(m)
 
-    def test_json_false_reaches_the_config(self):
-        m = normalize_manifest(_zdt_manifest("x", algorithm="psl", psl={"warm_start": False}, fl={"cost_model": False}))
-        assert algorithm_config(m).warm_start is False
-        assert m["fl"] == {"cost_model": False}
+    @pytest.mark.parametrize(
+        "block,value", [("fl", [1]), ("ga", []), ("psl", 5), ("fl", None), ("ga", None), ("ga", "xy")]
+    )
+    def test_non_object_block_named(self, block, value):
+        with pytest.raises(ManifestError, match=f"'{block}': must be an object"):
+            normalize_manifest(_zdt_manifest("x", **{block: value}))
+
+    def test_readme_manifest_schema_matches_code(self):
+        text = README.read_text()
+        block = re.search(r"### Manifest schema\n\n```jsonc\n(.*?)\n```", text, re.S).group(1)
+        schema = json.loads(re.sub(r"\s*//.*", "", block))
+        assert set(schema) == runner.MANIFEST_KEYS
+        defaults = normalize_manifest(_zdt_manifest("x"))
+        assert schema["ga"] == defaults["ga"]
+        assert schema["psl"] == json.loads(json.dumps(defaults["psl"]))  # hidden as a list
+        assert schema["fl"] == {**dataclasses.asdict(FlOptions()), "dataset": SYNTHETIC_DEFAULTS}
 
     # JSON numbers only: a bool or a numeric string is rejected, not cast
     @pytest.mark.parametrize("key", ["generations", "population", "workers", "checkpoint_every", "dim", "seeds"])
@@ -380,6 +402,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "eps_u=" in out and "eps_p=" in out and "eps_c=" in out
 
+    @pytest.mark.parametrize("lr", ["inf", "1e400"])
+    def test_evaluate_rejects_infinite_param(self, capsys, lr):
+        rc = main([
+            "evaluate", "--setting", "rd", "--seed", "0",
+            "--param", f"lr={lr}", "--param", "sigma_rd=0.5", "--param", "c_clip=2",
+        ])
+        assert rc == 2
+        assert re.search(r"^error: .*\blr\b", capsys.readouterr().err, re.M)
+
     def test_evaluate_rejects_out_of_range_naming_bounds(self, capsys):
         rc = main([
             "evaluate", "--setting", "rd", "--seed", "0",
@@ -448,6 +479,14 @@ class TestCli:
         assert main(["benchmark", "--name", "zdt1", "--algorithm", "random", "--out", str(out)]) == 0
         echo = json.loads((out / "manifest.json").read_text())
         assert (echo["generations"], echo["population"]) == (20, 20)
+
+    def test_env_workers_not_an_integer_named(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps(_zdt_manifest(tmp_path / "out")))
+        monkeypatch.setenv("FLPARETO_WORKERS", "abc")
+        assert main(["optimize", "--config", str(cfg)]) == 2
+        assert "error: FLPARETO_WORKERS" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_env_override_out_dir(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "m.json"
