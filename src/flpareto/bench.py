@@ -114,8 +114,8 @@ def brute_force_front(
 ) -> np.ndarray:
     """Non-dominated objective vectors of a full grid over [0, 1]^d.
 
-    Evaluates a `grid`-points-per-axis lattice and filters it with the
-    O(n^2) dominance check.  When `constraints` is given, infeasible grid
+    Evaluates a `grid`-points-per-axis lattice and filters it with
+    `pareto_front_mask`.  When `constraints` is given, infeasible grid
     points are dropped before the filter.  Refuses grids above 10^7 points.
     """
     d = problem.dim

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bench import BENCHMARKS
 from .moo import hypervolume
-from .runner import ManifestError, fl_options, load_front_file, run_manifest
+from .runner import ManifestError, fl_options, load_front_file, read_manifest, run_manifest
 from .settings import FL_SETTINGS, build_space, make_run_config
 from .flsim import flo_evaluate
 
@@ -50,9 +50,7 @@ def _apply_common_overrides(manifest: dict, args) -> dict:
 
 
 def _cmd_optimize(args) -> int:
-    with open(args.config) as fh:
-        manifest = json.load(fh)
-    manifest = _apply_common_overrides(manifest, args)
+    manifest = _apply_common_overrides(read_manifest(args.config), args)
     paths = run_manifest(manifest)
     print(json.dumps(paths, indent=1, sort_keys=True))
     return 0
@@ -89,11 +87,7 @@ def _parse_params(pairs: list[str]) -> dict:
 
 
 def _cmd_evaluate(args) -> int:
-    fl = {}
-    if args.config:
-        with open(args.config) as fh:
-            fl = json.load(fh).get("fl", {})
-    opts = fl_options(fl)
+    opts = fl_options(read_manifest(args.config).get("fl", {}) if args.config else {})
     space = build_space(args.setting, opts.width_max)
     values = _parse_params(args.param or [])
     space.validate(values)

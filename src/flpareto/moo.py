@@ -8,6 +8,7 @@ safe to call from any number of workers.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -95,26 +96,67 @@ def dominates(a, b) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
+def _staircase_sweep(Y: np.ndarray, z) -> tuple[list[bool], float]:
+    """One 3-D sweep over the rows of Y, all <= z, in (f3, f1, f2) order.
+
+    Keeps the 2-D front (f1 ascending, f2 descending) of the rows seen so
+    far in two sorted lists.  A row that this staircase weakly dominates is
+    skipped: an earlier row is <= it everywhere, so it is dominated unless
+    the two are equal.  Any other row changes the staircase, and only then
+    does the volume grow: by the area so far times the f3 span since the
+    last change, and the area by the row's exclusive region (Beume et al.
+    2009).  So a dominated or duplicate row leaves every floating-point
+    operation unchanged.  Returns which rows are non-dominated, in Y's
+    order, and the hypervolume of Y with respect to z.
+    """
+    rows = sorted(zip(Y[:, 2].tolist(), Y[:, 0].tolist(), Y[:, 1].tolist(), range(Y.shape[0])))
+    front = [False] * len(rows)
+    xs: list[float] = []
+    ys: list[float] = []
+    z1, z2, z3 = (float(v) for v in z)
+    area = volume = 0.0
+    level = z3  # f3 of the last change; the first change adds area 0
+    last = None
+    for f3, f1, f2, i in rows:
+        if (f3, f1, f2) == last:  # equal rows are adjacent: share the verdict
+            front[i] = on_front
+            continue
+        last = (f3, f1, f2)
+        j = bisect_right(xs, f1)
+        on_front = not (j and ys[j - 1] <= f2)
+        if not on_front:
+            continue
+        front[i] = True
+        volume += area * (f3 - level)
+        level = f3
+        # the region the row adds: above f2, below the staircase, strip by strip
+        lo = bisect_left(xs, f1)
+        k, x, top, gain = lo, f1, ys[lo - 1] if lo else z2, 0.0
+        while k < len(xs) and ys[k] >= f2:
+            gain += (xs[k] - x) * (top - f2)
+            x, top = xs[k], ys[k]
+            k += 1
+        gain += ((xs[k] if k < len(xs) else z1) - x) * (top - f2)
+        area += gain
+        xs[lo:k] = [f1]
+        ys[lo:k] = [f2]
+    return front, volume + area * (z3 - level)
+
+
 def pareto_front_mask(vs) -> np.ndarray:
-    """Boolean mask of the non-dominated points of an (n, m) array.
+    """Boolean mask of the non-dominated points of an (n, m) array, m <= 3.
 
     Duplicates of a non-dominated point are all kept (no pair of equal
-    vectors dominates the other).
+    vectors dominates the other).  Runs one staircase sweep, with m < 3
+    padded by constant columns.
     """
     Y = _as_2d(vs)
-    n = Y.shape[0]
-    mask = np.ones(n, dtype=bool)
-    # chunked pairwise check: each chunk builds (chunk, n, m) boolean
-    # temporaries, and the final Archive.front_indices call covers a whole
-    # archive, so this cap sets the peak RSS of a run
-    chunk = max(1, int(2**18 // max(n, 1)))
-    for start in range(0, n, chunk):
-        block = Y[start : start + chunk]  # (c, m)
-        le = np.all(Y[None, :, :] <= block[:, None, :], axis=2)  # Y_j <= block_i
-        lt = np.any(Y[None, :, :] < block[:, None, :], axis=2)
-        dominated = np.any(le & lt, axis=1)
-        mask[start : start + chunk] = ~dominated
-    return mask
+    n, m = Y.shape
+    if m > 3:
+        raise ValueError(f"pareto_front_mask supports m <= 3, got m={m}")
+    Y = np.hstack([Y, np.zeros((n, 3 - m))])
+    front, _ = _staircase_sweep(Y, Y.max(axis=0, initial=-np.inf))
+    return np.array(front, dtype=bool)
 
 
 def nondominated_sort(vs) -> list[list[int]]:
@@ -259,6 +301,8 @@ def hypervolume(points, z) -> float:
     pts = pts[np.all(pts <= z, axis=1)]
     if pts.shape[0] == 0:
         return 0.0
+    if m == 3:
+        return _staircase_sweep(pts, z)[1]
     # the limit set of max(s, -inf) = s is the set itself
     return float(_limit_hv(pts, np.full((1, m), -np.inf), z)[0])
 

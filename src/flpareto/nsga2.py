@@ -321,7 +321,7 @@ def run_nsga2(
     which matches the N + T*N evaluation budget accounting used throughout.
     `on_generation(t, archive, records, state)` fires after each completed
     generation; `resume` restarts from a dict with keys generation /
-    archive / records / state.
+    archive / records / states (the state of every completed generation).
     """
     constraints, z, archive, records, t_done = _start(problem, constraints, ref_point, resume)
     N = cfg.population_size
@@ -339,7 +339,7 @@ def run_nsga2(
         pop_raw = _evaluate_generation(problem, archive, genes, seed, 0)
         pop_idx = list(range(N))
     else:
-        state = resume["state"]
+        state = resume["states"][-1]
         pop = np.asarray(state["population"], dtype=float)
         pop_idx = [int(i) for i in state["population_indices"]]
         pop_raw = archive.raw[pop_idx]

@@ -361,10 +361,11 @@ def run_psl(
 ) -> RunResult:
     """Run the surrogate-assisted optimizer; archive is append-only.
 
-    Total real evaluations: n_init + generations * batch_size.  State for
-    checkpointing (network weights, every generation's diagnostics) flows
-    through `on_generation`; `resume` restarts after the last completed
-    generation and keeps the earlier diagnostics.
+    Total real evaluations: n_init + generations * batch_size.  Each
+    generation's state for checkpointing (network weights and that
+    generation's diagnostics entry) flows through `on_generation`; `resume`
+    restarts after the last completed generation, with the weights of the
+    last state and the diagnostics of them all.
     """
     constraints, z, archive, records, t_done = _start(problem, constraints, ref_point, resume)
     n_init = cfg.n_init if cfg.n_init is not None else max(5, problem.dim + 1)
@@ -378,10 +379,9 @@ def run_psl(
             problem.n_obj, problem.dim, cfg.hidden, stream(seed, TAG_PSL_MODEL, 0)
         )
     else:
-        state = resume["state"]
-        diagnostics = state["diagnostics"]
+        diagnostics = [d for state in resume["states"] for d in state["diagnostics"]]
         model = ParetoSetModel(
-            params={k: np.asarray(v, dtype=float) for k, v in state["model"].items()},
+            params={k: np.asarray(v, dtype=float) for k, v in resume["states"][-1]["model"].items()},
             n_obj=problem.n_obj,
             dim=problem.dim,
         )
@@ -428,7 +428,7 @@ def run_psl(
         }
         diagnostics.append(diag)
         if on_generation is not None:
-            state = {"model": {k: v.tolist() for k, v in model.params.items()}, "diagnostics": diagnostics}
+            state = {"model": {k: v.tolist() for k, v in model.params.items()}, "diagnostics": [diag]}
             on_generation(t, archive, records, state)
 
     last = archive.genes[-N:] if len(archive) > n_init else archive.genes

@@ -8,15 +8,20 @@ executes one run per seed and writes byte-reproducible artifacts:
     trace.csv              seed,generation,hv_feasible,hv_all,feasible_count
     archive_seed<S>.json   every evaluation with raw/penalized objectives
     summary.json           mean/std HV per generation across seeds
-    checkpoints/seed<S>.json   per-generation state, enables resume
+    checkpoints/seed<S>.jsonl  per-generation state, enables resume
 
-A checkpoint holds only what resume reads: the records, the archive's
-solutions, raw objectives and generations (penalties and feasibility are
+A checkpoint is append-only JSON lines and holds only what resume reads.
+Its header line names the schema version, the run configuration's hash
+and the seed.  Each completed generation appends one line: that
+generation's record, the archive rows added since the previous line
+(solutions, raw objectives and generations; penalties and feasibility are
 derived from raw), and the engine's state (NSGA-II: population and its
-archive indices; PSL: network weights and diagnostics; random search:
-nothing).  Checkpoints survive completion; re-running the same manifest
-(or one with a larger generation budget) resumes from the last completed
-generation; a smaller budget than the checkpoint's generation is refused.
+archive indices; PSL: network weights and that generation's diagnostics;
+random search: nothing).  Checkpoints survive completion; re-running the
+same manifest (or one with a larger generation budget) resumes from the
+last complete line, after cutting off a torn one; a smaller budget than
+that line's generation is refused.  A checkpoint whose header does not
+match starts the run afresh.
 """
 
 from __future__ import annotations
@@ -42,13 +47,13 @@ from .psl import PslConfig, run_psl
 from .schema import SCHEMA_VERSION, TRACE_COLUMNS
 from .settings import FL_SETTINGS, FlOptions, build_fl_problem
 
-__all__ = ["normalize_manifest", "fl_options", "algorithm_config", "run_manifest", "load_front_file"]
+__all__ = ["read_manifest", "normalize_manifest", "fl_options", "algorithm_config", "run_manifest", "load_front_file"]
 
 ALGORITHMS = ("nsga2", "psl", "random")
 CONSTRAINT_MODES = ("cmofl", "mofl-baseline")
 MANIFEST_KEYS = frozenset({
     "algorithm", "setting", "constraint_mode", "seeds", "generations", "population",
-    "ref_point", "dim", "workers", "out_dir", "fl", "ga", "psl", "checkpoint_every",
+    "ref_point", "dim", "workers", "out_dir", "fl", "ga", "psl",
 })
 
 # An algorithm's manifest block holds its config class's fields, less those
@@ -143,8 +148,19 @@ def algorithm_config(manifest: dict) -> NsgaConfig | PslConfig | None:
     return _config(cls, values, lambda name: _TOP_LEVEL.get(name) or f"{block}.{_BLOCK_KEY.get(name, name)}")
 
 
+def read_manifest(path) -> dict:
+    """The manifest JSON object stored at `path`."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ManifestError(f"manifest {path}: must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
 def normalize_manifest(raw: dict) -> dict:
     """Validate a manifest and fill in defaults (field-level errors)."""
+    if not isinstance(raw, dict):
+        raise ManifestError(f"manifest must be a JSON object, got {type(raw).__name__}")
     _reject_unknown(raw, MANIFEST_KEYS)
 
     m = dict(raw)
@@ -167,7 +183,6 @@ def normalize_manifest(raw: dict) -> dict:
     m["population"] = _integer(m, "population", 20, 1)
     m["workers"] = _integer(m, "workers", 1, 1)
     m["out_dir"] = str(m.get("out_dir", "runs/out"))
-    m["checkpoint_every"] = _integer(m, "checkpoint_every", 1, 1)
 
     if m.get("dim") is not None:
         _require(setting in BENCHMARKS, "dim", "only benchmarks take a dimension")
@@ -218,7 +233,7 @@ def _ref_point(manifest: dict, problem: Problem) -> np.ndarray:
 
 
 # hashed into core_hash, so a checkpoint in an older layout starts the run afresh
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 
 def _core_hash(manifest: dict) -> str:
@@ -248,12 +263,12 @@ def _dump_json(path: Path, obj) -> None:
     os.replace(tmp, path)
 
 
-def _archive_to_dict(archive: Archive) -> dict:
-    """The archive columns a checkpoint stores and resume reads."""
+def _archive_to_dict(archive: Archive, start: int = 0) -> dict:
+    """The archive columns a checkpoint stores and resume reads, from row `start` on."""
     return {
-        "solutions": archive.genes.tolist(),
-        "raw": archive.raw.tolist(),
-        "generation": archive.generation.tolist(),
+        "solutions": archive.genes[start:].tolist(),
+        "raw": archive.raw[start:].tolist(),
+        "generation": archive.generation[start:].tolist(),
     }
 
 
@@ -261,6 +276,24 @@ def _archive_from_dict(d: dict, constraints: ConstraintSpec) -> Archive:
     archive = Archive(constraints=constraints)
     archive.append_batch(d["solutions"], d["raw"], d["generation"])
     return archive
+
+
+def _read_checkpoint(path: Path) -> tuple[list[dict], int]:
+    """The complete lines of a checkpoint file, parsed, and the byte length
+    they span.  Reading stops at a torn or unreadable line."""
+    lines, end = [], 0
+    data = path.read_bytes() if path.exists() else b""
+    while (stop := data.find(b"\n", end)) >= 0:
+        try:
+            lines.append(json.loads(data[end:stop]))
+        except ValueError:
+            break
+        end = stop + 1
+    return lines, end
+
+
+def _json_line(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_default) + "\n"
 
 
 def _run_one_seed(manifest: dict, seed: int, out: Path) -> RunResult:
@@ -272,43 +305,49 @@ def _run_one_seed(manifest: dict, seed: int, out: Path) -> RunResult:
     T = manifest["generations"]
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_path = ckpt_dir / f"seed{seed}.json"
-    core = _core_hash(manifest)
+    ckpt_path = ckpt_dir / f"seed{seed}.jsonl"
+    header = {"schema_version": SCHEMA_VERSION, "core_hash": _core_hash(manifest), "seed": seed}
 
     resume = None
-    if ckpt_path.exists():
-        snap = json.loads(ckpt_path.read_text())
-        if snap.get("core_hash") == core:
-            _require(
-                snap["generation"] <= T,
-                "generations",
-                f"{T} is below the generation of checkpoint {ckpt_path} ({snap['generation']}); "
-                "raise it or use another out_dir",
-            )
+    lines, end = _read_checkpoint(ckpt_path)
+    if lines and lines[0] == header:
+        done = lines[-1].get("generation", 0)
+        _require(
+            done <= T,
+            "generations",
+            f"{T} is below the generation of checkpoint {ckpt_path} ({done}); "
+            "raise it or use another out_dir",
+        )
+        with open(ckpt_path, "r+b") as fh:
+            fh.truncate(end)  # drop a torn last line
+        if done:
+            gens = lines[1:]
             resume = {
-                "generation": int(snap["generation"]),
-                "archive": _archive_from_dict(snap["archive"], constraints),
-                "records": [GenerationRecord(**row) for row in snap["records"]],
-                "state": snap["state"],
+                "generation": done,
+                "archive": _archive_from_dict(
+                    {k: [row for g in gens for row in g["archive"][k]] for k in gens[0]["archive"]},
+                    constraints,
+                ),
+                "records": [GenerationRecord(**g["record"]) for g in gens],
+                "states": [g["state"] for g in gens],
             }
-
-    every = manifest["checkpoint_every"]
+    else:
+        ckpt_path.write_text(_json_line(header))
+    written = len(resume["archive"]) if resume else 0
 
     def checkpoint(t: int, archive: Archive, records: list, state: dict) -> None:
-        if t % every and t != T:
-            return
-        _dump_json(
-            ckpt_path,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "core_hash": core,
-                "seed": seed,
-                "generation": t,
-                "records": [dataclasses.asdict(r) for r in records],
-                "archive": _archive_to_dict(archive),
-                "state": state,
-            },
-        )
+        """Append generation t: its record, the rows added since the last
+        line and the engine state."""
+        nonlocal written
+        line = _json_line({
+            "generation": t,
+            "record": dataclasses.asdict(records[-1]),
+            "archive": _archive_to_dict(archive, written),
+            "state": state,
+        })
+        with open(ckpt_path, "a") as fh:
+            fh.write(line)
+        written = len(archive)
 
     cfg = algorithm_config(manifest)
     run = dict(constraints=constraints, ref_point=z, on_generation=checkpoint, resume=resume)

@@ -30,6 +30,20 @@ def oracle_front_partition(Y) -> list[list[int]]:
     return fronts
 
 
+def oracle_front_mask(Y) -> np.ndarray:
+    """Non-dominated rows of an (n, m) array by a chunked O(n^2) pairwise check."""
+    Y = np.asarray(Y, float)
+    n = Y.shape[0]
+    mask = np.ones(n, dtype=bool)
+    chunk = max(1, 2**18 // max(n, 1))
+    for start in range(0, n, chunk):
+        block = Y[start : start + chunk]
+        le = np.all(Y[None, :, :] <= block[:, None, :], axis=2)  # Y_j <= block_i
+        lt = np.any(Y[None, :, :] < block[:, None, :], axis=2)
+        mask[start : start + chunk] = ~np.any(le & lt, axis=1)
+    return mask
+
+
 def mc_hypervolume(Y, z, n_samples: int, seed: int = 0):
     """Monte Carlo estimate of the dominated volume, with standard error."""
     Y = np.asarray(Y, float)

@@ -22,29 +22,29 @@ GOLDEN = {
     "rd": {
         "archive_seed0.json": "1b5a9952b8f61fc70e5c01176b417b4727dbdc253259c018bfd3720ba659ce2f",
         "archive_seed1.json": "79c00560310fd4a9998aa1c85cf3495c703b14ff41a92e883af226b0969cf914",
-        "checkpoints/seed0.json": "6e4dce6b1d2cb57334e824ba204dc0dd3083a44190eb735d3b3ed5c8bb0e90da",
-        "checkpoints/seed1.json": "6833d31bd7ef9f089414f65bce40e6136e210008eaf32f3aecfd9e8ef3719c9d",
-        "manifest.json": "36fd5de0bbc86c83e916c5758e4252ca1263e59e49ba01a1e37afba7dbc8f4df",
+        "checkpoints/seed0.jsonl": "33a9031fe0b736fda48a193a10cdb3c8021c9c3953e027a82917b036bae09757",
+        "checkpoints/seed1.jsonl": "76f0fd33ee4b8b985bd5595c81e5bf6763587cb40888dbbf891793a0dfff17e6",
+        "manifest.json": "ac71928ddb9c8710d7317315d72f6376af382db4c09b22da3cb46eec78b682eb",
         "summary.json": "3267b68e0ec403e0c62466b845e8fdbd444878273c4ddb977896129fc4ffcb8f",
         "trace.csv": "89fc6f06850577980259e3e75feb4152bb42e6e9d0da82f67143fd2a0534ac33",
     },
     "bc": {
         "archive_seed0.json": "912e22a5a458ca58afc5406b1d517b7e829dde07872454ef716084c6963f2caa",
         "archive_seed1.json": "b10c81847404cd88062648c76a178928cbe2af7e214a48b47e76cd7e29d0ea50",
-        "checkpoints/seed0.json": "73cce8cf855e9078e7dd375e21b982aeaff5739075beb70d4454d393f707d274",
-        "checkpoints/seed1.json": "aa91b324db8a31a4bb2a1584f290a690433cbe328b36a6c37a5b2fa747637d20",
-        "manifest.json": "aa84245c8594f75935c51813ca83092e654ba4337715c64c6cae30c46b0f6ea8",
+        "checkpoints/seed0.jsonl": "1ac3c55f059f72ec47c26ab6677ae64d591c3907a69724dd5bc65e5a9c4a07bb",
+        "checkpoints/seed1.jsonl": "d028b8456fbce64b12ec09386cf0cda7424328c077a41df10771ddb7612bfd29",
+        "manifest.json": "4bc43293683159d2c2fcac6733f8d10ae293ab824c5662e406db61a14b4975de",
         "summary.json": "b8f7e0a50d6f6a9f29b53af8829b620631ab776bea61cf656f38499b99a6dedb",
         "trace.csv": "e0bce8ed711f7085c09f72a80e9f773dbdaf3de526e8361dac76d2f60425cca3",
     },
     "sf": {
         "archive_seed0.json": "43dd89f74a7aa30f63678987500d48eeecdcc143ab548f239170bc2007ee79ee",
         "archive_seed1.json": "b02371f994cefd7189a4bc0cdc7d3d8a7e5029b1122f8457ba8b4ef0fa45af0a",
-        "checkpoints/seed0.json": "9c9c2f10ff0c1d4968cba34e5575b1086d41a2c4a766cae6a4796c7ee7e6c793",
-        "checkpoints/seed1.json": "b61ec643560ee755e5c92dd4c8044f09c02dc289448e8e817ead76d57cfa8582",
-        "manifest.json": "34aa94c57501edc09e2851a9b8c340624bf25b0a5cd04ba4892738050169cebd",
-        "summary.json": "3fb065fbd87d09d246c10914af304db6ca8707172352a9e724f94c89b7e81cfd",
-        "trace.csv": "b01c58414d9f312d57885ddb2978b851777164bde88b041cdf6f3908e49e341d",
+        "checkpoints/seed0.jsonl": "e9d0177ea4f4ea189c3e59ed6a6842b59b9b132b74d75e7d5c4157dfb6e6e601",
+        "checkpoints/seed1.jsonl": "eb1ac7627fa9cfa6a7c304d53bdb5d48bb9da7d2e2cd5014f66455c293ffb475",
+        "manifest.json": "8ca89460c9932663fcc70a1c976832938b565f1a801b88a02e37fb6679c8d087",
+        "summary.json": "38884ac9b8c9057986d92617a1767652adead71e28173cc479b72df56e42ccd5",
+        "trace.csv": "397de717e92fb477d97a9292c4fe935ea06daaa21c09bc131fa4395a74ce12ad",
     },
 }
 

@@ -20,15 +20,15 @@ from test_golden import _hash_tree
 GOLDEN_PSL = {
     "constrained_toy": {
         "archive_seed3.json": "1773986157f659b495b4ee4f0106627617649aceb080e616f031e2969add476c",
-        "checkpoints/seed3.json": "a133164ba62ce2ad4d679cd3ef08683d80396cffe8096324b494addd1e9fbad0",
-        "manifest.json": "79abd84d145a54575cfeefcf53d3d1a5da796cc6227cebe840c97f6af1453809",
-        "summary.json": "bc139957f497102078619e41396ec5d893e7da6c64ae57bf97d0bf74ad424fec",
-        "trace.csv": "a5f03c84794265a22915bd1ee90b2de03aa253f348fff7316e0576cc98636bbb",
+        "checkpoints/seed3.jsonl": "1ce73672dc843a48037e028bbb2f6b8b1c4c1ff7d8d4e9222237dbafa4b50c9a",
+        "manifest.json": "f2c75a5ce52126789168d796c2d51f1d6a52a07f16a839676732ffca7f298422",
+        "summary.json": "e1ee0c6fba508f7f08cefb9e9e0289445ec03d16305255fa99a60e2a46b6bb2b",
+        "trace.csv": "92ec913ea4a8542a3dcca4913313241639391857399108cd0ad4b6eb87e8c72e",
     },
     "zdt1": {
         "archive_seed3.json": "2dcf6faa46f413ab87ae8d977f2c2c8a35cac729c698fd6ff0c7ce466e434bc4",
-        "checkpoints/seed3.json": "43df5a6124277a5646d77f39044762da86b829a85de60b29d730b9920930cd8b",
-        "manifest.json": "921cec96ca9d5bd463d68aa07921f98db2703cdf41dbe39b92423084375e106c",
+        "checkpoints/seed3.jsonl": "face0ac1642343447d31496f02bb0a362f252cfeee00002e9647c507401fd8e9",
+        "manifest.json": "849515f44a8db93a52f24626acc5dc8bda6ceb8b74aecce29f1689e6bdec5290",
         "summary.json": "ada131caf5b4931e188ee1c0d4c6af1efe91d2f55eed68f75d4f191d6b848eab",
         "trace.csv": "4ab4b102ca40be0ad711a5b0ec1e539bec24aeef979693ec0fbfa6ffcfd2676a",
     },

@@ -202,7 +202,7 @@ class TestRunNsga2:
         genes, raw, generation, records, state = saved[2]
         archive = Archive(constraints=cs)
         archive.append_batch(genes, raw, generation)
-        resume = {"generation": 2, "archive": archive, "records": records, "state": state}
+        resume = {"generation": 2, "archive": archive, "records": records, "states": [state]}
         resumed = run_nsga2(_quad_problem(), cfg, seed=0, constraints=cs, resume=resume)
         assert np.array_equal(resumed.archive.raw, direct.archive.raw)
         assert np.array_equal(resumed.population, direct.population)

@@ -54,6 +54,11 @@ def _psl_manifest(out, **kw):
     return _zdt_manifest(out, **{"algorithm": "psl", "population": 2, "dim": 3, "psl": psl, **kw})
 
 
+def _checkpoint(out: Path, seed: int = 0) -> list[dict]:
+    """The lines of a seed's checkpoint: the header, then one per generation."""
+    return [json.loads(line) for line in (out / "checkpoints" / f"seed{seed}.jsonl").read_text().splitlines()]
+
+
 def _legacy_core_hash(manifest: dict) -> str:
     """core_hash as computed before the checkpoint format number joined it."""
     keys = ("algorithm", "setting", "constraint_mode", "population", "dim", "fl", "ga", "psl", "ref_point")
@@ -65,6 +70,16 @@ class TestManifestValidation:
     def test_unknown_field_named(self):
         with pytest.raises(ManifestError, match="bogus"):
             normalize_manifest(_zdt_manifest("x", bogus=1))
+
+    # deleted options are refused by name, as unknown fields
+    def test_checkpoint_every_refused(self):
+        with pytest.raises(ManifestError, match="'checkpoint_every': unknown"):
+            normalize_manifest(_zdt_manifest("x", checkpoint_every=1))
+
+    @pytest.mark.parametrize("raw", [[1], "x", None, 3])
+    def test_non_object_manifest_refused(self, raw):
+        with pytest.raises(ManifestError, match="manifest must be a JSON object"):
+            normalize_manifest(raw)
 
     def test_bad_algorithm(self):
         with pytest.raises(ManifestError, match="algorithm"):
@@ -168,7 +183,7 @@ class TestManifestValidation:
         assert schema["fl"] == {**dataclasses.asdict(FlOptions()), "dataset": SYNTHETIC_DEFAULTS}
 
     # JSON numbers only: a bool or a numeric string is rejected, not cast
-    @pytest.mark.parametrize("key", ["generations", "population", "workers", "checkpoint_every", "dim", "seeds"])
+    @pytest.mark.parametrize("key", ["generations", "population", "workers", "dim", "seeds"])
     def test_non_integral_top_level_integer_named(self, key):
         given = (lambda v: [v]) if key == "seeds" else (lambda v: v)
         for bad in (2.7, True, "3"):
@@ -267,18 +282,18 @@ class TestOptimizeArtifacts:
         run_manifest(_zdt_manifest(direct, generations=6, **m))
         resumed = tmp_path / "resumed"
         run_manifest(_zdt_manifest(resumed, generations=3, **m))
-        snap = json.loads((resumed / "checkpoints" / "seed0.json").read_text())
+        raw = [row for line in _checkpoint(resumed)[1:] for row in line["archive"]["raw"]]
         bounds = get_benchmark(setting, 4).constraints.bounds_array()
-        assert np.all(np.asarray(snap["archive"]["raw"]) <= bounds) == (setting == "zdt1")
+        assert np.all(np.asarray(raw) <= bounds) == (setting == "zdt1")
         run_manifest(_zdt_manifest(resumed, generations=6, **m))
         ha, hb = _hash_dir(direct), _hash_dir(resumed)
         assert ha == hb
 
     def test_checkpoint_past_budget_refused(self, tmp_path, monkeypatch):
         run_manifest(_zdt_manifest(tmp_path, generations=6))
-        ckpt = tmp_path / "checkpoints" / "seed0.json"
+        ckpt = tmp_path / "checkpoints" / "seed0.jsonl"
         before = ckpt.read_bytes()
-        with pytest.raises(ManifestError, match="'generations': 3 .*seed0.json \\(6\\)"):
+        with pytest.raises(ManifestError, match="'generations': 3 .*seed0.jsonl \\(6\\)"):
             run_manifest(_zdt_manifest(tmp_path, generations=3))
         assert ckpt.read_bytes() == before
         calls = []
@@ -293,8 +308,7 @@ class TestOptimizeArtifacts:
         resumed = tmp_path / "resumed"
         run_manifest(_zdt_manifest(resumed, seeds=[0, 1], generations=3, workers=2))
         for seed in (0, 1):
-            snap = json.loads((resumed / "checkpoints" / f"seed{seed}.json").read_text())
-            assert snap["generation"] == 3
+            assert _checkpoint(resumed, seed)[-1]["generation"] == 3
         run_manifest(_zdt_manifest(resumed, seeds=[0, 1], generations=6, workers=2))
         assert _hash_dir(direct) == _hash_dir(resumed)
 
@@ -327,26 +341,66 @@ class TestOptimizeArtifacts:
     def test_checkpoint_holds_what_resume_reads(self, tmp_path, algorithm, state):
         manifest = _psl_manifest if algorithm == "psl" else _zdt_manifest
         run_manifest(manifest(tmp_path, algorithm=algorithm, generations=2))
-        snap = json.loads((tmp_path / "checkpoints" / "seed0.json").read_text())
-        assert set(snap) == {"schema_version", "core_hash", "seed", "generation", "records", "archive", "state"}
-        assert set(snap["archive"]) == {"solutions", "raw", "generation"}
-        assert set(snap["state"]) == state
+        header, *lines = _checkpoint(tmp_path)
+        assert set(header) == {"schema_version", "core_hash", "seed"}
+        assert [line["generation"] for line in lines] == [1, 2]
+        archive = json.loads((tmp_path / "archive_seed0.json").read_text())
+        for line in lines:
+            assert set(line) == {"generation", "record", "archive", "state"}
+            assert set(line["archive"]) == {"solutions", "raw", "generation"}
+            assert set(line["state"]) == state
+        # each line holds only the rows and diagnostics its generation added
+        for key in ("solutions", "raw", "generation"):
+            assert [row for line in lines for row in line["archive"][key]] == archive[key]
+        assert lines[1]["archive"]["generation"] == [2] * len(lines[1]["archive"]["raw"])
+        if algorithm == "psl":
+            assert [[d["generation"] for d in line["state"]["diagnostics"]] for line in lines] == [[1], [2]]
 
     # records tampered in a checkpoint reach trace.csv only if it is resumed
     def test_checkpoint_without_format_number_ignored(self, tmp_path):
         direct, out = tmp_path / "direct", tmp_path / "stale"
         run_manifest(_zdt_manifest(direct, generations=3))
         run_manifest(_zdt_manifest(out, generations=3))
-        ckpt = out / "checkpoints" / "seed0.json"
-        snap = json.loads(ckpt.read_text())
-        snap["records"][-1]["hv_all"] = -1.0
-        ckpt.write_text(json.dumps(snap))
+        ckpt = out / "checkpoints" / "seed0.jsonl"
+        lines = _checkpoint(out)
+        lines[-1]["record"]["hv_all"] = -1.0
+        ckpt.write_text("".join(json.dumps(line) + "\n" for line in lines))
         run_manifest(_zdt_manifest(out, generations=3))
         assert _hash_dir(out)["trace.csv"] != _hash_dir(direct)["trace.csv"]
-        snap["core_hash"] = _legacy_core_hash(normalize_manifest(_zdt_manifest(out, generations=3)))
-        ckpt.write_text(json.dumps(snap))
+        lines[0]["core_hash"] = _legacy_core_hash(normalize_manifest(_zdt_manifest(out, generations=3)))
+        ckpt.write_text("".join(json.dumps(line) + "\n" for line in lines))
         run_manifest(_zdt_manifest(out, generations=3))
         assert _hash_dir(out) == _hash_dir(direct)
+
+    @pytest.mark.parametrize("manifest", [_zdt_manifest, _psl_manifest], ids=["nsga2", "psl"])
+    def test_checkpoint_is_append_only(self, tmp_path, monkeypatch, manifest):
+        written = []
+        line = runner._json_line
+        monkeypatch.setattr(runner, "_json_line", lambda obj: written.append(line(obj)) or written[-1])
+        ckpt = tmp_path / "checkpoints" / "seed0.jsonl"
+        run_manifest(manifest(tmp_path, generations=3))
+        first = ckpt.read_bytes()
+        run_manifest(manifest(tmp_path, generations=6))
+        final = ckpt.read_bytes()
+        assert final.startswith(first) and len(final) > len(first)
+        assert sum(len(s.encode()) for s in written) == len(final)
+
+    # a run cut off while writing a line resumes from the line before it
+    @pytest.mark.parametrize(
+        "keep",
+        [lambda data: len(data) - 10, lambda data: data.index(b"\n") + 7],
+        ids=["last-line", "first-line"],
+    )
+    @pytest.mark.parametrize("manifest", [_zdt_manifest, _psl_manifest], ids=["nsga2", "psl"])
+    def test_resume_after_torn_line(self, tmp_path, manifest, keep):
+        direct, resumed = tmp_path / "direct", tmp_path / "resumed"
+        run_manifest(manifest(direct, generations=6))
+        run_manifest(manifest(resumed, generations=3))
+        ckpt = resumed / "checkpoints" / "seed0.jsonl"
+        data = ckpt.read_bytes()
+        ckpt.write_bytes(data[: keep(data)])
+        run_manifest(manifest(resumed, generations=6))
+        assert _hash_dir(direct) == _hash_dir(resumed)
 
     def test_baseline_mode_zeroes_penalties_but_keeps_flags(self, tmp_path):
         out = tmp_path / "bl"
@@ -487,6 +541,17 @@ class TestCli:
         assert main(["optimize", "--config", str(cfg)]) == 2
         assert "error: FLPARETO_WORKERS" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", [None, "2"], ids=["no-env", "env-workers"])
+    @pytest.mark.parametrize("body", ["[1]", '"x"'])
+    @pytest.mark.parametrize("command", [["optimize"], ["evaluate", "--setting", "rd"]])
+    def test_non_object_manifest_named(self, tmp_path, monkeypatch, capsys, command, body, workers):
+        cfg = tmp_path / "m.json"
+        cfg.write_text(body)
+        if workers is not None:
+            monkeypatch.setenv("FLPARETO_WORKERS", workers)
+        assert main([*command, "--config", str(cfg)]) == 2
+        assert f"error: manifest {cfg}: must be a JSON object" in capsys.readouterr().err
 
     def test_env_override_out_dir(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "m.json"
