@@ -91,7 +91,7 @@ def _cmd_evaluate(args) -> int:
     space = build_space(args.setting, opts.width_max)
     values = _parse_params(args.param or [])
     space.validate(values)
-    cfg = make_run_config(args.setting, values, opts, args.seed[0] if args.seed else 0)
+    cfg = make_run_config(args.setting, values, opts, args.seed)
     result = flo_evaluate(cfg)
     flat = result.as_flat()
     print(" ".join(f"{k}={flat[k]!r}" for k in ("eps_u", "eps_p", "eps_c", "accuracy", "diverged")))
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--setting", required=True, choices=FL_SETTINGS)
     p_ev.add_argument("--param", action="append", help="name=value (repeatable)")
     p_ev.add_argument("--config", default=None, help="optional manifest JSON supplying fl options")
-    add_common(p_ev)
+    p_ev.add_argument("--seed", type=int, default=0, help="evaluation seed")
     p_ev.set_defaults(func=_cmd_evaluate)
 
     p_hv = sub.add_parser("hv", help="exact hypervolume of a stored front")

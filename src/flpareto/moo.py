@@ -226,7 +226,8 @@ def _hv2d_rows(f1: np.ndarray, f2: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _limit_hv(S: np.ndarray, Y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Hypervolume of the limit set {max(s, y) : s in S} for each row y of Y.
+    """Hypervolume of the limit set {max(s, y) : s in S} for each row y of Y,
+    batched over the rows for `hypervolume_contributions`.
 
     S is a nonempty (n, m) array of points <= z, m in {2, 3}.  max(., y)
     keeps the order of every coordinate, so one sort of S orders every
@@ -287,6 +288,8 @@ def hypervolume(points, z) -> float:
 
     Points not componentwise <= z are excluded from the union (penalized
     objectives may exceed any fixed reference).  Empty input gives 0.
+    Runs one staircase sweep, so a dominated or duplicate point leaves the
+    value unchanged bit for bit.
     """
     z = np.asarray(z, dtype=float)
     m = z.shape[0]
@@ -301,10 +304,15 @@ def hypervolume(points, z) -> float:
     pts = pts[np.all(pts <= z, axis=1)]
     if pts.shape[0] == 0:
         return 0.0
-    if m == 3:
-        return _staircase_sweep(pts, z)[1]
-    # the limit set of max(s, -inf) = s is the set itself
-    return float(_limit_hv(pts, np.full((1, m), -np.inf), z)[0])
+    if m == 2:
+        # A unit-height slab: zero f3 under z3 = 1.  The sweep skips a weakly
+        # dominated row without a floating-point operation, so dropping
+        # rows at or above an earlier row's f2 in f1 order first gives the
+        # same bits; the sweep then visits only the front.
+        pts = pts[np.argsort(pts[:, 0])]
+        pts = pts[pts[:, 1] < np.minimum.accumulate(np.append(np.inf, pts[:-1, 1]))]
+        pts, z = np.hstack([pts, np.zeros((pts.shape[0], 1))]), np.append(z, 1.0)
+    return _staircase_sweep(pts, z)[1]
 
 
 def _per_vector(y, constraints: ConstraintSpec, fn):

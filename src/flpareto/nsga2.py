@@ -31,7 +31,6 @@ __all__ = [
     "latin_hypercube",
     "sbx_crossover",
     "polynomial_mutation",
-    "binary_variation",
     "run_nsga2",
     "run_random_search",
 ]
@@ -47,8 +46,6 @@ class NsgaConfig:
     mutation_prob: float = 0.1
     eta_crossover: float = 2.0
     eta_mutation: float = 20.0
-    chromosome: str = "real"  # "real" | "binary"
-    bits_per_var: int = 12
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -62,10 +59,6 @@ class NsgaConfig:
         for name in ("eta_crossover", "eta_mutation"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
-        if self.chromosome not in ("real", "binary"):
-            raise ValueError("chromosome must be 'real' or 'binary'")
-        if self.bits_per_var < 1:
-            raise ValueError("bits_per_var must be >= 1")
 
 
 @dataclass
@@ -84,7 +77,6 @@ class GenerationRecord:
 class RunResult:
     archive: Archive
     records: list[GenerationRecord]
-    population: np.ndarray  # final chromosomes
     population_indices: list[int]  # archive indices of the final population
     diagnostics: list[dict] = field(default_factory=list)
 
@@ -149,47 +141,6 @@ def polynomial_mutation(
     delta = np.where(u <= 0.5, down, up)
     x = np.where(mutate, x + delta, x)
     return np.clip(x, 0.0, 1.0)
-
-
-def binary_variation(
-    p1: np.ndarray,
-    p2: np.ndarray,
-    rng: np.random.Generator,
-    crossover_prob: float = 0.9,
-    flip_prob: float = 0.1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-point crossover followed by independent bit flips."""
-    b1 = np.asarray(p1, dtype=float).copy()
-    b2 = np.asarray(p2, dtype=float).copy()
-    if b1.shape != b2.shape:
-        raise ValueError("bit strings must have equal length")
-    if rng.random() < crossover_prob and b1.size > 0:
-        cut = int(rng.integers(0, b1.size))
-        tail1 = b1[cut:].copy()
-        b1[cut:] = b2[cut:]
-        b2[cut:] = tail1
-    if flip_prob > 0.0:
-        f1 = rng.random(b1.shape) < flip_prob
-        f2 = rng.random(b2.shape) < flip_prob
-        b1 = np.where(f1, 1.0 - b1, b1)
-        b2 = np.where(f2, 1.0 - b2, b2)
-    return b1, b2
-
-
-def bits_to_unit(bits: np.ndarray, n_vars: int, bits_per_var: int) -> np.ndarray:
-    """Decode bit strings (one or a batch) into genes in [0, 1]."""
-    arr = np.asarray(bits, dtype=float)
-    batched = arr.ndim == 2
-    b = arr.reshape(-1, n_vars, bits_per_var)
-    weights = 2.0 ** np.arange(bits_per_var - 1, -1, -1)
-    vals = (b @ weights) / (2.0**bits_per_var - 1.0)
-    return vals if batched else vals[0]
-
-
-def _chromosome_to_genes(chrom: np.ndarray, cfg: NsgaConfig, dim: int) -> np.ndarray:
-    if cfg.chromosome == "real":
-        return np.asarray(chrom, dtype=float)
-    return bits_to_unit(chrom, dim, cfg.bits_per_var)
 
 
 def evaluate_batch(problem: Problem, X: np.ndarray, seeds: np.ndarray) -> np.ndarray:
@@ -296,13 +247,11 @@ def _start(
 
 def _evaluate_generation(
     problem: Problem, archive: Archive, X: np.ndarray, seed: int, t: int
-) -> np.ndarray:
+) -> None:
     """Evaluate generation t's batch X, row i under seed
-    spawn_seed(seed, TAG_EVAL, t, i); archive it and return its raw objectives."""
+    spawn_seed(seed, TAG_EVAL, t, i), and archive it."""
     seeds = np.array([spawn_seed(seed, TAG_EVAL, t, i) for i in range(X.shape[0])])
-    raw = evaluate_batch(problem, X, seeds)
-    archive.append_batch(X, raw, generation=t)
-    return raw
+    archive.append_batch(X, evaluate_batch(problem, X, seeds), generation=t)
 
 
 def run_nsga2(
@@ -316,8 +265,9 @@ def run_nsga2(
 ) -> RunResult:
     """Run penalized NSGA-II and return the full evaluation archive.
 
-    The initial population is evaluated once; each later generation
-    evaluates only its N offspring (parents keep their cached raw values),
+    The population is a list of archive row indices, so its genes and raw
+    objectives are read from the archive.  The initial population is
+    evaluated once; each later generation evaluates only its N offspring,
     which matches the N + T*N evaluation budget accounting used throughout.
     `on_generation(t, archive, records, state)` fires after each completed
     generation; `resume` restarts from a dict with keys generation /
@@ -325,69 +275,44 @@ def run_nsga2(
     """
     constraints, z, archive, records, t_done = _start(problem, constraints, ref_point, resume)
     N = cfg.population_size
-    chrom_len = (
-        problem.dim if cfg.chromosome == "real" else problem.dim * cfg.bits_per_var
-    )
 
     if resume is None:
-        rng_init = stream(seed, TAG_INIT)
-        if cfg.chromosome == "real":
-            pop = latin_hypercube(N, chrom_len, rng_init)
-        else:
-            pop = rng_init.integers(0, 2, size=(N, chrom_len)).astype(float)
-        genes = _chromosome_to_genes(pop, cfg, problem.dim)
-        pop_raw = _evaluate_generation(problem, archive, genes, seed, 0)
+        _evaluate_generation(problem, archive, latin_hypercube(N, problem.dim, stream(seed, TAG_INIT)), seed, 0)
         pop_idx = list(range(N))
     else:
-        state = resume["states"][-1]
-        pop = np.asarray(state["population"], dtype=float)
-        pop_idx = [int(i) for i in state["population_indices"]]
-        pop_raw = archive.raw[pop_idx]
+        pop_idx = [int(i) for i in resume["states"][-1]["population_indices"]]
 
     for t in range(t_done + 1, cfg.generations + 1):
         rng_t = stream(seed, TAG_VARIATION, t)
+        pop = archive.genes[pop_idx]
         # binary-tournament mating under the crowded-comparison order
-        rank, crowd = rank_and_crowding(selection_penalty(pop_raw, constraints))
+        rank, crowd = rank_and_crowding(selection_penalty(archive.raw[pop_idx], constraints))
         kids: list[np.ndarray] = []
         while len(kids) < N:
             i = tournament_pick(rank, crowd, rng_t)
             j = tournament_pick(rank, crowd, rng_t)
-            if cfg.chromosome == "real":
-                if rng_t.random() < cfg.crossover_prob:
-                    c1, c2 = sbx_crossover(pop[i], pop[j], cfg.eta_crossover, rng_t)
-                else:
-                    c1, c2 = pop[i].copy(), pop[j].copy()
-                c1 = polynomial_mutation(c1, cfg.eta_mutation, cfg.mutation_prob, rng_t)
-                c2 = polynomial_mutation(c2, cfg.eta_mutation, cfg.mutation_prob, rng_t)
+            if rng_t.random() < cfg.crossover_prob:
+                c1, c2 = sbx_crossover(pop[i], pop[j], cfg.eta_crossover, rng_t)
             else:
-                c1, c2 = binary_variation(
-                    pop[i], pop[j], rng_t, cfg.crossover_prob, cfg.mutation_prob
-                )
+                c1, c2 = pop[i], pop[j]
+            c1 = polynomial_mutation(c1, cfg.eta_mutation, cfg.mutation_prob, rng_t)
+            c2 = polynomial_mutation(c2, cfg.eta_mutation, cfg.mutation_prob, rng_t)
             kids.extend([c1, c2])
-        children = np.stack(kids[:N])  # odd N drops the final pair's second child
 
         first_child_idx = len(archive)
-        child_genes = _chromosome_to_genes(children, cfg, problem.dim)
-        child_raw = _evaluate_generation(problem, archive, child_genes, seed, t)
+        # an odd N drops the final pair's second child
+        _evaluate_generation(problem, archive, np.stack(kids[:N]), seed, t)
 
-        merged = np.vstack([pop, children])
-        merged_raw = np.vstack([pop_raw, child_raw])
         merged_idx = pop_idx + list(range(first_child_idx, first_child_idx + N))
         # rank space: violators carry their total violation on every axis
-        pen = selection_penalty(merged_raw, constraints)
-        keep = select_survivors(np.asarray(pen), N)
-        pop = merged[keep]
-        pop_raw = merged_raw[keep]
+        keep = select_survivors(selection_penalty(archive.raw[merged_idx], constraints), N)
         pop_idx = [merged_idx[k] for k in keep]
 
         records.append(_record(archive, t, z))
         if on_generation is not None:
-            state = {"population": pop.tolist(), "population_indices": list(pop_idx)}
-            on_generation(t, archive, records, state)
+            on_generation(t, archive, records, {"population_indices": pop_idx})
 
-    return RunResult(
-        archive=archive, records=records, population=pop, population_indices=pop_idx
-    )
+    return RunResult(archive=archive, records=records, population_indices=pop_idx)
 
 
 def run_random_search(
@@ -415,6 +340,5 @@ def run_random_search(
     return RunResult(
         archive=archive,
         records=records,
-        population=archive.genes[-N:],
         population_indices=list(range(max(0, len(archive) - N), len(archive))),
     )

@@ -431,11 +431,9 @@ def run_psl(
             state = {"model": {k: v.tolist() for k, v in model.params.items()}, "diagnostics": [diag]}
             on_generation(t, archive, records, state)
 
-    last = archive.genes[-N:] if len(archive) > n_init else archive.genes
     return RunResult(
         archive=archive,
         records=records,
-        population=last,
         population_indices=list(range(max(0, len(archive) - N), len(archive))),
         diagnostics=diagnostics,
     )

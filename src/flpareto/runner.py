@@ -15,7 +15,7 @@ Its header line names the schema version, the run configuration's hash
 and the seed.  Each completed generation appends one line: that
 generation's record, the archive rows added since the previous line
 (solutions, raw objectives and generations; penalties and feasibility are
-derived from raw), and the engine's state (NSGA-II: population and its
+derived from raw), and the engine's state (NSGA-II: the population's
 archive indices; PSL: network weights and that generation's diagnostics;
 random search: nothing).  Checkpoints survive completion; re-running the
 same manifest (or one with a larger generation budget) resumes from the
@@ -151,7 +151,10 @@ def algorithm_config(manifest: dict) -> NsgaConfig | PslConfig | None:
 def read_manifest(path) -> dict:
     """The manifest JSON object stored at `path`."""
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise ManifestError(f"manifest {path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ManifestError(f"manifest {path}: must be a JSON object, got {type(raw).__name__}")
     return raw
@@ -233,7 +236,7 @@ def _ref_point(manifest: dict, problem: Problem) -> np.ndarray:
 
 
 # hashed into core_hash, so a checkpoint in an older layout starts the run afresh
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 
 
 def _core_hash(manifest: dict) -> str:

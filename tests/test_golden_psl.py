@@ -20,15 +20,15 @@ from test_golden import _hash_tree
 GOLDEN_PSL = {
     "constrained_toy": {
         "archive_seed3.json": "1773986157f659b495b4ee4f0106627617649aceb080e616f031e2969add476c",
-        "checkpoints/seed3.jsonl": "1ce73672dc843a48037e028bbb2f6b8b1c4c1ff7d8d4e9222237dbafa4b50c9a",
-        "manifest.json": "f2c75a5ce52126789168d796c2d51f1d6a52a07f16a839676732ffca7f298422",
+        "checkpoints/seed3.jsonl": "80e9bbeae140732b132b1b2c9dbddc677a757f42e374014e63270e420e56c33e",
+        "manifest.json": "4e616c93f668c1bb3b42b3ba8583633440b9afe74eda16780dbaa43c2e5459eb",
         "summary.json": "e1ee0c6fba508f7f08cefb9e9e0289445ec03d16305255fa99a60e2a46b6bb2b",
         "trace.csv": "92ec913ea4a8542a3dcca4913313241639391857399108cd0ad4b6eb87e8c72e",
     },
     "zdt1": {
         "archive_seed3.json": "2dcf6faa46f413ab87ae8d977f2c2c8a35cac729c698fd6ff0c7ce466e434bc4",
-        "checkpoints/seed3.jsonl": "face0ac1642343447d31496f02bb0a362f252cfeee00002e9647c507401fd8e9",
-        "manifest.json": "849515f44a8db93a52f24626acc5dc8bda6ceb8b74aecce29f1689e6bdec5290",
+        "checkpoints/seed3.jsonl": "fadbfba042370372e3d6bc5e9428daf09fdfe2db0e11576551987f6beb349ab9",
+        "manifest.json": "05fce9fb22f17884af9678464df1ba99f5889f3bc43cf70c33c0bf83fb5fead9",
         "summary.json": "ada131caf5b4931e188ee1c0d4c6af1efe91d2f55eed68f75d4f191d6b848eab",
         "trace.csv": "4ab4b102ca40be0ad711a5b0ec1e539bec24aeef979693ec0fbfa6ffcfd2676a",
     },

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flpareto import moo
 from flpareto.moo import (
     Archive,
     ConstraintSpec,
@@ -224,10 +225,11 @@ class TestHypervolumeContributions:
         with pytest.raises(ValueError, match="candidates m=2"):
             hypervolume_contributions([[0, 0, 0]], [[1, 1], [1, 1], [1, 1]], [2, 2, 2])
 
+    # the sweep sums its strips in another order than the staircase oracle
     def test_hv2d_staircase_bitwise(self, rng):
         for S, C, z in _point_sets(rng, 2, 60):
             Y = np.vstack([S, C])
-            assert hypervolume(Y, z) == _hv2d(Y, z)
+            assert hypervolume(Y, z) == pytest.approx(_hv2d(Y, z), rel=1e-12, abs=0.0)
 
     # the 3-D sweep sums its slabs in another order than the oracles, so it
     # agrees with them to rounding, not bit for bit; the oracles agree exactly
@@ -335,18 +337,29 @@ class TestStaircaseSweep:
             assert hypervolume(Y, z) == pytest.approx(want, rel=1e-12, abs=0.0)
         assert hypervolume([[0.0, 0.0, 4.0], [4.0, 0.0, 0.0], [1.0, 4.0, 1.0]], z) == 0.0
 
-    # trace.csv's hv columns must not fall when a generation adds nothing.
-    # (2-D hypervolume sums every row's gain with np.sum, so there a zero
-    # gain can move the last bit.)
-    def test_dominated_or_duplicate_point_changes_nothing(self, rng):
-        z = np.ones(3)
+    # 2-D input drops the rows the sweep would skip before sweeping; that
+    # must leave the sweep's bits as they are, ties on either axis included
+    def test_hv2d_front_filter_keeps_sweep_bits(self, rng):
+        z = np.array([4.0, 4.5])
+        for trial in range(300):
+            n = int(rng.integers(1, 80))
+            Y = rng.integers(0, 6, size=(n, 2)) * 0.8 if trial % 2 else rng.random((n, 2)) * 5
+            inside = Y[np.all(Y <= z, axis=1)]
+            padded = np.hstack([inside, np.zeros((len(inside), 1))])
+            want = moo._staircase_sweep(padded, [*z, 1.0])[1] if len(inside) else 0.0
+            assert hypervolume(Y, z) == want
+
+    # trace.csv's hv columns must not fall when a generation adds nothing
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_dominated_or_duplicate_point_changes_nothing(self, m, rng):
+        z = np.ones(m)
         for trial in range(100):
-            Y = rng.random((int(rng.integers(1, 60)), 3))
+            Y = rng.random((int(rng.integers(1, 60)), m))
             if trial % 2:
                 Y = np.round(Y * 4) / 4
             base = hypervolume(Y, z)
             i = int(rng.integers(0, len(Y)))
-            worse = Y[i] + rng.random(3) * (z - Y[i]) * (rng.random(3) < 0.5)
+            worse = Y[i] + rng.random(m) * (z - Y[i]) * (rng.random(m) < 0.5)
             for extra in (Y[i], worse, np.minimum(Y[i] + 0.1, z)):
                 grown = np.vstack([Y, extra])
                 assert hypervolume(grown, z) == base

@@ -13,8 +13,6 @@ from flpareto.moo import (
 )
 from flpareto.nsga2 import (
     NsgaConfig,
-    binary_variation,
-    bits_to_unit,
     evaluate_batch,
     latin_hypercube,
     polynomial_mutation,
@@ -77,51 +75,6 @@ class TestPolynomialMutation:
         assert d20 < d2
 
 
-class TestBinaryVariation:
-    def test_no_crossover_no_flip_identity(self, rng):
-        p1 = rng.integers(0, 2, 16).astype(float)
-        p2 = rng.integers(0, 2, 16).astype(float)
-        c1, c2 = binary_variation(p1, p2, rng, crossover_prob=0.0, flip_prob=0.0)
-        assert np.array_equal(c1, p1) and np.array_equal(c2, p2)
-
-    def test_children_are_single_cut_recombination(self, rng):
-        p1 = np.zeros(16)
-        p2 = np.ones(16)
-        for _ in range(30):
-            c1, c2 = binary_variation(p1, p2, rng, crossover_prob=1.0, flip_prob=0.0)
-            # c1 must be zeros then ones at some cut (cut 0 = full swap)
-            cuts = [k for k in range(17) if np.all(c1[:k] == 0) and np.all(c1[k:] == 1)]
-            assert cuts, f"not a single-cut child: {c1}"
-            k = cuts[0]
-            assert np.all(c2[:k] == 1) and np.all(c2[k:] == 0)
-
-    def test_cut_zero_is_full_swap(self):
-        p1, p2 = np.zeros(8), np.ones(8)
-        for s in range(200):
-            rng = np.random.default_rng(s)
-            c1, c2 = binary_variation(p1, p2, rng, crossover_prob=1.0, flip_prob=0.0)
-            if np.all(c1 == 1):  # cut index 0 occurred
-                assert np.all(c2 == 0)
-                return
-        pytest.fail("cut at index 0 never sampled in 200 seeds")
-
-    def test_expected_flip_count(self):
-        rng = np.random.default_rng(7)
-        L, trials, rate = 64, 10_000, 0.1
-        flips = 0
-        p = np.zeros(L)
-        for _ in range(trials):
-            c1, _ = binary_variation(p, p, rng, crossover_prob=0.0, flip_prob=rate)
-            flips += int(c1.sum())
-        mean = flips / trials
-        sigma = np.sqrt(L * rate * (1 - rate) / trials)
-        assert abs(mean - rate * L) <= 4 * sigma
-
-    def test_length_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            binary_variation(np.zeros(4), np.zeros(5), rng)
-
-
 class TestHelpers:
     def test_latin_hypercube_stratified(self, rng):
         X = latin_hypercube(10, 3, rng)
@@ -129,12 +82,6 @@ class TestHelpers:
         for j in range(3):
             strata = np.floor(X[:, j] * 10).astype(int)
             assert sorted(strata) == list(range(10))
-
-    def test_bits_to_unit_range(self):
-        bits = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=float)
-        vals = bits_to_unit(bits, 2, 4)
-        assert vals[0] == pytest.approx(1.0)
-        assert vals[1] == pytest.approx(0.0)
 
     def test_select_survivors_matches_lexicographic_resort(self, rng):
         for _ in range(25):
@@ -170,12 +117,12 @@ class TestRunNsga2:
         res = run_nsga2(_quad_problem(), NsgaConfig(population_size=10, generations=0), seed=3)
         assert len(res.archive) == 10
         assert res.records == []
-        assert np.array_equal(res.population, res.archive.genes)
+        assert res.population_indices == list(range(10))
 
     def test_population_size_invariant_and_budget(self):
         cfg = NsgaConfig(population_size=8, generations=5)
         res = run_nsga2(_quad_problem(), cfg, seed=1)
-        assert res.population.shape == (8, 3)
+        assert res.archive.genes[res.population_indices].shape == (8, 3)
         assert len(res.archive) == 8 + 5 * 8
 
     def test_infeasible_everywhere_constraint(self):
@@ -200,19 +147,20 @@ class TestRunNsga2:
 
         run_nsga2(_quad_problem(), cfg, seed=0, constraints=cs, on_generation=keep)
         genes, raw, generation, records, state = saved[2]
+        assert set(state) == {"population_indices"}  # resume reads indices only
         archive = Archive(constraints=cs)
         archive.append_batch(genes, raw, generation)
         resume = {"generation": 2, "archive": archive, "records": records, "states": [state]}
         resumed = run_nsga2(_quad_problem(), cfg, seed=0, constraints=cs, resume=resume)
         assert np.array_equal(resumed.archive.raw, direct.archive.raw)
-        assert np.array_equal(resumed.population, direct.population)
+        assert resumed.population_indices == direct.population_indices
 
     def test_determinism_same_seed(self):
         cfg = NsgaConfig(population_size=10, generations=4)
         a = run_nsga2(_quad_problem(), cfg, seed=9)
         b = run_nsga2(_quad_problem(), cfg, seed=9)
         assert np.array_equal(a.archive.raw, b.archive.raw)
-        assert np.array_equal(a.population, b.population)
+        assert a.population_indices == b.population_indices
 
     def test_zdt1_improves_and_monotone_trace(self):
         # full convergence is the acceptance suite's job; here a short run
@@ -222,13 +170,6 @@ class TestRunNsga2:
         assert all(b >= a - 1e-12 for a, b in zip(hv, hv[1:]))
         assert hv[-1] >= hv[0]
         assert hv[-1] > 0.1
-
-    def test_binary_chromosome_runs(self):
-        cfg = NsgaConfig(population_size=8, generations=3, chromosome="binary", bits_per_var=8)
-        res = run_nsga2(_quad_problem(), cfg, seed=2)
-        assert res.population.shape == (8, 3 * 8)
-        assert set(np.unique(res.population)) <= {0.0, 1.0}
-        assert np.all((res.archive.genes >= 0) & (res.archive.genes <= 1))
 
     def test_evaluator_failure_reports_solution(self):
         def bad(X, seeds):

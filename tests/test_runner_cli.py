@@ -59,10 +59,15 @@ def _checkpoint(out: Path, seed: int = 0) -> list[dict]:
     return [json.loads(line) for line in (out / "checkpoints" / f"seed{seed}.jsonl").read_text().splitlines()]
 
 
-def _legacy_core_hash(manifest: dict) -> str:
-    """core_hash as computed before the checkpoint format number joined it."""
+def _legacy_core_hash(manifest: dict, checkpoint_format: int | None = None) -> str:
+    """core_hash as computed before the checkpoint format number joined it,
+    or at an older `checkpoint_format`; the `ga` block then still held the
+    binary chromosome's keys."""
     keys = ("algorithm", "setting", "constraint_mode", "population", "dim", "fl", "ga", "psl", "ref_point")
     core = {k: manifest[k] for k in keys if k in manifest}
+    core["ga"] = {**core["ga"], "chromosome": "real", "bits_per_var": 12}
+    if checkpoint_format is not None:
+        core["checkpoint_format"] = checkpoint_format
     return hashlib.sha256(json.dumps(core, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
@@ -131,7 +136,6 @@ class TestManifestValidation:
     @pytest.mark.parametrize(
         "algorithm,block,key,value",
         [
-            ("nsga2", "ga", "bits_per_var", 0),
             ("psl", "psl", "model_batch", 0),
             ("psl", "psl", "hidden", [0, 0]),
             ("psl", "psl", "model_steps", 2.7),
@@ -142,6 +146,8 @@ class TestManifestValidation:
             ("nsga2", "fl", "rounds", True),
             ("psl", "psl", "n_init", 1),
             # deleted options are refused by name, as unknown fields
+            ("nsga2", "ga", "bits_per_var", 0),
+            ("nsga2", "ga", "chromosome", "binary"),
             ("psl", "psl", "warm_start", "false"),
             ("psl", "psl", "hvi_use_penalized", 0),
             ("nsga2", "fl", "weighted", "false"),
@@ -336,7 +342,7 @@ class TestOptimizeArtifacts:
 
     @pytest.mark.parametrize(
         "algorithm,state",
-        [("nsga2", {"population", "population_indices"}), ("psl", {"model", "diagnostics"}), ("random", set())],
+        [("nsga2", {"population_indices"}), ("psl", {"model", "diagnostics"}), ("random", set())],
     )
     def test_checkpoint_holds_what_resume_reads(self, tmp_path, algorithm, state):
         manifest = _psl_manifest if algorithm == "psl" else _zdt_manifest
@@ -369,6 +375,21 @@ class TestOptimizeArtifacts:
         assert _hash_dir(out)["trace.csv"] != _hash_dir(direct)["trace.csv"]
         lines[0]["core_hash"] = _legacy_core_hash(normalize_manifest(_zdt_manifest(out, generations=3)))
         ckpt.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        run_manifest(_zdt_manifest(out, generations=3))
+        assert _hash_dir(out) == _hash_dir(direct)
+
+    # format 3 also stored the population's genes; such a file is not resumed
+    def test_format_3_checkpoint_starts_afresh(self, tmp_path):
+        direct, out = tmp_path / "direct", tmp_path / "stale"
+        run_manifest(_zdt_manifest(direct, generations=3))
+        run_manifest(_zdt_manifest(out, generations=3))
+        solutions = json.loads((out / "archive_seed0.json").read_text())["solutions"]
+        header, *lines = _checkpoint(out)
+        header["core_hash"] = _legacy_core_hash(normalize_manifest(_zdt_manifest(out, generations=3)), 3)
+        for line in lines:
+            line["state"]["population"] = [solutions[i] for i in line["state"]["population_indices"]]
+            line["record"]["hv_all"] = -1.0
+        (out / "checkpoints" / "seed0.jsonl").write_text("".join(json.dumps(x) + "\n" for x in [header, *lines]))
         run_manifest(_zdt_manifest(out, generations=3))
         assert _hash_dir(out) == _hash_dir(direct)
 
@@ -552,6 +573,20 @@ class TestCli:
             monkeypatch.setenv("FLPARETO_WORKERS", workers)
         assert main([*command, "--config", str(cfg)]) == 2
         assert f"error: manifest {cfg}: must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["optimize"], ["evaluate", "--setting", "rd"]])
+    def test_invalid_json_manifest_named(self, tmp_path, capsys, command):
+        cfg = tmp_path / "m.json"
+        cfg.write_text("{")
+        assert main([*command, "--config", str(cfg)]) == 2
+        assert f"error: manifest {cfg}: not valid JSON: " in capsys.readouterr().err
+
+    # evaluate runs one evaluation under one seed; it writes no files
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--out", "x"]])
+    def test_evaluate_refuses_run_flags(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--setting", "rd", *flag, "--param", "lr=0.1"])
+        assert exc.value.code == 2
 
     def test_env_override_out_dir(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "m.json"
