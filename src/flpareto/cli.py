@@ -22,7 +22,7 @@ import numpy as np
 
 from .bench import BENCHMARKS
 from .moo import hypervolume
-from .runner import ManifestError, fl_options, load_front_file, read_manifest, run_manifest
+from .runner import ALGORITHMS, ManifestError, fl_options, load_front_file, read_manifest, run_manifest
 from .settings import FL_SETTINGS, build_space, make_run_config
 from .flsim import flo_evaluate
 
@@ -93,8 +93,7 @@ def _cmd_evaluate(args) -> int:
     space.validate(values)
     cfg = make_run_config(args.setting, values, opts, args.seed)
     result = flo_evaluate(cfg)
-    flat = result.as_flat()
-    print(" ".join(f"{k}={flat[k]!r}" for k in ("eps_u", "eps_p", "eps_c", "accuracy", "diverged")))
+    print(" ".join(f"{k}={getattr(result, k)!r}" for k in ("eps_u", "eps_p", "eps_c", "accuracy", "diverged")))
     return 0
 
 
@@ -146,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_b = sub.add_parser("benchmark", help="optimize a named benchmark without a config file")
     p_b.add_argument("--name", required=True, choices=sorted(BENCHMARKS))
-    p_b.add_argument("--algorithm", default="nsga2", choices=("nsga2", "psl", "random"))
+    p_b.add_argument("--algorithm", default="nsga2", choices=ALGORITHMS)
     p_b.add_argument("--generations", type=int, default=None)
     p_b.add_argument("--population", type=int, default=None)
     p_b.add_argument("--dim", type=int, default=None)
@@ -161,7 +160,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, ValueError, FileNotFoundError) as exc:
+    except (ManifestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,7 @@ __all__ = [
     "load_idx_labels",
     "iid_partition",
     "load_dataset",
+    "dataset_dims",
     "SYNTHETIC_DEFAULTS",
 ]
 
@@ -56,10 +57,8 @@ class FederatedData:
         return len(self.client_X)
 
 
-def load_idx_images(path) -> np.ndarray:
-    """Parse an IDX3 ubyte image file into an (n, rows*cols) float array in [0, 1]."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _idx_images_header(data: bytes) -> tuple[int, int, int]:
+    """(n, rows, cols) from the first 16 bytes of an IDX3 image file."""
     if len(data) < 16:
         raise IdxFormatError(f"truncated header at offset {len(data)}: need 16 bytes")
     magic, n, rows, cols = struct.unpack_from(">iiii", data, 0)
@@ -67,6 +66,14 @@ def load_idx_images(path) -> np.ndarray:
         raise IdxFormatError(
             f"bad magic 0x{magic:08x} at offset 0: expected 0x{IMAGES_MAGIC:08x}"
         )
+    return n, rows, cols
+
+
+def load_idx_images(path) -> np.ndarray:
+    """Parse an IDX3 ubyte image file into an (n, rows*cols) float array in [0, 1]."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    n, rows, cols = _idx_images_header(data)
     expected = 16 + n * rows * cols
     if len(data) != expected:
         raise IdxFormatError(
@@ -169,6 +176,23 @@ def _make_synthetic(spec: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return X, y, tX, ty
 
 
+def dataset_dims(spec: dict) -> tuple[int, int]:
+    """(features, classes) of the dataset `spec` describes, without loading it.
+
+    An IDX dataset's features are its training images' rows x cols, read
+    from the file header; its classes are `spec["classes"]` (default 10).
+    """
+    kind = spec.get("kind", "synthetic")
+    if kind == "synthetic":
+        full = {**SYNTHETIC_DEFAULTS, **spec}
+        return int(full["features"]), int(full["classes"])
+    if kind == "idx":
+        with open(spec["train_images"], "rb") as fh:
+            _, rows, cols = _idx_images_header(fh.read(16))
+        return rows * cols, int(spec.get("classes", 10))
+    raise ValueError(f"unknown dataset kind {kind!r}")
+
+
 def load_dataset(spec: dict, n_clients: int, seed: int = 0) -> FederatedData:
     """Build per-client train partitions and the shared test split.
 
@@ -183,7 +207,7 @@ def load_dataset(spec: dict, n_clients: int, seed: int = 0) -> FederatedData:
         n_per_client = int(full["n_per_client"])
         n_classes = int(full["classes"])
     elif kind == "idx":
-        n_classes = int(spec.get("classes", 10))
+        n_classes = dataset_dims(spec)[1]
         X = load_idx_images(spec["train_images"])
         y = load_idx_labels(spec["train_labels"], n_classes)
         test_X = load_idx_images(spec["test_images"])

@@ -29,6 +29,16 @@ __all__ = ["FLRunConfig", "EvaluationResult", "local_sgd", "fedavg", "flo_evalua
 # ordering-only placeholder: seconds per (parameter x sample x epoch)
 DEFAULT_FLOP_TIME = 1e-8
 
+# the lowest value of each field that shapes a run; settings.FlOptions checks the same
+RUN_MINIMUMS = {"clients": 1, "rounds": 0, "local_epochs": 1, "batch_size": 1}
+
+
+def check_minimums(obj, minimums: dict) -> None:
+    """ValueError, naming the field first, if a field of `obj` is below its minimum."""
+    for name, lo in minimums.items():
+        if getattr(obj, name) < lo:
+            raise ValueError(f"{name} must be >= {lo}")
+
 
 @dataclass(frozen=True)
 class FLRunConfig:
@@ -44,8 +54,7 @@ class FLRunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.clients < 1 or self.rounds < 0 or self.local_epochs < 1:
-            raise ValueError("clients >= 1, rounds >= 0, local_epochs >= 1 required")
+        check_minimums(self, RUN_MINIMUMS)
         if self.lr < 0:
             raise ValueError("learning rate must be nonnegative")
         if self.mechanism not in ("none", "rd", "bc", "sf"):
@@ -60,15 +69,6 @@ class EvaluationResult:
     accuracy: float
     diverged: bool = False
     round_trace: list[dict] = field(default_factory=list)
-
-    def as_flat(self) -> dict:
-        return {
-            "eps_u": self.eps_u,
-            "eps_p": self.eps_p,
-            "eps_c": self.eps_c,
-            "accuracy": self.accuracy,
-            "diverged": self.diverged,
-        }
 
 
 def local_sgd(
@@ -164,32 +164,23 @@ def flo_evaluate(cfg: FLRunConfig) -> EvaluationResult:
     eps_u = 1 with the flag set, keeping the evaluator total.
     """
     X, y, test_X, test_y = _stacked_data(json.dumps(cfg.dataset, sort_keys=True), cfg.clients)
-    spec = cfg.model
+    spec, p = cfg.model, cfg.mechanism_params
     d_w = spec.n_params
     K, n_k = y.shape
-    weight_mask = spec.weight_mask()
 
     if cfg.mechanism == "bc" and cfg.rounds:
         try:
-            cfg.mechanism_params.checked_bits()
+            p.checked_bits()
         except ValueError as exc:
             return EvaluationResult(
-                eps_u=1.0,
-                eps_p=0.0,
-                eps_c=0.0,
-                accuracy=0.0,
-                diverged=True,
-                round_trace=[{"error": str(exc)}],
+                eps_u=1.0, eps_p=0.0, eps_c=0.0, accuracy=0.0,
+                diverged=True, round_trace=[{"error": str(exc)}],
             )
 
     global_p = init_params(spec, stream(cfg.seed, TAG_FL_INIT))
-
-    sf_masks = None
-    if cfg.mechanism == "sf":
-        p = cfg.mechanism_params
-        sf_masks = [
-            stream(cfg.seed, TAG_FL_MASK, k).random(d_w) < p.rho for k in range(K)
-        ]
+    if cfg.mechanism == "sf":  # each client's connection mask holds for the whole evaluation
+        eligible = spec.weight_mask()
+        sf_masks = [stream(cfg.seed, TAG_FL_MASK, k).random(d_w) < p.rho for k in range(K)]
 
     # each client is charged the same modelled training time every round
     train_times = [DEFAULT_FLOP_TIME * d_w * n_k * cfg.local_epochs] * K
@@ -198,78 +189,44 @@ def flo_evaluate(cfg: FLRunConfig) -> EvaluationResult:
     for i in range(cfg.rounds):
         round_start = global_p
         locals_ = local_sgd(
-            round_start,
-            X,
-            y,
-            spec,
-            cfg.local_epochs,
-            cfg.batch_size,
-            cfg.lr,
+            round_start, X, y, spec, cfg.local_epochs, cfg.batch_size, cfg.lr,
             [stream(cfg.seed, TAG_FL_CLIENT, i, k) for k in range(K)],
         )
-        protected: list[np.ndarray] = []
-        sf_results: list[protect.SparsifyResult] = []
-        leaks: list[float] = []
-        for k, w in enumerate(locals_):
-            if not np.all(np.isfinite(w)):
-                diverged = True
-                break
-            if cfg.mechanism == "none":
-                protected.append(w)
-                leaks.append(1.0)
-            elif cfg.mechanism == "rd":
-                p = cfg.mechanism_params
-                protected.append(
-                    protect.rd_protect(w, p, stream(cfg.seed, TAG_FL_MECH, i, k))
-                )
-                leaks.append(protect.rd_leakage(p, d_w))
-            elif cfg.mechanism == "bc":
-                protected.append(protect.bc_protect(w, cfg.mechanism_params))
-                leaks.append(0.0)
-            else:  # sf
-                p = cfg.mechanism_params
-                res = protect.sf_protect(
-                    w,
-                    round_start,
-                    p,
-                    eligible=weight_mask,
-                    connection_mask=sf_masks[k],
-                )
-                sf_results.append(res)
-                private = res.retained_mask | res.never_public_mask
-                leaks.append(protect.sf_leakage(w[private], p.c2))
+        diverged = not np.isfinite(locals_).all()
+        if diverged:
+            break
+        # each branch runs its mechanism per client, in client order
+        if cfg.mechanism == "rd":
+            global_p = fedavg(
+                [protect.rd_protect(w, p, stream(cfg.seed, TAG_FL_MECH, i, k)) for k, w in enumerate(locals_)]
+            )
+            leaks, round_cost = [protect.rd_leakage(p, d_w)] * K, aggregate_objective(train_times)
+        elif cfg.mechanism == "bc":
+            global_p = fedavg([protect.bc_protect(w, p) for w in locals_])
+            leaks, round_cost = [0.0] * K, protect.bc_cost(d_w, p, train_times)
+        elif cfg.mechanism == "sf":
+            results = [
+                protect.sf_protect(w, round_start, p, eligible=eligible, connection_mask=m)
+                for w, m in zip(locals_, sf_masks)
+            ]
+            global_p = _sf_aggregate(round_start, locals_, results)
+            leaks = [
+                protect.sf_leakage(w[r.retained_mask | r.never_public_mask], p.c2)
+                for w, r in zip(locals_, results)
+            ]
+            round_cost = protect.sf_cost([r.shared_mask for r in results])
+        else:  # "none": plain FedAvg shares everything
+            global_p = fedavg(list(locals_))
+            leaks, round_cost = [1.0] * K, aggregate_objective(train_times)
+        trace.append({"round": i, "eps_p": aggregate_objective(leaks), "eps_c": round_cost})
+        diverged = not np.isfinite(global_p).all()
         if diverged:
             break
 
-        if cfg.mechanism == "sf":
-            global_p = _sf_aggregate(round_start, locals_, sf_results)
-            round_cost = protect.sf_cost([r.shared_mask for r in sf_results])
-        else:
-            global_p = fedavg(protected)
-            if cfg.mechanism == "bc":
-                round_cost = protect.bc_cost(d_w, cfg.mechanism_params, train_times)
-            else:
-                round_cost = aggregate_objective(train_times)
-        round_leak = aggregate_objective(leaks)
-        trace.append({"round": i, "eps_p": round_leak, "eps_c": round_cost})
-        if not np.all(np.isfinite(global_p)):
-            diverged = True
-            break
-
-    leak_rounds = [r["eps_p"] for r in trace]
-    cost_rounds = [r["eps_c"] for r in trace]
-    eps_p = float(np.mean(leak_rounds)) if leak_rounds else 0.0
-    if cfg.mechanism == "sf":
-        eps_c = float(np.mean(cost_rounds)) if cost_rounds else 0.0
-    else:
-        eps_c = float(np.sum(cost_rounds)) if cost_rounds else 0.0
-
-    if diverged:
-        return EvaluationResult(
-            eps_u=1.0, eps_p=eps_p, eps_c=eps_c, accuracy=0.0,
-            diverged=True, round_trace=trace,
-        )
-    acc = accuracy(global_p, test_X, test_y, spec)
+    eps_p = float(np.mean([r["eps_p"] for r in trace])) if trace else 0.0
+    cost_of_rounds = np.mean if cfg.mechanism == "sf" else np.sum
+    eps_c = float(cost_of_rounds([r["eps_c"] for r in trace])) if trace else 0.0
+    acc = 0.0 if diverged else accuracy(global_p, test_X, test_y, spec)
     return EvaluationResult(
-        eps_u=1.0 - acc, eps_p=eps_p, eps_c=eps_c, accuracy=acc, round_trace=trace,
+        eps_u=1.0 - acc, eps_p=eps_p, eps_c=eps_c, accuracy=acc, diverged=diverged, round_trace=trace,
     )

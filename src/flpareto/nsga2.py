@@ -77,7 +77,7 @@ class GenerationRecord:
 class RunResult:
     archive: Archive
     records: list[GenerationRecord]
-    population_indices: list[int]  # archive indices of the final population
+    population_indices: list[int]  # NSGA-II's survivors; PSL / random search: the last batch
     diagnostics: list[dict] = field(default_factory=list)
 
 

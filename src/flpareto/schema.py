@@ -19,7 +19,9 @@ ARCHIVE_FIELDS = (
     "feasible",  # booleans, raw values within every bound
     "generation",  # generation index each entry was evaluated in
     "front_indices",  # non-dominated feasible entries (raw objectives)
-    "population_indices",  # archive indices of the final population
+    # NSGA-II: archive indices of the surviving population; PSL and random
+    # search: the last generation's batch, which no selection chose
+    "population_indices",
 )
 
 # summary.json per-generation fields (statistics across seeds)

@@ -1,6 +1,7 @@
 """Experimental settings: search spaces, constraints, and FL evaluators.
 
-Three protected settings over the federated simulator:
+Three protected settings over the federated simulator, each one
+`FlSetting` record in `SETTINGS`; a setting's name is also its mechanism's:
 
   rd  -- Gaussian randomization; minimize (utility loss, privacy leakage),
          privacy constrained <= 0.8 with penalty 20.
@@ -17,11 +18,12 @@ hidden widths [1, width_max], rho [0, 1], xi [0, 0.99].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
-from .data import SYNTHETIC_DEFAULTS
-from .flsim import FLRunConfig, flo_evaluate
+from .data import SYNTHETIC_DEFAULTS, dataset_dims
+from .flsim import RUN_MINIMUMS, FLRunConfig, check_minimums, flo_evaluate
 from .moo import ConstraintSpec, Problem
 from .net import ModelSpec
 from .protect import BatchCryptParams, RandomizationParams, SparsificationParams
@@ -29,6 +31,8 @@ from .spaces import SearchSpace, Var
 
 __all__ = [
     "FL_SETTINGS",
+    "SETTINGS",
+    "FlSetting",
     "FlOptions",
     "build_space",
     "build_constraints",
@@ -37,56 +41,75 @@ __all__ = [
     "make_run_config",
 ]
 
-FL_SETTINGS = ("rd", "bc", "sf")
-
 PRIVACY_BOUND = 0.8
 COST_BOUND_SECONDS = 500.0
-PENALTY = 20.0
+PENALTY = 20.0  # on every bounded objective
+
+
+@dataclass(frozen=True)
+class FlSetting:
+    """Everything one FL setting knows."""
+
+    objectives: tuple[str, ...]  # EvaluationResult fields, minimized in this order
+    bounds: tuple[float | None, ...]  # upper bound per objective; None = unconstrained
+    ref_point: tuple[float | None, ...]  # None: 1.05 x the widest model's weight count
+    variables: tuple[str, ...]  # searched, in gene order
+    params: Callable[[dict, FlOptions], Any]  # mechanism parameters of decoded values
+
+
+SETTINGS = {
+    "rd": FlSetting(
+        objectives=("eps_u", "eps_p"), bounds=(None, PRIVACY_BOUND), ref_point=(1.05, 1.05),
+        variables=("lr", "sigma_rd", "c_clip"),
+        params=lambda v, fl: RandomizationParams(float(v["sigma_rd"]), float(v["c_clip"]), fl.c1),
+    ),
+    "bc": FlSetting(
+        objectives=("eps_u", "eps_c"), bounds=(None, COST_BOUND_SECONDS), ref_point=(1.05, 600.0),
+        variables=("lr", "hidden1", "hidden2", "bs"),
+        params=lambda v, fl: BatchCryptParams(int(v["bs"]), fl.payload_bits, fl.clients),
+    ),
+    "sf": FlSetting(
+        objectives=("eps_u", "eps_p", "eps_c"), bounds=(None, PRIVACY_BOUND, None),
+        ref_point=(1.05, 1.05, None), variables=("lr", "hidden1", "hidden2", "rho", "xi"),
+        params=lambda v, fl: SparsificationParams(float(v["rho"]), float(v["xi"]), fl.c2),
+    ),
+}
+FL_SETTINGS = tuple(SETTINGS)
+
+
+def _setting(setting: str) -> FlSetting:
+    if setting not in SETTINGS:
+        raise ValueError(f"unknown FL setting {setting!r}; choose from {FL_SETTINGS}")
+    return SETTINGS[setting]
 
 
 def build_space(setting: str, width_max: int) -> SearchSpace:
-    lr = Var("lr", "real", 0.01, 0.3)
-    if setting == "rd":
-        return SearchSpace((lr, Var("sigma_rd", "real", 0.0, 1.0), Var("c_clip", "real", 1.0, 4.0)))
-    if setting == "bc":
-        return SearchSpace(
-            (
-                lr,
-                Var("hidden1", "int", 1, width_max),
-                Var("hidden2", "int", 1, width_max),
-                Var("bs", "cat", choices=(100, 200, 400, 800)),
-            )
+    variables = {
+        v.name: v
+        for v in (
+            Var("lr", "real", 0.01, 0.3),
+            Var("sigma_rd", "real", 0.0, 1.0),
+            Var("c_clip", "real", 1.0, 4.0),
+            Var("hidden1", "int", 1, width_max),
+            Var("hidden2", "int", 1, width_max),
+            Var("bs", "cat", choices=(100, 200, 400, 800)),
+            Var("rho", "real", 0.0, 1.0),
+            Var("xi", "real", 0.0, 0.99),
         )
-    if setting == "sf":
-        return SearchSpace(
-            (
-                lr,
-                Var("hidden1", "int", 1, width_max),
-                Var("hidden2", "int", 1, width_max),
-                Var("rho", "real", 0.0, 1.0),
-                Var("xi", "real", 0.0, 0.99),
-            )
-        )
-    raise ValueError(f"unknown FL setting {setting!r}; choose from {FL_SETTINGS}")
+    }
+    return SearchSpace(tuple(variables[name] for name in _setting(setting).variables))
 
 
 def build_constraints(setting: str) -> ConstraintSpec:
-    if setting == "rd":  # (eps_u, eps_p)
-        return ConstraintSpec(bounds=(None, PRIVACY_BOUND), penalties=(0.0, PENALTY))
-    if setting == "bc":  # (eps_u, eps_c)
-        return ConstraintSpec(bounds=(None, COST_BOUND_SECONDS), penalties=(0.0, PENALTY))
-    if setting == "sf":  # (eps_u, eps_p, eps_c)
-        return ConstraintSpec(
-            bounds=(None, PRIVACY_BOUND, None), penalties=(0.0, PENALTY, 0.0)
-        )
-    raise ValueError(f"unknown FL setting {setting!r}")
+    bounds = _setting(setting).bounds
+    return ConstraintSpec(bounds=bounds, penalties=tuple(0.0 if b is None else PENALTY for b in bounds))
 
 
 @dataclass(frozen=True)
 class FlOptions:
     """A manifest's `fl` block; defaults but `dataset` and `width_max` are the simulator's."""
 
-    dataset: dict = field(default_factory=dict)  # overrides of data.SYNTHETIC_DEFAULTS
+    dataset: dict = field(default_factory=dict)  # overrides of data.SYNTHETIC_DEFAULTS, or an idx spec
     clients: int = FLRunConfig.clients
     rounds: int = FLRunConfig.rounds
     local_epochs: int = FLRunConfig.local_epochs
@@ -97,9 +120,7 @@ class FlOptions:
     c2: float = SparsificationParams.c2
 
     def __post_init__(self):
-        for name, lo in (("clients", 1), ("rounds", 0), ("local_epochs", 1), ("batch_size", 1), ("width_max", 1)):
-            if getattr(self, name) < lo:
-                raise ValueError(f"{name} must be >= {lo}")
+        check_minimums(self, {**RUN_MINIMUMS, "width_max": 1})
         if not isinstance(self.dataset, dict):
             raise ValueError("dataset must be an object")
         if self.dataset.get("kind", "synthetic") == "synthetic":
@@ -108,99 +129,61 @@ class FlOptions:
                 raise ValueError(f"dataset.{extra[0]} is not a synthetic dataset field")
 
 
-def _max_weight_count(fl_options: FlOptions) -> int:
-    ds = {**SYNTHETIC_DEFAULTS, **fl_options.dataset}
-    spec = ModelSpec(
-        in_dim=int(ds["features"]),
-        hidden1=fl_options.width_max,
-        hidden2=fl_options.width_max,
-        n_classes=int(ds["classes"]),
+def _model(fl_options: FlOptions, values: dict) -> ModelSpec:
+    """The model of decoded `values`; hidden widths not searched are width_max."""
+    in_dim, n_classes = dataset_dims(fl_options.dataset)
+    return ModelSpec(
+        in_dim=in_dim,
+        hidden1=int(values.get("hidden1", fl_options.width_max)),
+        hidden2=int(values.get("hidden2", fl_options.width_max)),
+        n_classes=n_classes,
     )
-    return int(spec.weight_mask().sum())
 
 
 def default_ref_point(setting: str, fl_options: FlOptions) -> np.ndarray:
-    if setting == "rd":
-        return np.array([1.05, 1.05])
-    if setting == "bc":
-        return np.array([1.05, 600.0])
-    if setting == "sf":
-        return np.array([1.05, 1.05, 1.05 * _max_weight_count(fl_options)])
-    raise ValueError(f"unknown FL setting {setting!r}")
+    ref = _setting(setting).ref_point
+    if None in ref:
+        widest = 1.05 * int(_model(fl_options, {}).weight_mask().sum())
+        ref = tuple(widest if z is None else z for z in ref)
+    return np.array(ref)
 
 
 def make_run_config(setting: str, values: dict, fl_options: FlOptions, seed: int) -> FLRunConfig:
     """Assemble an FLRunConfig from decoded hyperparameter values."""
-    ds = {**SYNTHETIC_DEFAULTS, **fl_options.dataset}
-    spec = ModelSpec(
-        in_dim=int(ds["features"]),
-        hidden1=int(values.get("hidden1", fl_options.width_max)),
-        hidden2=int(values.get("hidden2", fl_options.width_max)),
-        n_classes=int(ds["classes"]),
-    )
-    if setting == "rd":
-        mech, params = "rd", RandomizationParams(
-            sigma_rd=float(values["sigma_rd"]),
-            c_clip=float(values["c_clip"]),
-            c1=fl_options.c1,
-        )
-    elif setting == "bc":
-        mech, params = "bc", BatchCryptParams(
-            batch_size=int(values["bs"]),
-            payload_bits=fl_options.payload_bits,
-            clients=fl_options.clients,
-        )
-    elif setting == "sf":
-        mech, params = "sf", SparsificationParams(
-            rho=float(values["rho"]),
-            xi=float(values["xi"]),
-            c2=fl_options.c2,
-        )
-    else:
-        raise ValueError(f"unknown FL setting {setting!r}")
     return FLRunConfig(
-        model=spec,
-        dataset=ds,
+        model=_model(fl_options, values),
+        dataset=fl_options.dataset,
         lr=float(values["lr"]),
         clients=fl_options.clients,
         rounds=fl_options.rounds,
         local_epochs=fl_options.local_epochs,
         batch_size=fl_options.batch_size,
-        mechanism=mech,
-        mechanism_params=params,
+        mechanism=setting,
+        mechanism_params=_setting(setting).params(values, fl_options),
         seed=int(seed),
     )
-
-
-def _objective_tuple(setting: str, result) -> np.ndarray:
-    if setting == "rd":
-        return np.array([result.eps_u, result.eps_p])
-    if setting == "bc":
-        return np.array([result.eps_u, result.eps_c])
-    return np.array([result.eps_u, result.eps_p, result.eps_c])
 
 
 def build_fl_problem(setting: str, fl_options: FlOptions | dict | None = None) -> Problem:
     """An FL setting behind the same evaluator seam as the benchmarks."""
     if not isinstance(fl_options, FlOptions):
         fl_options = FlOptions(**(fl_options or {}))
+    objectives = _setting(setting).objectives
     space = build_space(setting, fl_options.width_max)
-    constraints = build_constraints(setting)
 
     def evaluate(X: np.ndarray, seeds) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         rows = []
         for genes, s in zip(X, np.atleast_1d(seeds)):
-            values = space.decode(genes)
-            cfg = make_run_config(setting, values, fl_options, int(s))
-            rows.append(_objective_tuple(setting, flo_evaluate(cfg)))
+            result = flo_evaluate(make_run_config(setting, space.decode(genes), fl_options, int(s)))
+            rows.append(np.array([getattr(result, name) for name in objectives]))
         return np.stack(rows)
 
     return Problem(
         name=setting,
         dim=space.dim,
-        n_obj=constraints.m,
+        n_obj=len(objectives),
         evaluate=evaluate,
-        constraints=constraints,
+        constraints=build_constraints(setting),
         ref_point=default_ref_point(setting, fl_options),
     )

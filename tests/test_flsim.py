@@ -18,6 +18,7 @@ from flpareto.flsim import EvaluationResult, FLRunConfig, fedavg, flo_evaluate, 
 from flpareto.net import ModelSpec, accuracy, init_params, loss_and_grad
 from flpareto.protect import RandomizationParams, SparsificationParams, BatchCryptParams
 from flpareto.seeding import TAG_FL_CLIENT, TAG_FL_INIT, stream
+from flpareto.settings import FlOptions, build_fl_problem, build_space, make_run_config
 
 SPEC = ModelSpec(in_dim=20, hidden1=32, hidden2=32, n_classes=2)
 
@@ -120,6 +121,17 @@ class TestLockstep:
         assert res.diverged and res.eps_u == 1.0 and res.accuracy == 0.0
         assert [r["round"] for r in res.round_trace] == [0]
         assert res.eps_c == flo_evaluate(_cfg(rounds=1, local_epochs=1)).eps_c
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "key,value",
+        [("clients", 0), ("rounds", -1), ("local_epochs", 0), ("batch_size", 0), ("batch_size", -1)],
+    )
+    def test_out_of_range_field_named_first(self, key, value):
+        # batch_size -1 used to train nothing and report the untrained model
+        with pytest.raises(ValueError, match=f"^{key} must be >= "):
+            _cfg(**{key: value})
 
 
 class TestDatasetCache:
@@ -233,7 +245,7 @@ class TestFlo:
 
     def test_determinism(self):
         a, b = flo_evaluate(_cfg()), flo_evaluate(_cfg())
-        assert a.as_flat() == b.as_flat()
+        assert a == b
 
     def test_divergence_flag_forces_eps_u_one(self):
         res = flo_evaluate(_cfg(lr=1e12, rounds=2))
@@ -327,6 +339,29 @@ class TestData:
         _, lbl_path = self._write_idx(tmp_path, images, labels)
         with pytest.raises(IdxFormatError, match="outside"):
             load_idx_labels(lbl_path, n_classes=5)
+
+    @pytest.mark.parametrize("setting", ["rd", "sf"])
+    def test_idx_dataset_runs_through_fl_problem(self, tmp_path, rng, setting):
+        images = rng.integers(0, 256, size=(30, 4, 4)).astype(np.uint8)
+        labels = (np.arange(30) % 3).astype(np.uint8)
+        img_path, lbl_path = self._write_idx(tmp_path, images, labels)
+        paths = dict.fromkeys(("train_images", "test_images"), str(img_path))
+        paths.update(dict.fromkeys(("train_labels", "test_labels"), str(lbl_path)))
+        fl = {"dataset": {"kind": "idx", **paths, "classes": 3}, "clients": 3, "rounds": 1,
+              "local_epochs": 1, "batch_size": 5, "width_max": 4}
+        problem = build_fl_problem(setting, fl)
+        genes = np.full(problem.dim, 0.99)  # hidden widths decode to width_max
+        Y = problem.evaluate(genes[None], [0])
+        assert Y.shape == (1, problem.n_obj) and np.all(np.isfinite(Y))
+        # the model reads its width from the 4x4 header and its classes from the spec
+        cfg = make_run_config(setting, build_space(setting, 4).decode(genes), FlOptions(**fl), 0)
+        assert (cfg.model.in_dim, cfg.model.n_classes) == (16, 3)
+        assert not flo_evaluate(cfg).diverged
+        # each client gets y.size // clients samples, as load_dataset documents
+        client_X = flsim._stacked_data(json.dumps(cfg.dataset, sort_keys=True), 3)[0]
+        assert client_X.shape == (3, 10, 16)
+        if setting == "sf":  # the widest model's weights: 16*4 + 4*4 + 4*3
+            assert problem.ref_point[2] == 1.05 * 92
 
     def test_idx_dataset_end_to_end(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(40, 3, 3)).astype(np.uint8)

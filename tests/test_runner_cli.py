@@ -530,6 +530,12 @@ class TestCli:
         assert rc == 2
         assert f"fl.{key}" in capsys.readouterr().err
 
+    def test_config_path_that_is_a_directory_is_an_error(self, tmp_path, capsys):
+        # any OSError opening the manifest is a usage error, not a traceback
+        assert main(["optimize", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+
     def test_evaluate_deterministic_output(self, capsys):
         args = [
             "evaluate", "--setting", "rd", "--seed", "7",
