@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .bench import BENCHMARKS
-from .moo import hypervolume
+from .moo import EvaluationError, hypervolume
 from .runner import ALGORITHMS, ManifestError, fl_options, load_front_file, read_manifest, run_manifest
 from .settings import FL_SETTINGS, build_space, make_run_config
 from .flsim import flo_evaluate
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, ValueError, OSError) as exc:
+    except (ManifestError, ValueError, OSError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,6 +22,8 @@ __all__ = [
     "load_dataset",
     "dataset_dims",
     "SYNTHETIC_DEFAULTS",
+    "IDX_PATHS",
+    "DATASET_FIELDS",
 ]
 
 IMAGES_MAGIC = 0x00000803
@@ -36,6 +38,12 @@ SYNTHETIC_DEFAULTS = {
     "separation": 1.0,
     "noise": 0.4,
     "seed": 0,
+}
+IDX_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
+# the fields a dataset spec of each kind may hold; an idx spec needs every path
+DATASET_FIELDS = {
+    "synthetic": frozenset(SYNTHETIC_DEFAULTS),
+    "idx": frozenset({"kind", *IDX_PATHS, "classes", "n_per_client"}),
 }
 
 

@@ -182,8 +182,7 @@ def nondominated_sort(vs) -> list[list[int]]:
         fronts.append([int(i) for i in current])
         assigned += current.size
         remaining[current] = -1
-        for i in current:
-            remaining[dom[i]] -= 1
+        remaining -= dom[current].sum(axis=0)
         current = np.flatnonzero(remaining == 0)
     assert assigned == n
     return fronts

@@ -88,25 +88,12 @@ def latin_hypercube(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return (cells + rng.random((n, d))) / n
 
 
-def sbx_crossover(
-    p1: np.ndarray,
-    p2: np.ndarray,
-    eta: float,
-    rng: np.random.Generator,
-    gene_prob: float = 0.5,
-    clip: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover with distribution index eta.
+SBX_GENE_PROB = 0.5  # chance that SBX crosses a gene
 
-    Each gene is crossed independently with probability `gene_prob`;
-    crossed genes satisfy c1 + c2 = p1 + p2 before clipping to [0, 1].
-    """
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    if p1.shape != p2.shape:
-        raise ValueError("parents must share a decoder (equal gene counts)")
-    u = rng.random(p1.shape)
-    cross = rng.random(p1.shape) < gene_prob
+
+def _sbx(p1, p2, u, cross, eta: float, clip: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """SBX arithmetic on parent arrays of one shape, given its draws: the
+    uniforms `u` and the mask `cross` of the genes to cross."""
     beta = np.where(
         u <= 0.5,
         (2.0 * u) ** (1.0 / (eta + 1.0)),
@@ -122,6 +109,40 @@ def sbx_crossover(
     return c1, c2
 
 
+def _mutate(x, mutate, u, eta: float) -> np.ndarray:
+    """Polynomial-mutation arithmetic on genes `x`, given its draws: the mask
+    `mutate` of the genes to move and the uniforms `u`."""
+    lo_frac = x  # distance to lower bound, unit range
+    hi_frac = 1.0 - x
+    exp = 1.0 / (eta + 1.0)
+    down = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - lo_frac) ** (eta + 1.0)) ** exp - 1.0
+    up = 1.0 - (2.0 * (1.0 - u) + (2.0 * u - 1.0) * (1.0 - hi_frac) ** (eta + 1.0)) ** exp
+    delta = np.where(u <= 0.5, down, up)
+    return np.clip(np.where(mutate, x + delta, x), 0.0, 1.0)
+
+
+def sbx_crossover(
+    p1: np.ndarray,
+    p2: np.ndarray,
+    eta: float,
+    rng: np.random.Generator,
+    gene_prob: float = SBX_GENE_PROB,
+    clip: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulated binary crossover with distribution index eta.
+
+    Each gene is crossed independently with probability `gene_prob`;
+    crossed genes satisfy c1 + c2 = p1 + p2 before clipping to [0, 1].
+    """
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    if p1.shape != p2.shape:
+        raise ValueError("parents must share a decoder (equal gene counts)")
+    u = rng.random(p1.shape)
+    cross = rng.random(p1.shape) < gene_prob
+    return _sbx(p1, p2, u, cross, eta, clip)
+
+
 def polynomial_mutation(
     p: np.ndarray, eta: float, rate: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -130,20 +151,45 @@ def polynomial_mutation(
     A gene at 0 can only move up and a gene at 1 only down; larger eta
     concentrates the perturbation near zero displacement.
     """
-    x = np.asarray(p, dtype=float).copy()
+    x = np.asarray(p, dtype=float)
     mutate = rng.random(x.shape) < rate
     u = rng.random(x.shape)
-    lo_frac = x  # distance to lower bound, unit range
-    hi_frac = 1.0 - x
-    exp = 1.0 / (eta + 1.0)
-    down = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - lo_frac) ** (eta + 1.0)) ** exp - 1.0
-    up = 1.0 - (2.0 * (1.0 - u) + (2.0 * u - 1.0) * (1.0 - hi_frac) ** (eta + 1.0)) ** exp
-    delta = np.where(u <= 0.5, down, up)
-    x = np.where(mutate, x + delta, x)
-    return np.clip(x, 0.0, 1.0)
+    return _mutate(x, mutate, u, eta)
 
 
-def evaluate_batch(problem: Problem, X: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+def _offspring(
+    pop: np.ndarray, rank: np.ndarray, crowd: np.ndarray, cfg: NsgaConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """N children of the (N, d) parents `pop`, as pairs of binary-tournament
+    picks under SBX (probability crossover_prob) and polynomial mutation.
+
+    Each pair makes, in order, the draws of two `tournament_pick`s, the
+    crossover coin, then those of `sbx_crossover` (if crossed) and of
+    `polynomial_mutation` per child: the latter are rows of d uniforms, taken
+    in one call.  The arithmetic then runs once over all pairs.  An odd N
+    drops the last pair's second child.
+    """
+    n, d = pop.shape
+    pairs = (n + 1) // 2
+    picks = np.empty((pairs, 2), dtype=int)
+    crossed = np.zeros(pairs, dtype=bool)
+    draws = np.empty((pairs, 6, d))  # SBX u, SBX mask, then per child: mask, u
+    for k in range(pairs):
+        picks[k] = tournament_pick(rank, crowd, rng), tournament_pick(rank, crowd, rng)
+        crossed[k] = rng.random() < cfg.crossover_prob
+        first = 0 if crossed[k] else 2
+        draws[k, first:] = rng.random((6 - first, d))
+    kids = pop[picks]  # (pairs, 2, d)
+    c = draws[crossed]
+    kids[crossed, 0], kids[crossed, 1] = _sbx(
+        kids[crossed, 0], kids[crossed, 1], c[:, 0], c[:, 1] < SBX_GENE_PROB, cfg.eta_crossover
+    )
+    mut = draws[:, 2:].reshape(2 * pairs, 2, d)
+    kids = _mutate(kids.reshape(2 * pairs, d), mut[:, 0] < cfg.mutation_prob, mut[:, 1], cfg.eta_mutation)
+    return kids[:n]
+
+
+def _evaluate_rows(problem: Problem, X: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """Evaluate the rows of X one at a time, in order.
 
     Raises EvaluationError naming the solution when the evaluator fails or
@@ -173,6 +219,22 @@ def evaluate_batch(problem: Problem, X: np.ndarray, seeds: np.ndarray) -> np.nda
             )
         rows[i] = y.reshape(problem.n_obj)
     return rows
+
+
+def evaluate_batch(problem: Problem, X: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Evaluate the rows of X in one evaluator call.
+
+    If that call raises, or returns anything but an (n, n_obj) array of
+    finite values, the rows are evaluated again one at a time, in order,
+    so that the EvaluationError names the first solution that fails.
+    """
+    try:
+        Y = np.asarray(problem.evaluate(X, seeds), dtype=float)
+    except Exception:
+        return _evaluate_rows(problem, X, seeds)
+    if Y.shape != (X.shape[0], problem.n_obj) or not np.all(np.isfinite(Y)):
+        return _evaluate_rows(problem, X, seeds)
+    return Y
 
 
 def rank_and_crowding(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,10 +281,14 @@ def _record(archive: Archive, t: int, z: np.ndarray) -> GenerationRecord:
     feasible = archive.feasible
     Y = archive.raw[feasible]
     best = Y.min(axis=0) if len(Y) else np.full(Y.shape[1], np.nan)
+    hv_feasible = archive.hv(z, feasible)
+    # hypervolume drops the rows outside z, so when every infeasible row lies
+    # outside it, the whole archive gives the same sweep as the feasible rows
+    infeasible_inside = np.all(archive.raw[~feasible] <= z, axis=1).any()
     return GenerationRecord(
         generation=t,
-        hv_feasible=archive.hv(z, feasible),
-        hv_all=archive.hv(z),
+        hv_feasible=hv_feasible,
+        hv_all=archive.hv(z) if infeasible_inside else hv_feasible,
         feasible_count=int(feasible.sum()),
         best=tuple(float(v) for v in best),
         evaluations=len(archive),
@@ -283,25 +349,11 @@ def run_nsga2(
         pop_idx = [int(i) for i in resume["states"][-1]["population_indices"]]
 
     for t in range(t_done + 1, cfg.generations + 1):
-        rng_t = stream(seed, TAG_VARIATION, t)
-        pop = archive.genes[pop_idx]
         # binary-tournament mating under the crowded-comparison order
         rank, crowd = rank_and_crowding(selection_penalty(archive.raw[pop_idx], constraints))
-        kids: list[np.ndarray] = []
-        while len(kids) < N:
-            i = tournament_pick(rank, crowd, rng_t)
-            j = tournament_pick(rank, crowd, rng_t)
-            if rng_t.random() < cfg.crossover_prob:
-                c1, c2 = sbx_crossover(pop[i], pop[j], cfg.eta_crossover, rng_t)
-            else:
-                c1, c2 = pop[i], pop[j]
-            c1 = polynomial_mutation(c1, cfg.eta_mutation, cfg.mutation_prob, rng_t)
-            c2 = polynomial_mutation(c2, cfg.eta_mutation, cfg.mutation_prob, rng_t)
-            kids.extend([c1, c2])
-
+        kids = _offspring(archive.genes[pop_idx], rank, crowd, cfg, stream(seed, TAG_VARIATION, t))
         first_child_idx = len(archive)
-        # an odd N drops the final pair's second child
-        _evaluate_generation(problem, archive, np.stack(kids[:N]), seed, t)
+        _evaluate_generation(problem, archive, kids, seed, t)
 
         merged_idx = pop_idx + list(range(first_child_idx, first_child_idx + N))
         # rank space: violators carry their total violation on every axis

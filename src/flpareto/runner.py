@@ -35,7 +35,7 @@ import numbers
 import os
 import types
 import typing
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -260,9 +260,83 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+_SCALARS = frozenset({int, float, bool, type(None)})
+_compact = json.JSONEncoder(separators=(",", ":")).encode  # the C encoder
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _scalar(x) -> str:
+    """json's text for None, a bool, an int or a float."""
+    if x is None:
+        return "null"
+    if x is True or x is False:
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if x != x:
+        return "NaN"
+    if x == float("inf") or x == float("-inf"):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(k) -> str:
+    """A dict key as json writes it, before quoting."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return _scalar(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _pretty(obj, level: int) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=1, default=_json_default)`,
+    nested `level` deep.
+
+    json's indenting encoder is pure Python.  A list of numbers, or of
+    nonempty rows of numbers, is written by one call to the C encoder
+    instead; its text then holds no `,`, `[` or `]` but its separators and
+    brackets, so `str.replace` can indent it.
+    """
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None or isinstance(obj, (int, float)):
+        return _scalar(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner, outer = "\n" + " " * (level + 1), "\n" + " " * level
+        types = set(map(type, obj))
+        if types <= _SCALARS:
+            body = _compact(obj)[1:-1].replace(",", "," + inner)
+        elif types <= {list, tuple} and all(obj) and set(map(type, chain.from_iterable(obj))) <= _SCALARS:
+            row = inner + " "
+            body = (
+                _compact(obj)[1:-1]
+                .replace("],[", "]\0[")
+                .replace(",", "," + row)
+                .replace("\0", "," + inner)
+                .replace("[", "[" + row)
+                .replace("]", inner + "]")
+            )
+        else:
+            body = ("," + inner).join(_pretty(v, level + 1) for v in obj)
+        return "[" + inner + body + outer + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner, outer = "\n" + " " * (level + 1), "\n" + " " * level
+        body = ("," + inner).join(
+            _encode_str(_key(k)) + ": " + _pretty(v, level + 1) for k, v in sorted(obj.items())
+        )
+        return "{" + inner + body + outer + "}"
+    return _pretty(_json_default(obj), level)
+
+
 def _dump_json(path: Path, obj) -> None:
+    """Write `obj` as `json.dumps(obj, sort_keys=True, indent=1, default=_json_default)` does."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(obj, sort_keys=True, indent=1, default=_json_default) + "\n")
+    tmp.write_text(_pretty(obj, 0) + "\n")
     os.replace(tmp, path)
 
 

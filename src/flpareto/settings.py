@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .data import SYNTHETIC_DEFAULTS, dataset_dims
+from .data import DATASET_FIELDS, IDX_PATHS, dataset_dims
 from .flsim import RUN_MINIMUMS, FLRunConfig, check_minimums, flo_evaluate
 from .moo import ConstraintSpec, Problem
 from .net import ModelSpec
@@ -123,10 +123,15 @@ class FlOptions:
         check_minimums(self, {**RUN_MINIMUMS, "width_max": 1})
         if not isinstance(self.dataset, dict):
             raise ValueError("dataset must be an object")
-        if self.dataset.get("kind", "synthetic") == "synthetic":
-            extra = sorted(set(self.dataset) - set(SYNTHETIC_DEFAULTS))
-            if extra:
-                raise ValueError(f"dataset.{extra[0]} is not a synthetic dataset field")
+        kind = self.dataset.get("kind", "synthetic")
+        if not isinstance(kind, str) or kind not in DATASET_FIELDS:
+            raise ValueError(f"dataset.kind must be one of {tuple(DATASET_FIELDS)}, got {kind!r}")
+        extra = sorted(set(self.dataset) - DATASET_FIELDS[kind])
+        if extra:
+            raise ValueError(f"dataset.{extra[0]} is not a {kind} dataset field")
+        missing = [k for k in IDX_PATHS if kind == "idx" and k not in self.dataset]
+        if missing:
+            raise ValueError(f"dataset.{missing[0]} is required by an idx dataset")
 
 
 def _model(fl_options: FlOptions, values: dict) -> ModelSpec:

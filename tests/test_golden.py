@@ -1,9 +1,13 @@
-"""Golden SHA-256 digests of small NSGA-II runs on the FL settings.
+"""Golden SHA-256 digests of small NSGA-II runs.
 
 Every output file of a 2-seed, population-4, 2-generation run on rd, bc
 and sf (2 federated rounds of 1 local epoch) is pinned byte for byte, so a
 refactor of the simulator, the mechanisms or the runner that changes any
-objective, trace value or artifact byte fails here.
+objective, trace value or artifact byte fails here.  Two benchmark runs
+pin NSGA-II itself at sizes where many pairs are varied per generation:
+constrained_toy at population 60 for 4 generations (3 objectives, one
+bound) and zdt1 at the odd population 7 for 3 generations, where each
+generation drops its last pair's second child.
 
 The digests hold for this platform: numpy 2.4.6 with scipy-openblas
 0.3.31 on x86-64.  Another BLAS or numpy build may round matmuls
@@ -48,6 +52,31 @@ GOLDEN = {
     },
 }
 
+GOLDEN_BENCHMARKS = {
+    "constrained_toy": {
+        "archive_seed0.json": "50d582dfd00a1489c925d65b2b07457204c8bcc51b8ffda83d8c4eacd37ce0a1",
+        "archive_seed1.json": "db30f106a0dfd59bcadaf6c44192dc4d803e4c502bdf3d0d7b2dc1a97bdc0615",
+        "checkpoints/seed0.jsonl": "beca9a6494cecbd4df3627a934c5f8813feb2a88bd24d61e450f48e72e6408f8",
+        "checkpoints/seed1.jsonl": "ed7701f2d2e9bc33391019d13a3c82d33160c748dfb4e53ef7dd856d57f3108d",
+        "manifest.json": "2f95eb8426f14809dbeaadf8e391b08653a8702bb3d108412d71893f5fef5c0b",
+        "summary.json": "e381be11ce8e22b9f6a384b4f0b54524fe1b66499ec73bfb673c84f064794b62",
+        "trace.csv": "dd5feff2f8676607627841acf966f27b8ebba26f2a7d57d85d0dab704b639650",
+    },
+    "zdt1": {
+        "archive_seed0.json": "115b0a9ed5a53e63393719dcad76cd92f8fc5bf0b8d829585640abfaa242783b",
+        "archive_seed1.json": "f0657218c4d7c2ddfa9d52fabb2d8cb4605d4d534d9709d24d8ee2925938ac3b",
+        "checkpoints/seed0.jsonl": "03d47a115735a8e4783a8337fefe7ade084beff7a9ad1721bc3a917f3d826ac9",
+        "checkpoints/seed1.jsonl": "862db396dd83f32c1bf62b2e3e5c81f725f8502e85b18e57d612ee495775ea25",
+        "manifest.json": "e14ea5d8d8527b676dcdb0281b4762f12999682faa48bec78783e0501ae9f698",
+        "summary.json": "df09d6000ec1a5ece502f9b9b9d02bf0d072a1ecbd2f6f89d04b9da1db0beeb9",
+        "trace.csv": "bf428a444178549a3fb6a236990488324edabd97c392f3eaf512bea7711e926e",
+    },
+}
+BENCHMARK_BUDGETS = {
+    "constrained_toy": {"population": 60, "generations": 4},
+    "zdt1": {"population": 7, "generations": 3},
+}
+
 
 def _hash_tree(out: Path) -> dict[str, str]:
     return {
@@ -72,3 +101,17 @@ def test_fl_run_artifacts_match_golden_digests(tmp_path, setting):
         }
     )
     assert _hash_tree(tmp_path) == GOLDEN[setting]
+
+
+@pytest.mark.parametrize("setting", sorted(GOLDEN_BENCHMARKS))
+def test_benchmark_run_artifacts_match_golden_digests(tmp_path, setting):
+    run_manifest(
+        {
+            "algorithm": "nsga2",
+            "setting": setting,
+            "seeds": [0, 1],
+            **BENCHMARK_BUDGETS[setting],
+            "out_dir": str(tmp_path),
+        }
+    )
+    assert _hash_tree(tmp_path) == GOLDEN_BENCHMARKS[setting]

@@ -10,17 +10,21 @@ from flpareto.moo import (
     crowding_distance,
     hypervolume,
     nondominated_sort,
+    selection_penalty,
 )
 from flpareto.nsga2 import (
     NsgaConfig,
     evaluate_batch,
     latin_hypercube,
     polynomial_mutation,
+    rank_and_crowding,
     run_nsga2,
     run_random_search,
     sbx_crossover,
     select_survivors,
+    tournament_pick,
 )
+from flpareto.seeding import TAG_VARIATION, stream
 
 
 class TestSbx:
@@ -96,6 +100,40 @@ class TestHelpers:
             want = set(order[:6])
             got = set(select_survivors(Y, 6))
             assert got == want
+
+
+def _per_pair_offspring(pop, rank, crowd, cfg, rng):
+    """NSGA-II's variation as a loop over pairs of the public operators."""
+    kids = []
+    while len(kids) < len(pop):
+        i = tournament_pick(rank, crowd, rng)
+        j = tournament_pick(rank, crowd, rng)
+        if rng.random() < cfg.crossover_prob:
+            c1, c2 = sbx_crossover(pop[i], pop[j], cfg.eta_crossover, rng)
+        else:
+            c1, c2 = pop[i], pop[j]
+        c1 = polynomial_mutation(c1, cfg.eta_mutation, cfg.mutation_prob, rng)
+        c2 = polynomial_mutation(c2, cfg.eta_mutation, cfg.mutation_prob, rng)
+        kids.extend([c1, c2])
+    return np.stack(kids[: len(pop)])
+
+
+# run_nsga2 varies all pairs of a generation in one array pass; every
+# generation's offspring must be the per-pair loop's, bit for bit
+@pytest.mark.parametrize("mutation_prob", [0.1, 1.0])
+@pytest.mark.parametrize("crossover_prob", [0.0, 0.9, 1.0])
+@pytest.mark.parametrize("N", [7, 10])
+def test_batched_variation_matches_per_pair_loop(N, crossover_prob, mutation_prob):
+    cfg = NsgaConfig(population_size=N, generations=3, crossover_prob=crossover_prob, mutation_prob=mutation_prob)
+    for problem in (constrained_toy_problem(3), zdt1_problem(10)):
+        for seed in range(3):
+            states = {0: {"population_indices": list(range(N))}}
+            archive = run_nsga2(problem, cfg, seed, on_generation=lambda t, a, r, s: states.update({t: s})).archive
+            for t in range(1, cfg.generations + 1):
+                pop_idx = states[t - 1]["population_indices"]
+                rank, crowd = rank_and_crowding(selection_penalty(archive.raw[pop_idx], problem.constraints))
+                want = _per_pair_offspring(archive.genes[pop_idx], rank, crowd, cfg, stream(seed, TAG_VARIATION, t))
+                assert archive.genes[archive.generation == t].tobytes() == want.tobytes()
 
 
 def _quad_problem():
@@ -193,6 +231,44 @@ class TestRunNsga2:
             evaluate_batch(prob, X, np.array([7]))
         assert np.array_equal(exc.value.solution, X[0])
         assert "[0.1, 0.2, 0.3]" in str(exc.value)
+
+    # z3 at the privacy bound puts every infeasible row outside z; above it, some lie inside
+    @pytest.mark.parametrize("z3", [0.8, 1.5])
+    def test_hv_all_is_the_whole_archive_hypervolume(self, z3):
+        z = np.array([3.1, 3.1, z3])
+        res = run_nsga2(constrained_toy_problem(3), NsgaConfig(population_size=10, generations=4), seed=0, ref_point=z)
+        for r in res.records:
+            assert r.hv_all == hypervolume(res.archive.raw[res.archive.generation <= r.generation], z)
+        assert any(r.hv_all > r.hv_feasible for r in res.records) == (z3 > 0.8)
+
+    def test_one_evaluator_call_per_generation(self):
+        prob, calls = _quad_problem(), []
+        quad = prob.evaluate
+        prob.evaluate = lambda X, seeds: calls.append(X.shape) or quad(X, seeds)
+        run_nsga2(prob, NsgaConfig(population_size=6, generations=3), seed=0)
+        assert calls == [(6, 3)] * 4
+
+    @pytest.mark.parametrize("failure, message", [("raise", "backend down"), ("nan", "non-finite")])
+    def test_failure_inside_a_batch_names_that_row(self, failure, message):
+        X = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9], [0.2, 0.2, 0.2]])
+        prob, calls = _quad_problem(), []
+        quad = prob.evaluate
+
+        def flaky(X, seeds):
+            calls.append(len(X))
+            Y = quad(X, seeds)
+            bad = np.all(X == [0.4, 0.5, 0.6], axis=1)
+            if bad.any() and failure == "raise":
+                raise RuntimeError("backend down")
+            Y[bad] = np.nan
+            return Y
+
+        prob.evaluate = flaky
+        with pytest.raises(EvaluationError, match=message) as exc:
+            evaluate_batch(prob, X, np.arange(4))
+        assert np.array_equal(exc.value.solution, X[1])
+        assert "[0.4, 0.5, 0.6]" in str(exc.value)
+        assert calls == [4, 1, 1]  # the batch, then rows 0 and 1 one at a time
 
     def test_constrained_toy_beats_baseline_on_feasible_hv(self):
         # median over 5 seeds; per-seed outcomes are noisy at this budget

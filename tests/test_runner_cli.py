@@ -4,10 +4,15 @@ import dataclasses
 import hashlib
 import json
 import re
+import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flpareto import nsga2, runner
 from flpareto.bench import get_benchmark
@@ -218,8 +223,22 @@ class TestManifestValidation:
     def test_synthetic_dataset_typo_named(self):
         with pytest.raises(ManifestError, match="fl.dataset.featurs"):
             normalize_manifest(_zdt_manifest("x", fl={"dataset": {"featurs": 7}}))
-        idx = {"kind": "idx", "train_images": "a", "train_labels": "b"}
+        idx = {"kind": "idx", "train_images": "a", "train_labels": "b", "test_images": "c", "test_labels": "d"}
         assert normalize_manifest(_zdt_manifest("x", fl={"dataset": idx}))["fl"] == {"dataset": idx}
+
+    @pytest.mark.parametrize(
+        "dataset,field",
+        [
+            ({"kind": "idx", "train_image": "a", "train_labels": "b", "test_images": "c", "test_labels": "d"},
+             "fl.dataset.train_image"),
+            ({"kind": "idx", "train_images": "a", "train_labels": "b", "test_images": "c"}, "fl.dataset.test_labels"),
+            ({"kind": "csv"}, "fl.dataset.kind"),
+            ({"kind": ["idx"]}, "fl.dataset.kind"),
+        ],
+    )
+    def test_dataset_spec_errors_named(self, dataset, field):
+        with pytest.raises(ManifestError, match=re.escape(f"'{field}'")):
+            normalize_manifest(_zdt_manifest("x", fl={"dataset": dataset}))
 
 
 class TestOptimizeArtifacts:
@@ -443,7 +462,60 @@ class TestOptimizeArtifacts:
         assert np.array_equal(feas, raw[:, 2] <= 0.8)  # bounds still classify
 
 
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e-300])
+    | st.text(alphabet=st.sampled_from(',[]"\\ a\0\u00e9'))
+)
+_NUMBERS = st.integers() | st.floats() | st.booleans() | st.none()
+_NUMPY = (
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3))
+    | hnp.arrays(np.int64, st.integers(0, 3))
+    | st.floats().map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | _NUMPY | st.lists(st.lists(_NUMBERS, min_size=1, max_size=4), max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+# the C-encoded artifact writer must give json's indented text exactly
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_dump_json_writes_what_json_dumps_writes(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.json"
+        runner._dump_json(path, obj)
+        want = json.dumps(obj, sort_keys=True, indent=1, default=runner._json_default) + "\n"
+        assert path.read_text() == want
+
+
 class TestCli:
+    def test_failed_evaluation_is_an_error(self, tmp_path, capsys):
+        # valid images, so the run starts; the missing labels file fails the first evaluation
+        images = tmp_path / "imgs.idx3-ubyte"
+        images.write_bytes(struct.pack(">iiii", 0x803, 4, 2, 2) + bytes(16))
+        paths = {"train_images": str(images), "test_images": str(images)}
+        paths.update(dict.fromkeys(("train_labels", "test_labels"), str(tmp_path / "missing")))
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({
+            "algorithm": "nsga2", "setting": "rd", "seeds": [0], "generations": 0, "population": 2,
+            "out_dir": str(tmp_path / "run"),
+            "fl": {"dataset": {"kind": "idx", **paths}, "clients": 2, "rounds": 1, "local_epochs": 1},
+        }))
+        assert main(["optimize", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"^error: evaluator failed on solution \[.*missing", err, re.M)
+
     def test_optimize_and_hv_roundtrip(self, tmp_path, capsys):
         cfg = tmp_path / "m.json"
         out = tmp_path / "run"
