@@ -4,8 +4,8 @@ Targets are standardized internally; posteriors are reported in the
 original units.  Hyperparameters are either given explicitly or picked by
 log-marginal-likelihood search over a fixed log-spaced grid, which keeps
 fitting deterministic and dependency-free.  Posterior input gradients are
-analytic (the Pareto-set model trains through them); `gp_posterior_grads`
-serves several GPs fitted on one X with one distance pass.
+analytic (the Pareto-set model trains through them); a `GPStack` serves
+several GPs fitted on one X, built once and queried many times.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from scipy.linalg.lapack import dtrtrs
 __all__ = [
     "GPHyper",
     "GPModel",
+    "GPStack",
     "GpFitError",
     "gp_fit",
     "gp_posterior",
@@ -146,21 +147,6 @@ def _solve_lower(L: np.ndarray, B: np.ndarray, trans: int = 0) -> np.ndarray:
     return x
 
 
-def _posterior_std_units(
-    g: GPModel, sq: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Posterior mean/variance in standardized units plus solver byproducts.
-
-    `sq` holds the squared distances from the queries to `g.X`, (q, n).
-    """
-    kq = _kernel_from_sq(sq, g.hyper)  # (q, n)
-    mean = kq @ g.alpha
-    v = _solve_lower(g.L, kq.T)  # (n, q)
-    var = g.hyper.signal_var - np.sum(v * v, axis=0)
-    var = np.where(var < 1e-12, 0.0, var)
-    return mean, var, kq, v
-
-
 def gp_posterior(g: GPModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and standard deviation (original units).
 
@@ -171,10 +157,78 @@ def gp_posterior(g: GPModel, x) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     Xq = np.atleast_2d(arr)
-    mean_s, var_s, _, _ = _posterior_std_units(g, _sq_dists(Xq, g.X))
-    mean = g.y_shift + g.y_scale * mean_s
-    std = g.y_scale * np.sqrt(var_s)
+    kq = _kernel_from_sq(_sq_dists(Xq, g.X), g.hyper)  # (q, n)
+    v = _solve_lower(g.L, kq.T)  # (n, q)
+    var_s = g.hyper.signal_var - np.sum(v * v, axis=0)
+    mean = g.y_shift + g.y_scale * (kq @ g.alpha)
+    std = g.y_scale * np.sqrt(np.where(var_s < 1e-12, 0.0, var_s))
     return (float(mean[0]), float(std[0])) if single else (mean, std)
+
+
+class GPStack:
+    """Several GPs fitted on one X, queried together with input gradients.
+
+    Built once from the fitted GPs, it checks that they share X and holds
+    what every query reuses: the stacked hyperparameters and target
+    scalings, ‖X‖², and each GP's Cholesky factor and weights.  A query runs
+    the elementwise kernel and kernel-derivative work once for all GPs.
+    Each reduction (`kq @ alpha`, both triangular solves, the variance sum
+    and both einsums) stays one call per GP on the operand layout of a lone
+    GP, so every GP's numbers are bitwise those it gives on its own.
+    """
+
+    def __init__(self, gps: list[GPModel]):
+        X = gps[0].X
+        if any(not np.array_equal(g.X, X) for g in gps[1:]):
+            raise ValueError("the GPs must share their training inputs X")
+        self.X = X
+        self.x_sq = np.sum(X * X, axis=1)[None, :]
+        self.factors = [(g.L, g.alpha) for g in gps]
+        self.signal_var = np.array([g.hyper.signal_var for g in gps])[:, None]
+        self.ls2 = np.array([g.hyper.length_scale**2 for g in gps])[:, None, None]
+        self.y_shift = np.array([g.y_shift for g in gps])[:, None]
+        self.y_scale = np.array([g.y_scale for g in gps])[:, None]
+
+    def __call__(
+        self, Xq: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(mean (m, q), std (m, q), dmean (m, q, d), dstd (m, q, d)) at the
+        (q, d) queries, in original units.
+
+        dstd is 0 where the posterior std underflows (clamped), matching the
+        forward pass.
+        """
+        m, q = len(self.factors), Xq.shape[0]
+        xq_sq = np.add.reduce(Xq * Xq, axis=1)[:, None]
+        sq = np.maximum(xq_sq + self.x_sq - 2.0 * (Xq @ self.X.T), 0.0)
+        kq = self.signal_var[:, :, None] * np.exp(-0.5 * sq / self.ls2)  # (m, q, n)
+        # dk[j, q, i, :] = k_j(xq, Xi) * (Xi - xq) / ls_j^2
+        diff = self.X[None, :, :] - Xq[:, None, :]  # (q, n, d)
+        dk = kq[..., None] * (diff / self.ls2[..., None])
+        mean_s = np.empty((m, q))
+        vv = np.empty((m, q))
+        dmean_s = np.empty((m, q, Xq.shape[1]))
+        kinv_dk = np.empty_like(dmean_s)
+        for j, (L, alpha) in enumerate(self.factors):
+            mean_s[j] = kq[j] @ alpha
+            v = _solve_lower(L, kq[j].T)  # (n, q), Fortran-ordered
+            vv[j] = np.add.reduce(v * v, axis=0)
+            dmean_s[j] = np.einsum("qid,i->qd", dk[j], alpha)
+            # K^-1 kq by back-solving L^T x = v, the forward solve's result
+            kinv_kq = _solve_lower(L, v, trans=1)
+            kinv_dk[j] = np.einsum("iq,qid->qd", kinv_kq, dk[j])
+        var_s = self.signal_var - vv
+        std_s = np.sqrt(np.where(var_s < 1e-12, 0.0, var_s))
+        dvar_s = -2.0 * kinv_dk
+        dstd_s = np.zeros_like(dvar_s)
+        np.divide(dvar_s, 2.0 * std_s[..., None], out=dstd_s, where=std_s[..., None] > 1e-9)
+        scale = self.y_scale[:, :, None]
+        return (
+            self.y_shift + self.y_scale * mean_s,
+            self.y_scale * std_s,
+            scale * dmean_s,
+            scale * dstd_s,
+        )
 
 
 def gp_posterior_grads(
@@ -183,34 +237,11 @@ def gp_posterior_grads(
     """Batched posteriors with analytic input gradients of GPs that share X.
 
     Returns one (mean (q,), std (q,), dmean (q, d), dstd (q, d)) per GP, in
-    original units.  The distances from Xq to the shared training inputs
-    are computed once; each GP then does its own solves and reductions.
-    dstd is 0 where the posterior std underflows (clamped), matching the
-    forward pass.
+    original units; see `GPStack`, which a caller that queries the same GPs
+    many times builds once.
     """
-    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-    X = gps[0].X
-    if any(not np.array_equal(g.X, X) for g in gps[1:]):
-        raise ValueError("the GPs must share their training inputs X")
-    sq = _sq_dists(Xq, X)
-    diff = X[None, :, :] - Xq[:, None, :]  # (q, n, d)
-    out = []
-    for g in gps:
-        mean_s, var_s, kq, v = _posterior_std_units(g, sq)
-        # dk[q, i, j] = k(xq, Xi) * (Xi - xq)_j / ls^2
-        dk = kq[:, :, None] * (diff / g.hyper.length_scale**2)
-        dmean_s = np.einsum("qid,i->qd", dk, g.alpha)
-        # K^-1 kq by back-solving L^T x = v, the forward solve's result
-        kinv_kq = _solve_lower(g.L, v, trans=1)  # (n, q)
-        dvar_s = -2.0 * np.einsum("iq,qid->qd", kinv_kq, dk)
-        std_s = np.sqrt(var_s)
-        safe = std_s > 1e-9
-        dstd_s = np.zeros_like(dvar_s)
-        dstd_s[safe] = dvar_s[safe] / (2.0 * std_s[safe, None])
-        mean = g.y_shift + g.y_scale * mean_s
-        std = g.y_scale * std_s
-        out.append((mean, std, g.y_scale * dmean_s, g.y_scale * dstd_s))
-    return out
+    post = GPStack(gps)(np.atleast_2d(np.asarray(Xq, dtype=float)))
+    return [tuple(a[j] for a in post) for j in range(len(gps))]
 
 
 def gp_posterior_grad(
@@ -218,7 +249,6 @@ def gp_posterior_grad(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched posterior with analytic input gradients (original units).
 
-    Returns (mean (q,), std (q,), dmean (q, d), dstd (q, d)); see
-    `gp_posterior_grads`.
+    Returns (mean (q,), std (q,), dmean (q, d), dstd (q, d)); see `GPStack`.
     """
     return gp_posterior_grads([g], Xq)[0]

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 # gp_posterior_grad is unused here, but perfbench/tracer.py wraps psl.gp_posterior_grad
-from .gp import GPModel, gp_fit, gp_posterior, gp_posterior_grad, gp_posterior_grads  # noqa: F401
+from .gp import GPModel, GPStack, gp_fit, gp_posterior, gp_posterior_grad  # noqa: F401
 from .moo import (
     Archive,
     ConstraintSpec,
@@ -41,6 +41,7 @@ __all__ = [
 
 PENALTY_SHARPNESS = 50.0  # softplus sharpness of the surrogate's constraint penalty
 IDEAL_MARGIN = 0.05  # Tchebycheff ideal point sits this far below the archive's best
+PREFERENCE_CHUNK = 128  # training steps whose preferences one draw supplies
 
 
 @dataclass(frozen=True)
@@ -124,20 +125,28 @@ class ParetoSetModel:
     def __call__(self, lam: np.ndarray) -> np.ndarray:
         return self.forward(np.atleast_2d(lam))[0]
 
-    def backward(self, cache: dict, dx: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(self, cache: dict, dx: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+        """Write the gradient of each parameter into `grads`, which holds an
+        array shaped like it (see `views`)."""
         p = self.params
         lam, h1, h2, x = cache["lam"], cache["h1"], cache["h2"], cache["x"]
         dz3 = dx * x * (1.0 - x)
-        grads = {"W3": h2.T @ dz3, "b3": dz3.sum(axis=0)}
-        dh2 = dz3 @ p["W3"].T
-        dz2 = dh2 * (1.0 - h2 * h2)
-        grads["W2"] = h1.T @ dz2
-        grads["b2"] = dz2.sum(axis=0)
-        dh1 = dz2 @ p["W2"].T
-        dz1 = dh1 * (1.0 - h1 * h1)
-        grads["W1"] = lam.T @ dz1
-        grads["b1"] = dz1.sum(axis=0)
-        return grads
+        np.matmul(h2.T, dz3, out=grads["W3"])
+        np.add.reduce(dz3, axis=0, out=grads["b3"])
+        dz2 = (dz3 @ p["W3"].T) * (1.0 - h2 * h2)
+        np.matmul(h1.T, dz2, out=grads["W2"])
+        np.add.reduce(dz2, axis=0, out=grads["b2"])
+        dz1 = (dz2 @ p["W2"].T) * (1.0 - h1 * h1)
+        np.matmul(lam.T, dz1, out=grads["W1"])
+        np.add.reduce(dz1, axis=0, out=grads["b1"])
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Views into a flat vector, keyed and shaped like `params`, in order."""
+        views, start = {}, 0
+        for k, v in self.params.items():
+            views[k] = flat[start : start + np.size(v)].reshape(np.shape(v))
+            start += np.size(v)
+        return views
 
     def flatten(self) -> np.ndarray:
         """Gather the parameters into one new flat vector and return it.
@@ -146,11 +155,7 @@ class ParetoSetModel:
         so an update of the vector is an update of every layer.
         """
         flat = np.concatenate([np.ravel(v) for v in self.params.values()])
-        views, start = {}, 0
-        for k, v in self.params.items():
-            views[k] = flat[start : start + np.size(v)].reshape(np.shape(v))
-            start += np.size(v)
-        self.params = views
+        self.params = self.views(flat)
         return flat
 
     def copy(self) -> "ParetoSetModel":
@@ -159,10 +164,6 @@ class ParetoSetModel:
             n_obj=self.n_obj,
             dim=self.dim,
         )
-
-
-def _softplus(u: np.ndarray, sharpness: float) -> np.ndarray:
-    return np.logaddexp(0.0, sharpness * u) / sharpness
 
 
 def surrogate_loss_and_grads(
@@ -180,46 +181,56 @@ def surrogate_loss_and_grads(
     so the loss stays differentiable; screening and selection elsewhere use
     the exact hinge.
     """
-    return _loss_and_grads(model, lam, gps, _penalty_terms(constraints), ideal, beta, sharpness)
-
-
-def _penalty_terms(constraints: ConstraintSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(bounds, 0 where unbounded; penalty coefficients; bounded mask)."""
-    bounds = constraints.bounds_array()
-    finite = np.isfinite(bounds)
-    return np.where(finite, bounds, 0.0), constraints.penalties_array(), finite
-
-
-def _loss_and_grads(
-    model: ParetoSetModel,
-    lam: np.ndarray,
-    gps: list[GPModel],
-    penalty_terms: tuple[np.ndarray, np.ndarray, np.ndarray],
-    ideal: np.ndarray,
-    beta: float,
-    sharpness: float,
-) -> tuple[float, dict[str, np.ndarray]]:
-    B = lam.shape[0]
-    m = len(gps)
-    x, cache = model.forward(lam)
-    lcb = np.empty((B, m))
-    dlcb = np.empty((B, m, model.dim))
-    for j, (mean, std, dmean, dstd) in enumerate(gp_posterior_grads(gps, x)):
-        lcb[:, j] = mean - beta * std
-        dlcb[:, j, :] = dmean - beta * dstd
-    bounds, alphas, finite = penalty_terms
-    u = np.where(finite, lcb - bounds, 0.0)
-    pen = lcb + np.where(finite, alphas * _softplus(u, sharpness), 0.0)
-    dpen_dlcb = 1.0 + np.where(finite, alphas * expit(sharpness * u), 0.0)
-
-    scaled = lam * (pen - ideal[None, :])
-    winner = np.argmax(scaled, axis=1)
-    loss = float(np.mean(scaled[np.arange(B), winner]))
-    dpen = np.zeros((B, m))
-    dpen[np.arange(B), winner] = lam[np.arange(B), winner] / B
-    dx = np.einsum("bj,bj,bjd->bd", dpen, dpen_dlcb, dlcb)
-    grads = model.backward(cache, dx)
+    grads = model.views(np.empty(sum(v.size for v in model.params.values())))
+    loss = _SurrogateLoss(gps, constraints, ideal, beta, sharpness)(model, lam, grads)
     return loss, grads
+
+
+class _SurrogateLoss:
+    """One generation's surrogate loss: its GPs, penalty terms and ideal,
+    set up once and evaluated at every training step."""
+
+    def __init__(
+        self,
+        gps: list[GPModel],
+        constraints: ConstraintSpec,
+        ideal: np.ndarray,
+        beta: float,
+        sharpness: float,
+    ):
+        self.posterior = GPStack(gps)
+        bounds = constraints.bounds_array()
+        self.bounded = np.isfinite(bounds)
+        self.bounds = np.where(self.bounded, bounds, 0.0)
+        # 0 on unbounded objectives, where u is 0: their penalty terms are
+        # 0 * softplus(0) and 0 * expit(0), both exactly 0
+        self.penalties = np.where(self.bounded, constraints.penalties_array(), 0.0)
+        self.ideal = ideal[None, :]
+        self.beta = beta
+        self.sharpness = sharpness
+
+    def __call__(self, model: ParetoSetModel, lam: np.ndarray, grads: dict[str, np.ndarray]) -> float:
+        """The loss at the (B, m) preferences; writes its gradient into `grads`."""
+        B = lam.shape[0]
+        x, cache = model.forward(lam)
+        mean, std, dmean, dstd = self.posterior(x)
+        lcb = (mean - self.beta * std).T  # (B, m)
+        dlcb = np.ascontiguousarray((dmean - self.beta * dstd).transpose(1, 0, 2))  # (B, m, d)
+        # the hinge penalty smoothed by a sharp softplus
+        u = np.where(self.bounded, lcb - self.bounds, 0.0)
+        su = self.sharpness * u
+        pen = lcb + self.penalties * (np.logaddexp(0.0, su) / self.sharpness)
+        dpen_dlcb = 1.0 + self.penalties * expit(su)
+
+        scaled = lam * (pen - self.ideal)
+        rows = np.arange(B)
+        winner = np.argmax(scaled, axis=1)
+        loss = float(np.add.reduce(scaled[rows, winner]) / B)  # np.mean's arithmetic
+        dpen = np.zeros_like(lam)
+        dpen[rows, winner] = lam[rows, winner] / B
+        dx = np.einsum("bj,bj,bjd->bd", dpen, dpen_dlcb, dlcb)
+        model.backward(cache, dx, grads)
+        return loss
 
 
 class _Adam:
@@ -230,15 +241,23 @@ class _Adam:
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self._a = np.empty(size)
+        self._b = np.empty(size)
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
-        self.m = b1 * self.m + (1 - b1) * grad
-        self.v = b2 * self.v + (1 - b2) * grad * grad
-        mhat = self.m / (1 - b1**self.t)
-        vhat = self.v / (1 - b2**self.t)
-        flat -= self.lr * mhat / (np.sqrt(vhat) + eps)
+        m, v, a, b = self.m, self.v, self._a, self._b
+        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        np.multiply(m, b1, out=m)
+        np.add(m, np.multiply(grad, 1 - b1, out=a), out=m)
+        np.multiply(v, b2, out=v)
+        np.multiply(np.multiply(grad, 1 - b2, out=a), grad, out=a)
+        np.add(v, a, out=v)
+        # flat -= (lr mhat) / (sqrt(vhat) + eps)
+        np.multiply(np.divide(m, 1 - b1**self.t, out=a), self.lr, out=a)
+        np.add(np.sqrt(np.divide(v, 1 - b2**self.t, out=b), out=b), eps, out=b)
+        np.subtract(flat, np.divide(a, b, out=a), out=flat)
 
 
 def train_pareto_set_model(
@@ -256,23 +275,30 @@ def train_pareto_set_model(
     """Adam-train the model in place for `steps` updates; returns loss trace.
 
     `model.params` become views into one flat vector that Adam updates.
+    Each step draws `batch` preferences.  One draw supplies the preferences
+    of up to PREFERENCE_CHUNK steps: rows come off the stream in order, so
+    they equal one draw per step, and the generator ends in the same state.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     flat = model.flatten()
+    grad = np.empty_like(flat)
+    grads = model.views(grad)
     opt = _Adam(flat.size, lr)
-    penalty_terms = _penalty_terms(constraints)
+    loss_at = _SurrogateLoss(gps, constraints, ideal, beta, sharpness)
     losses: list[float] = []
-    for step in range(steps):
-        lam = sample_preferences(batch, model.n_obj, rng)
-        loss, grads = _loss_and_grads(model, lam, gps, penalty_terms, ideal, beta, sharpness)
-        if not np.isfinite(loss):
-            raise RuntimeError(
-                f"non-finite surrogate loss at step {step}: loss={loss}, "
-                f"ideal={ideal.tolist()}"
-            )
-        opt.step(flat, np.concatenate([np.ravel(grads[k]) for k in model.params]))
-        losses.append(loss)
+    for first in range(0, steps, PREFERENCE_CHUNK):
+        count = min(PREFERENCE_CHUNK, steps - first)
+        lams = sample_preferences(count * batch, model.n_obj, rng).reshape(count, batch, -1)
+        for step, lam in enumerate(lams, start=first):
+            loss = loss_at(model, lam, grads)
+            if not np.isfinite(loss):
+                raise RuntimeError(
+                    f"non-finite surrogate loss at step {step}: loss={loss}, "
+                    f"ideal={ideal.tolist()}"
+                )
+            opt.step(flat, grad)
+            losses.append(loss)
     return model, losses
 
 

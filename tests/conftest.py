@@ -7,6 +7,8 @@ paths, so they can catch bugs in the implementations they verify.
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dtrtrs
+from scipy.special import expit
 
 
 def oracle_dominates(a, b) -> bool:
@@ -69,6 +71,94 @@ def mc_hypervolume(Y, z, n_samples: int, seed: int = 0):
     p = hits / n_samples
     se = np.sqrt(max(p * (1.0 - p), 1e-12) / n_samples) * box
     return p * box, se
+
+
+def _oracle_posterior_grads(gps, Xq):
+    """Per-GP posteriors with input gradients, one GP after another, each
+    with its own kernel, solves and reductions (original units)."""
+    X = gps[0].X
+    ar = np.sum(Xq * Xq, axis=1)[:, None]
+    br = np.sum(X * X, axis=1)[None, :]
+    sq = np.maximum(ar + br - 2.0 * (Xq @ X.T), 0.0)
+    diff = X[None, :, :] - Xq[:, None, :]
+    out = []
+    for g in gps:
+        kq = g.hyper.signal_var * np.exp(-0.5 * sq / g.hyper.length_scale**2)
+        mean_s = kq @ g.alpha
+        v, _ = dtrtrs(g.L, kq.T, lower=1)
+        var_s = g.hyper.signal_var - np.sum(v * v, axis=0)
+        var_s = np.where(var_s < 1e-12, 0.0, var_s)
+        dk = kq[:, :, None] * (diff / g.hyper.length_scale**2)
+        dmean_s = np.einsum("qid,i->qd", dk, g.alpha)
+        kinv_kq, _ = dtrtrs(g.L, v, lower=1, trans=1)
+        dvar_s = -2.0 * np.einsum("iq,qid->qd", kinv_kq, dk)
+        std_s = np.sqrt(var_s)
+        safe = std_s > 1e-9
+        dstd_s = np.zeros_like(dvar_s)
+        dstd_s[safe] = dvar_s[safe] / (2.0 * std_s[safe, None])
+        out.append((g.y_shift + g.y_scale * mean_s, g.y_scale * std_s,
+                    g.y_scale * dmean_s, g.y_scale * dstd_s))
+    return out
+
+
+def _oracle_loss_and_grads(p, lam, gps, bounds, alphas, finite, ideal, beta, sharpness):
+    """Mean Tchebycheff loss of the penalized LCBs and its parameter grads."""
+    B, m, d = lam.shape[0], len(gps), p["b3"].size
+    h1 = np.tanh(lam @ p["W1"] + p["b1"])
+    h2 = np.tanh(h1 @ p["W2"] + p["b2"])
+    x = expit(h2 @ p["W3"] + p["b3"])
+    lcb = np.empty((B, m))
+    dlcb = np.empty((B, m, d))
+    for j, (mean, std, dmean, dstd) in enumerate(_oracle_posterior_grads(gps, x)):
+        lcb[:, j] = mean - beta * std
+        dlcb[:, j, :] = dmean - beta * dstd
+    u = np.where(finite, lcb - bounds, 0.0)
+    softplus = np.logaddexp(0.0, sharpness * u) / sharpness
+    pen = lcb + np.where(finite, alphas * softplus, 0.0)
+    dpen_dlcb = 1.0 + np.where(finite, alphas * expit(sharpness * u), 0.0)
+    scaled = lam * (pen - ideal[None, :])
+    winner = np.argmax(scaled, axis=1)
+    loss = float(np.mean(scaled[np.arange(B), winner]))
+    dpen = np.zeros((B, m))
+    dpen[np.arange(B), winner] = lam[np.arange(B), winner] / B
+    dx = np.einsum("bj,bj,bjd->bd", dpen, dpen_dlcb, dlcb)
+    dz3 = dx * x * (1.0 - x)
+    grads = {"W3": h2.T @ dz3, "b3": dz3.sum(axis=0)}
+    dz2 = (dz3 @ p["W3"].T) * (1.0 - h2 * h2)
+    grads["W2"] = h1.T @ dz2
+    grads["b2"] = dz2.sum(axis=0)
+    dz1 = (dz2 @ p["W2"].T) * (1.0 - h1 * h1)
+    grads["W1"] = lam.T @ dz1
+    grads["b1"] = dz1.sum(axis=0)
+    return loss, grads
+
+
+def oracle_train_pareto_set_model(params, gps, constraints, steps, rng, ideal, lr, batch, beta, sharpness):
+    """Adam training of a Pareto-set network's `params` (a dict in the
+    network's layer order), one preference draw and one posterior pass per
+    step; returns the final weights and the loss trace."""
+    flat = np.concatenate([np.ravel(v) for v in params.values()])
+    views, start = {}, 0
+    for k, v in params.items():
+        views[k] = flat[start : start + np.size(v)].reshape(np.shape(v))
+        start += np.size(v)
+    raw = constraints.bounds_array()
+    finite = np.isfinite(raw)
+    bounds, alphas = np.where(finite, raw, 0.0), constraints.penalties_array()
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m_t, v_t = np.zeros(flat.size), np.zeros(flat.size)
+    losses = []
+    for t in range(1, steps + 1):
+        lam = rng.dirichlet(np.ones(len(gps)), size=batch)
+        loss, grads = _oracle_loss_and_grads(views, lam, gps, bounds, alphas, finite, ideal, beta, sharpness)
+        g = np.concatenate([np.ravel(grads[k]) for k in views])
+        m_t = b1 * m_t + (1 - b1) * g
+        v_t = b2 * v_t + (1 - b2) * g * g
+        mhat = m_t / (1 - b1**t)
+        vhat = v_t / (1 - b2**t)
+        flat -= lr * mhat / (np.sqrt(vhat) + eps)
+        losses.append(loss)
+    return views, losses
 
 
 @pytest.fixture

@@ -7,6 +7,9 @@ change to the GP posterior, the surrogate loss, its gradients or the Adam
 update that moves any bit of the training fails here, as does any change
 to the candidates greedy HVI picks.  `model_lr` 1e-3 makes the 300 Adam
 steps move the network well away from its zero-initialized output layer.
+Those two runs fit their GPs on 5 and 9 rows; a third, 3-generation run at
+population 20 fits its last GPs on 45 rows, a size at which the order of
+the posterior's reductions decides their rounding.
 
 The digests hold for the platform named in test_golden.py; re-record them
 elsewhere, and declare the change, rather than loosening the comparison.
@@ -34,6 +37,14 @@ GOLDEN_PSL = {
     },
 }
 
+GOLDEN_PSL_LARGE = {
+    "archive_seed5.json": "676cccd8167b1c61e06973e586491fb96f3420237eaec163a506199b6d29af67",
+    "checkpoints/seed5.jsonl": "6d58402d176316ec7d43cfa3cbca4c7b5d6dc7a0444c93213bfcf2e4d60f1aec",
+    "manifest.json": "62f114e0178f593d8b8c678fe6ab52312700b6f462f13f8fe2f3e2ab81d16c61",
+    "summary.json": "392c8eb0b33ae98ef2d8a2bc335415f9d50f551089cb27865ebbd1c70f73e76c",
+    "trace.csv": "9105ed3991550fe17e18f9b069b37051d68f23e9aa284eae2c12ac70c0b0788e",
+}
+
 
 @pytest.mark.parametrize("setting", sorted(GOLDEN_PSL))
 def test_psl_run_artifacts_match_golden_digests(tmp_path, setting):
@@ -50,3 +61,18 @@ def test_psl_run_artifacts_match_golden_digests(tmp_path, setting):
         }
     )
     assert _hash_tree(tmp_path) == GOLDEN_PSL[setting]
+
+
+def test_psl_run_on_a_larger_archive_matches_golden_digests(tmp_path):
+    run_manifest(
+        {
+            "algorithm": "psl",
+            "setting": "constrained_toy",
+            "seeds": [5],
+            "generations": 3,
+            "population": 20,
+            "psl": {"candidates": 200, "model_steps": 300, "model_lr": 1e-3},
+            "out_dir": str(tmp_path),
+        }
+    )
+    assert _hash_tree(tmp_path) == GOLDEN_PSL_LARGE

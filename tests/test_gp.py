@@ -5,6 +5,7 @@ from scipy.linalg import LinAlgError, cho_solve, solve_triangular
 from flpareto.gp import (
     NOISE_VARS,
     GPHyper,
+    GPStack,
     GpFitError,
     _kernel_from_sq,
     _sq_dists,
@@ -196,6 +197,26 @@ class TestSharedPosteriorGrad:
                 for a, b in zip(gp_posterior(g, Xq), want[:2], strict=True):
                     assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n", [1, 9, 105])
+    @pytest.mark.parametrize("d", [1, 10])
+    def test_stack_bitwise_equals_per_gp_oracle(self, n, d):
+        # the stacked (m, q) and (m, q, d) output, GP by GP, at sizes where
+        # the order of a reduction decides its rounding
+        rng = np.random.default_rng([n, d])
+        X = rng.random((n, d))
+        Xq = np.vstack([rng.random((16, d)), X[:2]])
+        gps = [
+            gp_fit(X, rng.random(n) * 10.0 ** (2 * j - 2), GPHyper(0.3 + 0.4 * j, 0.5 + j, NOISE_VARS[j]))
+            for j in range(3)
+        ] + [gp_fit(X, rng.random(n))]
+        mean, std, dmean, dstd = GPStack(gps)(Xq)
+        q = Xq.shape[0]
+        assert mean.shape == std.shape == (4, q) and dmean.shape == dstd.shape == (4, q, d)
+        for j, g in enumerate(gps):
+            want = _per_gp_posterior_grad(g, Xq)
+            for got, w in zip((mean[j], std[j], dmean[j], dstd[j]), want, strict=True):
+                assert got.tobytes() == w.tobytes()
+
     def test_singular_factor_raises(self, rng):
         X = rng.random((5, 2))
         g = gp_fit(X, rng.random(5), GPHyper(0.3, 1.0, 1e-4))
@@ -209,5 +230,7 @@ class TestSharedPosteriorGrad:
         h = GPHyper(0.3, 1.0, 1e-4)
         a = gp_fit(rng.random((5, 2)), rng.random(5), h)
         b = gp_fit(rng.random((5, 2)), rng.random(5), h)
-        with pytest.raises(ValueError, match="share"):
+        with pytest.raises(ValueError, match="must share their training inputs X"):
+            GPStack([a, b])
+        with pytest.raises(ValueError, match="must share their training inputs X"):
             gp_posterior_grads([a, b], rng.random((3, 2)))

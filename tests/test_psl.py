@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import oracle_train_pareto_set_model
 from flpareto.bench import zdt1_problem
-from flpareto.gp import GPHyper, gp_fit
+from flpareto.gp import GPHyper, gp_fit, gp_posterior
 from flpareto import psl
 from flpareto.moo import ConstraintSpec, Problem, hypervolume, penalize
 from flpareto.psl import (
@@ -117,6 +118,65 @@ class TestTraining:
         assert list(model.params) == list(oracle.params)
         for k in oracle.params:
             assert np.array_equal(model.params[k], oracle.params[k])
+        assert not np.array_equal(model.params["W3"], 0.0)
+
+    # (m, d, n, bounded objectives, hidden widths, steps); "chunk" steps
+    # are two preference chunks and a part of a third
+    ORACLE_CASES = [
+        (1, 1, 1, (), (8, 6), 40),
+        (1, 3, 5, (0,), (8, 6), 40),
+        (2, 1, 9, (1,), (8, 6), "chunk"),
+        (2, 3, 30, (), (8, 6), 40),
+        (2, 10, 105, (0,), (8, 6), 40),
+        (2, 3, 105, (0, 1), (8, 6), 40),
+        (3, 1, 30, (0, 1, 2), (8, 6), 40),
+        (3, 3, 9, (2,), (64, 64), "chunk"),
+        (3, 3, 5, (), (8, 6), 40),
+        (3, 10, 105, (0, 1, 2), (8, 6), 40),
+        (3, 10, 30, (1,), (8, 6), 40),
+    ]
+
+    @pytest.mark.parametrize("m, d, n, bounded, hidden, steps", ORACLE_CASES)
+    def test_training_bitwise_equals_frozen_oracle(self, m, d, n, bounded, hidden, steps):
+        if steps == "chunk":
+            steps = 2 * psl.PREFERENCE_CHUNK + 7
+        rng = np.random.default_rng([m, d, n])
+        X = rng.random((n, d))
+        Y = np.column_stack(
+            [10.0**j * np.sin(3.0 * X @ rng.normal(size=d) + j) for j in range(m)]
+        )
+        gps = [gp_fit(X, Y[:, j]) for j in range(m)]
+        bounds = tuple(float(np.median(Y[:, j])) if j in bounded else None for j in range(m))
+        cs = ConstraintSpec(bounds=bounds, penalties=(20.0,) * m)
+        self._assert_matches_oracle(gps, cs, Y.min(axis=0) - 0.05, hidden, steps, seed=n)
+
+    def test_training_at_a_training_input_matches_frozen_oracle(self):
+        # the untrained model maps every preference to the box centre, a
+        # training input of noiseless GPs: the std is clamped and dstd is 0
+        rng = np.random.default_rng(4)
+        X = np.vstack([rng.random((8, 3)), np.full(3, 0.5)])
+        Y = rng.random((9, 2))
+        gps = [gp_fit(X, Y[:, j], GPHyper(0.4, 1.0, 0.0)) for j in range(2)]
+        assert [gp_posterior(g, np.full(3, 0.5))[1] for g in gps] == [0.0, 0.0]
+        cs = ConstraintSpec(bounds=(None, 0.5), penalties=(0.0, 20.0))
+        self._assert_matches_oracle(gps, cs, Y.min(axis=0) - 0.05, (8, 6), 40, seed=1)
+
+    @staticmethod
+    def _assert_matches_oracle(gps, cs, ideal, hidden, steps, seed):
+        model = ParetoSetModel.create(len(gps), gps[0].X.shape[1], hidden, np.random.default_rng(seed))
+        kwargs = dict(lr=1e-2, batch=PslConfig.model_batch, beta=PslConfig.lcb_beta,
+                      sharpness=psl.PENALTY_SHARPNESS)
+        want_params, want = oracle_train_pareto_set_model(
+            model.copy().params, gps, cs, steps, oracle_rng := np.random.default_rng(seed), ideal, **kwargs
+        )
+        _, losses = train_pareto_set_model(
+            model, gps, cs, steps, got_rng := np.random.default_rng(seed), ideal, **kwargs
+        )
+        assert losses == want
+        assert list(model.params) == list(want_params)
+        for k in want_params:
+            assert model.params[k].tobytes() == want_params[k].tobytes(), k
+        assert got_rng.bit_generator.state == oracle_rng.bit_generator.state
         assert not np.array_equal(model.params["W3"], 0.0)
 
     def test_zero_steps_identity(self, rng):
