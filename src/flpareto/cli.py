@@ -87,6 +87,8 @@ def _parse_params(pairs: list[str]) -> dict:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
     opts = fl_options(read_manifest(args.config).get("fl", {}) if args.config else {})
     space = build_space(args.setting, opts.width_max)
     values = _parse_params(args.param or [])

@@ -108,7 +108,8 @@ def local_sgd(
                     w[bad] = np.nan
                     if bad.all():
                         return w[0] if single else w
-                w -= lr * grad
+                grad *= lr
+                w -= grad
     return w[0] if single else w
 
 

@@ -6,6 +6,14 @@ stack of them holds K clients' models, which the forward and backward
 passes handle through batched matmuls over the leading axis.  Gradients
 are hand-derived (softmax cross-entropy) and are checked against finite
 differences in the test suite.
+
+`loss_and_grad` runs once per minibatch, so it does its elementwise work
+in place: biases, ReLUs, the log-softmax and the logit gradient overwrite
+their matmul's output, each layer's gradient is written into its view of
+one flat buffer, and ReLU backward is a bitwise AND with an all-zeros or
+all-ones integer mask.  Every matmul and reduction has the operands and
+axis of the plain formulation, so the bits are those of a straightforward
+implementation (a frozen copy is the tests' oracle).
 """
 
 from __future__ import annotations
@@ -77,16 +85,35 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def _forward(layers: list[np.ndarray], X: np.ndarray):
+    """Logits and the two ReLU activations; each layer adds its bias and
+    clips in place in its matmul's output."""
     W1, b1, W2, b2, W3, b3 = layers
-    a1 = np.maximum(X @ W1 + b1[..., None, :], 0.0)
-    a2 = np.maximum(a1 @ W2 + b2[..., None, :], 0.0)
-    logits = a2 @ W3 + b3[..., None, :]
+    a1 = X @ W1
+    a1 += b1[..., None, :]
+    np.maximum(a1, 0.0, out=a1)
+    a2 = a1 @ W2
+    a2 += b2[..., None, :]
+    np.maximum(a2, 0.0, out=a2)
+    logits = a2 @ W3
+    logits += b3[..., None, :]
     return logits, (a1, a2)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    """Log-softmax over the last axis, overwriting `logits`."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.log(np.add.reduce(np.exp(logits), axis=-1, keepdims=True))
+    return logits
+
+
+def _relu_backward(d: np.ndarray, a: np.ndarray) -> None:
+    """Zero `d` where the unit is inactive (a <= 0), in place.
+
+    An AND of d's bits with 0 or with all ones: inactive entries become
+    +0.0, the others keep every bit, NaN payloads included.
+    """
+    bits = d.view(np.int64)
+    np.bitwise_and(bits, np.subtract(a <= 0.0, 1, dtype=np.int64), out=bits)
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -101,30 +128,32 @@ def loss_and_grad(
     One model: params (d_w,), X (b, d), y (b,) give a scalar loss and a
     (d_w,) gradient.  K stacked models: params (K, d_w), X (K, b, d),
     y (K, b) give K losses and a (K, d_w) gradient; each client's numbers
-    equal those of its own single-model call bit for bit.
+    equal those of its own single-model call bit for bit.  Parameters are
+    float64; each layer's gradient is written straight into its view of
+    the returned vector.
     """
     layers = spec.unpack(params)
     W1, _, W2, _, W3, _ = layers
     logits, (a1, a2) = _forward(layers, X)
     n = X.shape[-2]
     logp = _log_softmax(logits)
-    onehot = y[..., None] == np.arange(logits.shape[-1])
-    loss = -np.mean(logp[onehot].reshape(y.shape), axis=-1)
-    dlogits = (np.exp(logp) - onehot) / n
-    gW3 = _t(a2) @ dlogits
-    gb3 = dlogits.sum(axis=-2)
+    onehot = y[..., None] == np.arange(logp.shape[-1])
+    loss = -(np.add.reduce(logp[onehot].reshape(y.shape), axis=-1) / n)
+    dlogits = np.exp(logp, out=logp)
+    dlogits -= onehot
+    dlogits /= n
+    grad = np.empty(params.shape)
+    gW1, gb1, gW2, gb2, gW3, gb3 = spec.unpack(grad)
+    np.matmul(_t(a2), dlogits, out=gW3)
+    np.add.reduce(dlogits, axis=-2, out=gb3)
     da2 = dlogits @ _t(W3)
-    da2[a2 <= 0.0] = 0.0
-    gW2 = _t(a1) @ da2
-    gb2 = da2.sum(axis=-2)
+    _relu_backward(da2, a2)
+    np.matmul(_t(a1), da2, out=gW2)
+    np.add.reduce(da2, axis=-2, out=gb2)
     da1 = da2 @ _t(W2)
-    da1[a1 <= 0.0] = 0.0
-    gW1 = _t(X) @ da1
-    gb1 = da1.sum(axis=-2)
-    flat = params.shape[:-1] + (-1,)
-    grad = np.concatenate(
-        [g.reshape(flat) for g in (gW1, gb1, gW2, gb2, gW3, gb3)], axis=-1
-    )
+    _relu_backward(da1, a1)
+    np.matmul(_t(X), da1, out=gW1)
+    np.add.reduce(da1, axis=-2, out=gb1)
     return loss, grad
 
 

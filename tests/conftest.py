@@ -161,6 +161,52 @@ def oracle_train_pareto_set_model(params, gps, constraints, steps, rng, ideal, l
     return views, losses
 
 
+def _oracle_forward(layers, X):
+    W1, b1, W2, b2, W3, b3 = layers
+    a1 = np.maximum(X @ W1 + b1[..., None, :], 0.0)
+    a2 = np.maximum(a1 @ W2 + b2[..., None, :], 0.0)
+    logits = a2 @ W3 + b3[..., None, :]
+    return logits, (a1, a2)
+
+
+def _oracle_log_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def oracle_loss_and_grad(params, X, y, spec):
+    """Mean cross-entropy and flat gradient, one temporary per step, with
+    boolean-mask ReLU backward; single (d_w,) or stacked (K, d_w) params."""
+    layers = spec.unpack(params)
+    W1, _, W2, _, W3, _ = layers
+    logits, (a1, a2) = _oracle_forward(layers, X)
+    n = X.shape[-2]
+    logp = _oracle_log_softmax(logits)
+    onehot = y[..., None] == np.arange(logits.shape[-1])
+    loss = -np.mean(logp[onehot].reshape(y.shape), axis=-1)
+    dlogits = (np.exp(logp) - onehot) / n
+    gW3 = a2.swapaxes(-1, -2) @ dlogits
+    gb3 = dlogits.sum(axis=-2)
+    da2 = dlogits @ W3.swapaxes(-1, -2)
+    da2[a2 <= 0.0] = 0.0
+    gW2 = a1.swapaxes(-1, -2) @ da2
+    gb2 = da2.sum(axis=-2)
+    da1 = da2 @ W2.swapaxes(-1, -2)
+    da1[a1 <= 0.0] = 0.0
+    gW1 = X.swapaxes(-1, -2) @ da1
+    gb1 = da1.sum(axis=-2)
+    flat = params.shape[:-1] + (-1,)
+    grad = np.concatenate(
+        [g.reshape(flat) for g in (gW1, gb1, gW2, gb2, gW3, gb3)], axis=-1
+    )
+    return loss, grad
+
+
+def oracle_predict(params, X, spec):
+    logits, _ = _oracle_forward(spec.unpack(params), X)
+    return np.argmax(logits, axis=-1)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

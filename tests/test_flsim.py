@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from conftest import oracle_loss_and_grad, oracle_predict
+
 from flpareto.data import (
     SYNTHETIC_DEFAULTS,
     IdxFormatError,
@@ -15,7 +17,7 @@ from flpareto.data import (
 )
 import flpareto.flsim as flsim
 from flpareto.flsim import EvaluationResult, FLRunConfig, fedavg, flo_evaluate, local_sgd
-from flpareto.net import ModelSpec, accuracy, init_params, loss_and_grad
+from flpareto.net import ModelSpec, accuracy, init_params, loss_and_grad, predict
 from flpareto.protect import RandomizationParams, SparsificationParams, BatchCryptParams
 from flpareto.seeding import TAG_FL_CLIENT, TAG_FL_INIT, stream
 from flpareto.settings import FlOptions, build_fl_problem, build_space, make_run_config
@@ -52,6 +54,62 @@ class TestNet:
         assert mask.sum() == 4 * 5 + 5 * 3 + 3 * 2
         assert (~mask).sum() == 5 + 3 + 2
         assert mask.size == spec.n_params
+
+
+def _oracle_case(rng, K, b, in_dim, h1, h2, C):
+    """Weights, inputs and labels for one model (K None) or a K-stack."""
+    spec = ModelSpec(in_dim=in_dim, hidden1=h1, hidden2=h2, n_classes=C)
+    lead = () if K is None else (K,)
+    w = rng.normal(0.0, 0.8, size=lead + (spec.n_params,))
+    return spec, w, rng.normal(size=lead + (b, in_dim)), rng.integers(0, C, size=lead + (b,))
+
+
+def _assert_matches_oracle(spec, w, X, y):
+    with np.errstate(all="ignore"):
+        loss, grad = loss_and_grad(w, X, y, spec)
+        ref_loss, ref_grad = oracle_loss_and_grad(w, X, y, spec)
+        pred, ref_pred = predict(w, X, spec), oracle_predict(w, X, spec)
+    assert type(loss) is type(ref_loss) and np.shape(loss) == np.shape(ref_loss)
+    assert np.asarray(loss).tobytes() == np.asarray(ref_loss).tobytes()
+    assert grad.shape == ref_grad.shape and grad.tobytes() == ref_grad.tobytes()
+    assert pred.tobytes() == ref_pred.tobytes()
+
+
+class TestLossAndGradOracle:
+    """Losses, gradients and predictions equal the frozen oracle's bytes."""
+
+    @pytest.mark.parametrize("K", [None, 1, 2, 5])
+    @pytest.mark.parametrize("b", [1, 7, 64])
+    @pytest.mark.parametrize("C", [2, 3, 10])
+    def test_bytes_equal_oracle(self, rng, K, b, C):
+        for in_dim, h1, h2 in [(20, 32, 32), (3, 1, 4), (1, 5, 1), (1, 1, 1)]:
+            _assert_matches_oracle(*_oracle_case(rng, K, b, in_dim, h1, h2, C))
+
+    @pytest.mark.parametrize("K", [None, 2, 5])
+    def test_dead_units_equal_oracle(self, rng, K):
+        spec, w, X, y = _oracle_case(rng, K, 7, 6, 8, 5, 3)
+        W1, b1, W2, b2, _, _ = spec.unpack(w)
+        W1[..., 2], b1[..., 2] = 0.0, -1.0  # layer-1 unit 2 is dead for the whole batch
+        W1[..., 5], b1[..., 5] = 0.0, 0.0  # layer-1 unit 5 sits at exactly 0
+        W2[..., 0], b2[..., 0] = 0.0, -3.0  # layer-2 unit 0 is dead too
+        _assert_matches_oracle(spec, w, X, y)
+        b2[...] = -1e9  # the whole second layer is dead
+        _assert_matches_oracle(spec, w, X, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("K", [None, 2, 5])
+    @pytest.mark.parametrize("layer", range(6))
+    def test_non_finite_parameter_rows_equal_oracle(self, rng, K, bad, layer):
+        spec, w, X, y = _oracle_case(rng, K, 7, 6, 8, 5, 3)
+        layers = spec.unpack(w)
+        W2, b2 = layers[2], layers[3]
+        W2[..., 1], b2[..., 1] = 0.0, -1.0  # a dead layer-2 unit, whose gradients stay +0.0
+        row = (..., 0, slice(None)) if len(spec.shapes[layer]) == 2 else (..., 0)
+        layers[layer][row] = bad  # a weight row, or one bias entry
+        _assert_matches_oracle(spec, w, X, y)
+        if K is not None:  # one client's row poisoned, the others finite
+            w[1:] = rng.normal(0.0, 0.8, size=w[1:].shape)
+            _assert_matches_oracle(spec, w, X, y)
 
 
 class TestLocalSgd:

@@ -3,11 +3,14 @@
 Every output file of a 2-seed, population-4, 2-generation run on rd, bc
 and sf (2 federated rounds of 1 local epoch) is pinned byte for byte, so a
 refactor of the simulator, the mechanisms or the runner that changes any
-objective, trace value or artifact byte fails here.  Two benchmark runs
-pin NSGA-II itself at sizes where many pairs are varied per generation:
-constrained_toy at population 60 for 4 generations (3 objectives, one
-bound) and zdt1 at the odd population 7 for 3 generations, where each
-generation drops its last pair's second child.
+objective, trace value or artifact byte fails here.  The same runs at 2
+workers, and random search at the same size, are pinned as well, so the
+FL settings' bytes are checked across worker counts and under a second
+engine.  Two benchmark runs pin NSGA-II itself at sizes where many pairs
+are varied per generation: constrained_toy at population 60 for 4
+generations (3 objectives, one bound) and zdt1 at the odd population 7
+for 3 generations, where each generation drops its last pair's second
+child.
 
 The digests hold for this platform: numpy 2.4.6 with scipy-openblas
 0.3.31 on x86-64.  Another BLAS or numpy build may round matmuls
@@ -52,6 +55,37 @@ GOLDEN = {
     },
 }
 
+# random search at the FL golden size: seeds [0, 1], 2 generations of 4 rows
+GOLDEN_RANDOM = {
+    "bc": {
+        "archive_seed0.json": "40d860e2002644a8c0156afb2f2220afaff246adecca49d1467084ee3e3d84e1",
+        "archive_seed1.json": "62ee1cbed3d3b06feb93a3f97cfb543d763b1cedc47cd95b9445b3dea2e93448",
+        "checkpoints/seed0.jsonl": "0e70c2bda47e03010a0e90eb1a68301facfccf0788b293a05a3a3c978c08e03f",
+        "checkpoints/seed1.jsonl": "6e3ca1aa7a16ae33b45aeafc5f6334b5db961145d9844007cc3435c2233e125e",
+        "manifest.json": "8b77629ac7bed2d19dfd4dda2f2c5979f412dff68a3dc7a2164579d843d3a6ef",
+        "summary.json": "577b0324265fac09945bb43f6753cd96c7da27a7ff7d7415a70483476f58a11e",
+        "trace.csv": "6d147910ce87129b47b36e70358a1a7be4d55a81f12fbd52f3b6d3f71a5a7839",
+    },
+    "rd": {
+        "archive_seed0.json": "a03a38f7318f80bb352d8343c6d02a8ef802c19533044ee6fa317a2efbb3f730",
+        "archive_seed1.json": "d0f6a31e4c9063f49865424bc375edc8f2751712e00bd6f2ad2b3ffa69cc7a7c",
+        "checkpoints/seed0.jsonl": "94559ee40da2b23c8fdf5d9f8a2dbf836d9b10d51d41a5f4c828886710fec7ae",
+        "checkpoints/seed1.jsonl": "b3b624edf5adc6157afa279d717636f73242f65de417b183a7955160a5c23466",
+        "manifest.json": "904ab72d5f5c6c729d20591c715c787b9ec70a036ec74f8d8df7489ccc40d593",
+        "summary.json": "b72a6e11352c3ac78a78d862064efcd5826ba7b70f411f7155817238a7a0a7cf",
+        "trace.csv": "07f4b014b01f6b7ff07d5f2c97b31239f35c5f6c92adeb2eacca17bd11e21db3",
+    },
+    "sf": {
+        "archive_seed0.json": "d6d8d489240d53ccbe7ae63133133540e0b46bb58a545857079bb8360359a0bc",
+        "archive_seed1.json": "b14500da621f4b4b0864b295ce0d4bbe0fc6fc3c4315a569c3cba71299107060",
+        "checkpoints/seed0.jsonl": "923d4c9c761aa6d858d4ec0a2ca80e44199a97e9a8bb77b6490025401c4281c1",
+        "checkpoints/seed1.jsonl": "cf200c83b8698cfcbcdb55d814d34fe524c9d53fd6403deaa643466d707cdf49",
+        "manifest.json": "76e8dfc6b00a9372cee493fe48103b63dd7df08f902768e0b6b828435e002e3a",
+        "summary.json": "d556eebc08775894b26590ce705d2408489a201a10c2c79cfd26ab885e5faab1",
+        "trace.csv": "a76a5e8e1b7c636548f9c81f685f28e7d39f4c11962b3e37c29fa35aecd21de7",
+    },
+}
+
 GOLDEN_BENCHMARKS = {
     "constrained_toy": {
         "archive_seed0.json": "50d582dfd00a1489c925d65b2b07457204c8bcc51b8ffda83d8c4eacd37ce0a1",
@@ -86,21 +120,36 @@ def _hash_tree(out: Path) -> dict[str, str]:
     }
 
 
-@pytest.mark.parametrize("setting", sorted(GOLDEN))
-def test_fl_run_artifacts_match_golden_digests(tmp_path, setting):
+def run_fl_golden(out: Path, algorithm: str, setting: str, workers: int = 1) -> dict[str, str]:
+    """Digests of a 2-seed, 2-generation, population-4 search at 2 rounds x 1 epoch."""
     run_manifest(
         {
-            "algorithm": "nsga2",
+            "algorithm": algorithm,
             "setting": setting,
             "seeds": [0, 1],
             "generations": 2,
             "population": 4,
-            "workers": 1,
+            "workers": workers,
             "fl": {"rounds": 2, "local_epochs": 1},
-            "out_dir": str(tmp_path),
+            "out_dir": str(out),
         }
     )
-    assert _hash_tree(tmp_path) == GOLDEN[setting]
+    return _hash_tree(out)
+
+
+@pytest.mark.parametrize("setting", sorted(GOLDEN))
+def test_fl_run_artifacts_match_golden_digests(tmp_path, setting):
+    assert run_fl_golden(tmp_path, "nsga2", setting) == GOLDEN[setting]
+
+
+@pytest.mark.parametrize("setting", sorted(GOLDEN))
+def test_fl_run_artifacts_at_two_workers_match_golden_digests(tmp_path, setting):
+    assert run_fl_golden(tmp_path, "nsga2", setting, workers=2) == GOLDEN[setting]
+
+
+@pytest.mark.parametrize("setting", sorted(GOLDEN_RANDOM))
+def test_fl_random_search_artifacts_match_golden_digests(tmp_path, setting):
+    assert run_fl_golden(tmp_path, "random", setting) == GOLDEN_RANDOM[setting]
 
 
 @pytest.mark.parametrize("setting", sorted(GOLDEN_BENCHMARKS))

@@ -549,6 +549,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "eps_u=" in out and "eps_p=" in out and "eps_c=" in out
 
+    def test_evaluate_rejects_negative_seed_by_name(self, capsys):
+        rc = main([
+            "evaluate", "--setting", "rd", "--seed", "-1",
+            "--param", "lr=0.1", "--param", "sigma_rd=0.5", "--param", "c_clip=2",
+        ])
+        assert rc == 2
+        assert re.search(r"^error: .*--seed\b", capsys.readouterr().err, re.M)
+
     @pytest.mark.parametrize("lr", ["inf", "1e400"])
     def test_evaluate_rejects_infinite_param(self, capsys, lr):
         rc = main([
