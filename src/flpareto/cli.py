@@ -22,7 +22,9 @@ import numpy as np
 
 from .bench import BENCHMARKS
 from .moo import EvaluationError, hypervolume
-from .runner import ALGORITHMS, ManifestError, fl_options, load_front_file, read_manifest, run_manifest
+from .runner import (
+    ALGORITHMS, ManifestError, finite_ref_point, fl_options, load_front_file, read_manifest, run_manifest,
+)
 from .settings import FL_SETTINGS, build_space, make_run_config
 from .flsim import flo_evaluate
 
@@ -78,6 +80,8 @@ def _parse_params(pairs: list[str]) -> dict:
         if "=" not in pair:
             raise ValueError(f"--param expects name=value, got {pair!r}")
         name, _, val = pair.partition("=")
+        if name in values:
+            raise ValueError(f"--param {name} given more than once")
         try:
             num = float(val)
             values[name] = int(num) if num.is_integer() and "." not in val else num
@@ -100,8 +104,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_hv(args) -> int:
+    z = finite_ref_point(args.ref, "--ref")
     Y, feasible = load_front_file(args.file)
-    z = np.asarray(args.ref, dtype=float)
     if Y.size and Y.shape[1] != z.shape[0]:
         raise ValueError(
             f"front has {Y.shape[1]} objectives but --ref gives {z.shape[0]}"

@@ -24,6 +24,7 @@ __all__ = [
     "SYNTHETIC_DEFAULTS",
     "IDX_PATHS",
     "DATASET_FIELDS",
+    "DATASET_VALUES",
 ]
 
 IMAGES_MAGIC = 0x00000803
@@ -44,6 +45,16 @@ IDX_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
 DATASET_FIELDS = {
     "synthetic": frozenset(SYNTHETIC_DEFAULTS),
     "idx": frozenset({"kind", *IDX_PATHS, "classes", "n_per_client"}),
+}
+# the type and least value of each numeric dataset field, of either kind
+DATASET_VALUES = {
+    "n_per_client": (int, 1),
+    "n_test": (int, 1),
+    "features": (int, 1),
+    "classes": (int, 2),
+    "seed": (int, 0),
+    "separation": (float, 0.0),
+    "noise": (float, 0.0),
 }
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 __all__ = [
     "GPHyper",
@@ -22,6 +22,7 @@ __all__ = [
     "GPStack",
     "GpFitError",
     "gp_fit",
+    "gp_fit_joint",
     "gp_posterior",
     "gp_posterior_grad",
     "gp_posterior_grads",
@@ -71,65 +72,98 @@ def _kernel_from_sq(sq: np.ndarray, hyper: GPHyper) -> np.ndarray:
     return hyper.signal_var * np.exp(-0.5 * sq / hyper.length_scale**2)
 
 
-def _try_cholesky(K: np.ndarray) -> tuple[np.ndarray, float] | None:
+def _try_cholesky(K: np.ndarray, eye: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Lower Cholesky factor of K + jitter I at the first jitter that works.
+
+    LAPACK dpotrf called as scipy's `cholesky(..., lower=True)` calls it,
+    without its Python-side input handling; the factor is bitwise the same.
+    """
     for jitter in JITTERS:
-        try:
-            L = cholesky(K + jitter * np.eye(K.shape[0]), lower=True)
+        L, info = dpotrf(K + jitter * eye, lower=1)
+        if info == 0:
             return L, jitter
-        except np.linalg.LinAlgError:
-            continue
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
     return None
 
 
-def _log_marginal(y: np.ndarray, L: np.ndarray, alpha: np.ndarray) -> float:
-    n = y.shape[0]
-    return float(
-        -0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * np.log(2.0 * np.pi)
-    )
+def _cho_solve(L: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """K^-1 y from K's lower Cholesky factor, as scipy's `cho_solve` (dpotrs)."""
+    alpha, info = dpotrs(L, y, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrs")
+    return alpha
 
 
-def gp_fit(X, y, hyper: GPHyper | None = None) -> GPModel:
-    """Fit an exact GP; grid-search hyperparameters when none are given."""
+def gp_fit_joint(X, Y, hyper: GPHyper | None = None) -> list[GPModel]:
+    """Fit one exact GP per column of the (n, m) targets Y, all on inputs X;
+    grid-search each GP's hyperparameters when none are given.
+
+    The kernel matrix and its Cholesky factor depend on X and on the grid
+    point, not on the targets, so each grid point is built and factored
+    once for all columns (each length scale's exp once, one identity).
+    Standardization, the solve and the log marginal likelihood stay per
+    column, and each column keeps its own best grid point, so every GP is
+    bitwise the one a lone fit of its column gives.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.shape[0] or X.shape[0] < 1:
-        raise ValueError("X and y must hold n >= 1 matching rows")
-    shift = float(np.mean(y))
-    scale = float(np.std(y))
-    if scale < 1e-12:
-        scale = 1.0
-    ys = (y - shift) / scale
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or X.shape[0] != Y.shape[0] or min(Y.shape) < 1:
+        raise ValueError("X and Y must hold n >= 1 matching rows and Y m >= 1 columns")
+    # LAPACK itself does not reject infs or NaNs
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValueError("X and Y must not contain infs or NaNs")
+    targets = []
+    for y in np.ascontiguousarray(Y.T):
+        shift = float(np.mean(y))
+        scale = float(np.std(y))
+        if scale < 1e-12:
+            scale = 1.0
+        targets.append(((y - shift) / scale, shift, scale))
 
+    n = X.shape[0]
     sq = _sq_dists(X, X)
-    if hyper is not None:
-        candidates = [hyper]
-    else:
-        candidates = [
-            GPHyper(ls, sv, nv)
+    eye = np.eye(n)
+    log_norm = 0.5 * n * np.log(2.0 * np.pi)
+    grid = (
+        [(hyper.length_scale, [hyper])]
+        if hyper is not None
+        else [
+            (ls, [GPHyper(ls, sv, nv) for sv in SIGNAL_VARS for nv in NOISE_VARS])
             for ls in LENGTH_SCALES
-            for sv in SIGNAL_VARS
-            for nv in NOISE_VARS
         ]
-
-    best = None
-    for h in candidates:
-        K = _kernel_from_sq(sq, h) + h.noise_var * np.eye(X.shape[0])
-        fac = _try_cholesky(K)
-        if fac is None:
-            continue
-        L, jitter = fac
-        alpha = cho_solve((L, True), ys)
-        lml = _log_marginal(ys, L, alpha)
-        if best is None or lml > best[0] + 1e-12:
-            best = (lml, h, L, alpha, jitter)
-    if best is None:
+    )
+    best: list = [None] * len(targets)
+    for ls, hypers in grid:
+        E = np.exp(-0.5 * sq / ls**2)
+        for h in hypers:
+            fac = _try_cholesky(h.signal_var * E + h.noise_var * eye, eye)
+            if fac is None:
+                continue
+            L, jitter = fac
+            log_det = np.sum(np.log(np.diag(L)))
+            for j, (ys, _, _) in enumerate(targets):
+                alpha = _cho_solve(L, ys)
+                lml = float(-0.5 * ys @ alpha - log_det - log_norm)  # log marginal likelihood
+                if best[j] is None or lml > best[j][0] + 1e-12:
+                    best[j] = (lml, h, L, alpha, jitter)
+    if best[0] is None:
         raise GpFitError(
             f"kernel matrix not positive definite after jitter up to {JITTERS[-1]}"
         )
-    _, h, L, alpha, jitter = best
-    return GPModel(
-        X=X.copy(), alpha=alpha, L=L, hyper=h, y_shift=shift, y_scale=scale, jitter=jitter
-    )
+    X = X.copy()
+    return [
+        GPModel(X=X, alpha=alpha, L=L, hyper=h, y_shift=shift, y_scale=scale, jitter=jitter)
+        for (_, h, L, alpha, jitter), (_, shift, scale) in zip(best, targets)
+    ]
+
+
+def gp_fit(X, y, hyper: GPHyper | None = None) -> GPModel:
+    """Fit an exact GP; grid-search hyperparameters when none are given.
+
+    The one-column case of `gp_fit_joint`.
+    """
+    return gp_fit_joint(X, np.reshape(np.asarray(y, dtype=float), (-1, 1)), hyper)[0]
 
 
 def _solve_lower(L: np.ndarray, B: np.ndarray, trans: int = 0) -> np.ndarray:
@@ -139,7 +173,7 @@ def _solve_lower(L: np.ndarray, B: np.ndarray, trans: int = 0) -> np.ndarray:
     Fortran-ordered L (cholesky's output), without its Python-side input
     handling; the result is bitwise the same.
     """
-    x, info = dtrtrs(L, B, lower=1, trans=trans)
+    x, info = dtrtrs(L, B, 1, trans)  # (lower, trans) by position: keywords cost more
     if info > 0:
         raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info < 0:
@@ -188,6 +222,11 @@ class GPStack:
         self.ls2 = np.array([g.hyper.length_scale**2 for g in gps])[:, None, None]
         self.y_shift = np.array([g.y_shift for g in gps])[:, None]
         self.y_scale = np.array([g.y_scale for g in gps])[:, None]
+        # the broadcast views each query uses
+        self._X = X[None, :, :]
+        self._signal_var = self.signal_var[:, :, None]
+        self._ls2 = self.ls2[..., None]
+        self._y_scale = self.y_scale[:, :, None]
 
     def __call__(
         self, Xq: np.ndarray
@@ -201,33 +240,33 @@ class GPStack:
         m, q = len(self.factors), Xq.shape[0]
         xq_sq = np.add.reduce(Xq * Xq, axis=1)[:, None]
         sq = np.maximum(xq_sq + self.x_sq - 2.0 * (Xq @ self.X.T), 0.0)
-        kq = self.signal_var[:, :, None] * np.exp(-0.5 * sq / self.ls2)  # (m, q, n)
+        kq = self._signal_var * np.exp(-0.5 * sq / self.ls2)  # (m, q, n)
         # dk[j, q, i, :] = k_j(xq, Xi) * (Xi - xq) / ls_j^2
-        diff = self.X[None, :, :] - Xq[:, None, :]  # (q, n, d)
-        dk = kq[..., None] * (diff / self.ls2[..., None])
+        diff = self._X - Xq[:, None, :]  # (q, n, d)
+        dk = kq[..., None] * (diff / self._ls2)
         mean_s = np.empty((m, q))
         vv = np.empty((m, q))
         dmean_s = np.empty((m, q, Xq.shape[1]))
         kinv_dk = np.empty_like(dmean_s)
         for j, (L, alpha) in enumerate(self.factors):
-            mean_s[j] = kq[j] @ alpha
+            np.matmul(kq[j], alpha, out=mean_s[j])
             v = _solve_lower(L, kq[j].T)  # (n, q), Fortran-ordered
-            vv[j] = np.add.reduce(v * v, axis=0)
-            dmean_s[j] = np.einsum("qid,i->qd", dk[j], alpha)
+            np.add.reduce(v * v, axis=0, out=vv[j])
+            np.einsum("qid,i->qd", dk[j], alpha, out=dmean_s[j])
             # K^-1 kq by back-solving L^T x = v, the forward solve's result
             kinv_kq = _solve_lower(L, v, trans=1)
-            kinv_dk[j] = np.einsum("iq,qid->qd", kinv_kq, dk[j])
-        var_s = self.signal_var - vv
+            np.einsum("iq,qid->qd", kinv_kq, dk[j], out=kinv_dk[j])
+        var_s = np.subtract(self.signal_var, vv, out=vv)
         std_s = np.sqrt(np.where(var_s < 1e-12, 0.0, var_s))
-        dvar_s = -2.0 * kinv_dk
-        dstd_s = np.zeros_like(dvar_s)
-        np.divide(dvar_s, 2.0 * std_s[..., None], out=dstd_s, where=std_s[..., None] > 1e-9)
-        scale = self.y_scale[:, :, None]
+        dvar_s = np.multiply(kinv_dk, -2.0, out=kinv_dk)
+        dstd_s = np.zeros(dvar_s.shape)
+        std3 = std_s[..., None]
+        np.divide(dvar_s, 2.0 * std3, out=dstd_s, where=std3 > 1e-9)
         return (
             self.y_shift + self.y_scale * mean_s,
-            self.y_scale * std_s,
-            scale * dmean_s,
-            scale * dstd_s,
+            np.multiply(self.y_scale, std_s, out=std_s),
+            np.multiply(self._y_scale, dmean_s, out=dmean_s),
+            np.multiply(self._y_scale, dstd_s, out=dstd_s),
         )
 
 

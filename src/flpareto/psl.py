@@ -9,14 +9,16 @@ improvement, and evaluate only that batch for real.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.special import expit
 
-# gp_posterior_grad is unused here, but perfbench/tracer.py wraps psl.gp_posterior_grad
-from .gp import GPModel, GPStack, gp_fit, gp_posterior, gp_posterior_grad  # noqa: F401
+# gp_fit and gp_posterior_grad are unused here, but perfbench/tracer.py wraps
+# psl.gp_fit and psl.gp_posterior_grad
+from .gp import GPModel, GPStack, gp_fit, gp_fit_joint, gp_posterior, gp_posterior_grad  # noqa: F401
 from .moo import (
     Archive,
     ConstraintSpec,
@@ -215,48 +217,61 @@ class _SurrogateLoss:
         x, cache = model.forward(lam)
         mean, std, dmean, dstd = self.posterior(x)
         lcb = (mean - self.beta * std).T  # (B, m)
-        dlcb = np.ascontiguousarray((dmean - self.beta * dstd).transpose(1, 0, 2))  # (B, m, d)
         # the hinge penalty smoothed by a sharp softplus
         u = np.where(self.bounded, lcb - self.bounds, 0.0)
         su = self.sharpness * u
         pen = lcb + self.penalties * (np.logaddexp(0.0, su) / self.sharpness)
-        dpen_dlcb = 1.0 + self.penalties * expit(su)
-
         scaled = lam * (pen - self.ideal)
+        # each row's loss is its winning objective's term, so its gradient
+        # flows through that objective alone; at[b] and by_obj[b] index row
+        # b's winner in the flattened (B, m) and (m, B) layouts
         rows = np.arange(B)
-        winner = np.argmax(scaled, axis=1)
-        loss = float(np.add.reduce(scaled[rows, winner]) / B)  # np.mean's arithmetic
-        dpen = np.zeros_like(lam)
-        dpen[rows, winner] = lam[rows, winner] / B
-        dx = np.einsum("bj,bj,bjd->bd", dpen, dpen_dlcb, dlcb)
+        winner = scaled.argmax(axis=1)
+        at = rows * lam.shape[1] + winner
+        by_obj = winner * B + rows
+        loss = float(np.add.reduce(scaled.take(at)) / B)  # np.mean's arithmetic
+        dpen_dlcb = 1.0 + self.penalties.take(winner) * expit(su.take(at))
+        d = x.shape[1]
+        dmean_w = dmean.reshape(-1, d).take(by_obj, axis=0)  # (B, d)
+        dstd_w = dstd.reshape(-1, d).take(by_obj, axis=0)
+        dx = ((lam.take(at) / B) * dpen_dlcb)[:, None] * (dmean_w - self.beta * dstd_w)
         model.backward(cache, dx, grads)
         return loss
 
 
 class _Adam:
-    """Adam over one flat parameter vector, updated in place."""
+    """Adam over one flat parameter vector, updated in place.
+
+    The first and second moments are the two rows of one array, so each
+    update they share is one call over both rows.
+    """
+
+    B1, B2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, size: int, lr: float):
         self.lr = lr
         self.t = 0
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self._a = np.empty(size)
-        self._b = np.empty(size)
+        self.mv = np.zeros((2, size))  # m, v
+        self._ab = np.empty((2, size))
+        self._a, self._b = self._ab
+        self._decay = np.array([[self.B1], [self.B2]])
+        self._gain = 1 - self._decay
+        self._debias = np.empty((2, 1))
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        b1, b2, eps = 0.9, 0.999, 1e-8
-        m, v, a, b = self.m, self.v, self._a, self._b
+        mv, ab, a, b = self.mv, self._ab, self._a, self._b
         # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
-        np.multiply(m, b1, out=m)
-        np.add(m, np.multiply(grad, 1 - b1, out=a), out=m)
-        np.multiply(v, b2, out=v)
-        np.multiply(np.multiply(grad, 1 - b2, out=a), grad, out=a)
-        np.add(v, a, out=v)
-        # flat -= (lr mhat) / (sqrt(vhat) + eps)
-        np.multiply(np.divide(m, 1 - b1**self.t, out=a), self.lr, out=a)
-        np.add(np.sqrt(np.divide(v, 1 - b2**self.t, out=b), out=b), eps, out=b)
+        np.multiply(mv, self._decay, out=mv)
+        np.multiply(grad, self._gain, out=ab)
+        np.multiply(b, grad, out=b)
+        np.add(mv, ab, out=mv)
+        # flat -= (lr mhat) / (sqrt(vhat) + eps), with mhat = m / (1 - b1^t)
+        # and vhat = v / (1 - b2^t) in Python float powers
+        self._debias[:, 0] = 1 - self.B1**self.t, 1 - self.B2**self.t
+        np.divide(mv, self._debias, out=ab)
+        np.multiply(a, self.lr, out=a)
+        np.add(np.sqrt(b, out=b), self.EPS, out=b)
         np.subtract(flat, np.divide(a, b, out=a), out=flat)
 
 
@@ -292,7 +307,7 @@ def train_pareto_set_model(
         lams = sample_preferences(count * batch, model.n_obj, rng).reshape(count, batch, -1)
         for step, lam in enumerate(lams, start=first):
             loss = loss_at(model, lam, grads)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite surrogate loss at step {step}: loss={loss}, "
                     f"ideal={ideal.tolist()}"
@@ -372,10 +387,6 @@ def greedy_hvi_select(
     return chosen
 
 
-def _fit_objective_gps(X: np.ndarray, Y: np.ndarray) -> list[GPModel]:
-    return [gp_fit(X, Y[:, j]) for j in range(Y.shape[1])]
-
-
 def run_psl(
     problem: Problem,
     cfg: PslConfig,
@@ -415,7 +426,7 @@ def run_psl(
     for t in range(t_done + 1, cfg.generations + 1):
         X = archive.genes
         Y = archive.raw
-        gps = _fit_objective_gps(X, Y)
+        gps = gp_fit_joint(X, Y)
         ideal = Y.min(axis=0) - IDEAL_MARGIN
 
         model, losses = train_pareto_set_model(

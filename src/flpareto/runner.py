@@ -47,7 +47,10 @@ from .psl import PslConfig, run_psl
 from .schema import SCHEMA_VERSION, TRACE_COLUMNS
 from .settings import FL_SETTINGS, FlOptions, build_fl_problem
 
-__all__ = ["read_manifest", "normalize_manifest", "fl_options", "algorithm_config", "run_manifest", "load_front_file"]
+__all__ = [
+    "read_manifest", "normalize_manifest", "finite_ref_point", "fl_options", "algorithm_config", "run_manifest",
+    "load_front_file",
+]
 
 ALGORITHMS = ("nsga2", "psl", "random")
 CONSTRAINT_MODES = ("cmofl", "mofl-baseline")
@@ -160,6 +163,15 @@ def read_manifest(path) -> dict:
     return raw
 
 
+def finite_ref_point(values, name: str) -> np.ndarray:
+    """`values` as a reference point; ValueError, naming `name` first,
+    unless every component is finite."""
+    z = np.asarray(values, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError(f"{name} must be finite, got {list(values)!r}")
+    return z
+
+
 def normalize_manifest(raw: dict) -> dict:
     """Validate a manifest and fill in defaults (field-level errors)."""
     if not isinstance(raw, dict):
@@ -195,7 +207,10 @@ def normalize_manifest(raw: dict) -> dict:
         rp = m["ref_point"]
         _require(isinstance(rp, list), "ref_point", "must be a list of numbers")
         m["ref_point"] = [_number(v, float, "ref_point") for v in rp]
-        _require(all(np.isfinite(m["ref_point"])), "ref_point", f"must be finite, got {rp!r}")
+        try:
+            finite_ref_point(m["ref_point"], "ref_point")
+        except ValueError as exc:
+            raise _field_error("ref_point", str(exc).partition(" ")[2]) from None
 
     # the echo keeps only the given fl keys, with integer fields as integers
     fl = m.get("fl", {})

@@ -17,12 +17,14 @@ hidden widths [1, width_max], rho [0, 1], xi [0, 0.99].
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
-from .data import DATASET_FIELDS, IDX_PATHS, dataset_dims
+from .data import DATASET_FIELDS, DATASET_VALUES, IDX_PATHS, dataset_dims
 from .flsim import RUN_MINIMUMS, FLRunConfig, check_minimums, flo_evaluate
 from .moo import ConstraintSpec, Problem
 from .net import ModelSpec
@@ -132,6 +134,17 @@ class FlOptions:
         missing = [k for k in IDX_PATHS if kind == "idx" and k not in self.dataset]
         if missing:
             raise ValueError(f"dataset.{missing[0]} is required by an idx dataset")
+        for name, value in self.dataset.items():
+            if name not in DATASET_VALUES:
+                continue
+            hint, lo = DATASET_VALUES[name]
+            # a finite JSON number (a bool is also a numbers.Real), integral for int
+            ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if ok and not isinstance(value, numbers.Integral):
+                ok = math.isfinite(value) and (hint is float or float(value).is_integer())
+            if not (ok and value >= lo):
+                kind_of = "an integer" if hint is int else "a finite number"
+                raise ValueError(f"dataset.{name} must be {kind_of} >= {lo}, got {value!r}")
 
 
 def _model(fl_options: FlOptions, values: dict) -> ModelSpec:

@@ -7,8 +7,11 @@ paths, so they can catch bugs in the implementations they verify.
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cholesky
 from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit
+
+from flpareto.gp import JITTERS, LENGTH_SCALES, NOISE_VARS, SIGNAL_VARS, GPHyper, GpFitError
 
 
 def oracle_dominates(a, b) -> bool:
@@ -71,6 +74,45 @@ def mc_hypervolume(Y, z, n_samples: int, seed: int = 0):
     p = hits / n_samples
     se = np.sqrt(max(p * (1.0 - p), 1e-12) / n_samples) * box
     return p * box, se
+
+
+def oracle_gp_fit(X, y, hyper=None):
+    """One GP fitted on its own, grid point after grid point, each with its
+    own kernel matrix, scipy Cholesky and solve; returns (L, alpha, hyper,
+    jitter, y_shift, y_scale) of the best point."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    shift = float(np.mean(y))
+    scale = float(np.std(y))
+    if scale < 1e-12:
+        scale = 1.0
+    ys = (y - shift) / scale
+    ar = np.sum(X * X, axis=1)[:, None]
+    sq = np.maximum(ar + ar.T - 2.0 * (X @ X.T), 0.0)
+    if hyper is not None:
+        candidates = [hyper]
+    else:
+        candidates = [GPHyper(ls, sv, nv) for ls in LENGTH_SCALES for sv in SIGNAL_VARS for nv in NOISE_VARS]
+    best = None
+    for h in candidates:
+        K = h.signal_var * np.exp(-0.5 * sq / h.length_scale**2) + h.noise_var * np.eye(X.shape[0])
+        for jitter in JITTERS:
+            try:
+                L = cholesky(K + jitter * np.eye(K.shape[0]), lower=True)
+                break
+            except np.linalg.LinAlgError:
+                continue
+        else:
+            continue
+        alpha = cho_solve((L, True), ys)
+        n = ys.shape[0]
+        lml = float(-0.5 * ys @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * np.log(2.0 * np.pi))
+        if best is None or lml > best[0] + 1e-12:
+            best = (lml, h, L, alpha, jitter)
+    if best is None:
+        raise GpFitError("kernel matrix not positive definite")
+    _, h, L, alpha, jitter = best
+    return L, alpha, h, jitter, shift, scale
 
 
 def _oracle_posterior_grads(gps, Xq):

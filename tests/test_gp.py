@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import oracle_gp_fit
 from scipy.linalg import LinAlgError, cho_solve, solve_triangular
 
 from flpareto.gp import (
@@ -10,6 +11,7 @@ from flpareto.gp import (
     _kernel_from_sq,
     _sq_dists,
     gp_fit,
+    gp_fit_joint,
     gp_posterior,
     gp_posterior_grad,
     gp_posterior_grads,
@@ -234,3 +236,54 @@ class TestSharedPosteriorGrad:
             GPStack([a, b])
         with pytest.raises(ValueError, match="must share their training inputs X"):
             gp_posterior_grads([a, b], rng.random((3, 2)))
+
+
+def _assert_fits_equal_oracle(gps, X, Y, hyper=None):
+    """Each joint-fit GP against a lone oracle fit of its column, byte for byte."""
+    assert len(gps) == Y.shape[1]
+    for j, g in enumerate(gps):
+        L, alpha, h, jitter, shift, scale = oracle_gp_fit(X, Y[:, j], hyper)
+        assert g.L.tobytes() == L.tobytes()
+        assert g.alpha.tobytes() == alpha.tobytes()
+        assert g.hyper == h
+        assert (g.jitter, g.y_shift, g.y_scale) == (jitter, shift, scale)
+        assert g.X.tobytes() == np.atleast_2d(X).tobytes()
+
+
+class TestJointFit:
+    @pytest.mark.parametrize("n", [1, 9, 105, 420])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bitwise_equals_per_objective_oracle(self, n, m):
+        # a smooth target, a rough one at another scale and a constant one
+        # (scale 1.0); from n = 9 the first two pick different grid points
+        rng = np.random.default_rng([n, m])
+        X = rng.random((n, 5))
+        columns = [np.sin(3.0 * X[:, 0]) + X[:, 1:].sum(axis=1), 100.0 + 5.0 * rng.normal(size=n), np.full(n, 7.5)]
+        Y = np.stack(columns[:m], axis=1)
+        gps = gp_fit_joint(X, Y)
+        _assert_fits_equal_oracle(gps, X, Y)
+        if m >= 2 and n >= 9:
+            assert gps[0].hyper != gps[1].hyper
+        if m == 3:
+            assert gps[2].y_scale == 1.0
+
+    @pytest.mark.parametrize("duplicated", [True, False])
+    def test_explicit_hyper_equals_oracle(self, rng, duplicated):
+        # duplicate rows and no noise: the kernel matrix is singular, so its
+        # Cholesky needs jitter; otherwise a signal variance that is not a
+        # power of two, so the kernel's rounding depends on how it is built
+        X = np.vstack([rng.random((4, 2))] * 2) if duplicated else rng.random((8, 2))
+        Y = rng.random((8, 3))
+        h = GPHyper(0.5, 1.0, 0.0) if duplicated else GPHyper(0.3, 1.7, 1e-4)
+        gps = gp_fit_joint(X, Y, h)
+        _assert_fits_equal_oracle(gps, X, Y, h)
+        assert all(g.hyper is h and (g.jitter > 0.0) == duplicated for g in gps)
+
+    def test_unfittable_raises(self):
+        with pytest.raises(GpFitError):
+            gp_fit_joint([[0.5], [0.5]], [[0.0, 1.0], [1.0, 0.0]], GPHyper(0.5, 1e16, 0.0))
+
+    @pytest.mark.parametrize("Y", [np.ones((3, 0)), np.ones((2, 1)), np.ones(3), np.full((3, 2), np.nan)])
+    def test_bad_targets_raise(self, Y):
+        with pytest.raises(ValueError):
+            gp_fit_joint(np.random.default_rng(0).random((3, 2)), Y)

@@ -240,6 +240,27 @@ class TestManifestValidation:
         with pytest.raises(ManifestError, match=re.escape(f"'{field}'")):
             normalize_manifest(_zdt_manifest("x", fl={"dataset": dataset}))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n_per_client", 0), ("n_test", 0), ("features", 0), ("classes", 1), ("classes", 2.5),
+            ("noise", -1), ("noise", float("inf")), ("separation", float("nan")), ("separation", -0.5),
+            ("seed", -1), ("n_test", True), ("features", "20"),
+        ],
+    )
+    def test_dataset_values_checked(self, field, value):
+        with pytest.raises(ManifestError, match=re.escape(f"'fl.dataset.{field}'")):
+            normalize_manifest(_zdt_manifest("x", fl={"dataset": {field: value}}))
+        with pytest.raises(ValueError, match=re.escape(f"dataset.{field} ")):
+            FlOptions(dataset={field: value}, rounds=1, local_epochs=1)
+
+    def test_dataset_values_accepted(self):
+        ds = {"n_per_client": 1, "n_test": 1.0, "features": 1, "classes": 2, "noise": 0, "separation": 0.0, "seed": 0}
+        assert normalize_manifest(_zdt_manifest("x", fl={"dataset": ds}))["fl"] == {"dataset": ds}
+        idx = {"kind": "idx", "train_images": "a", "train_labels": "b", "test_images": "c", "test_labels": "d"}
+        with pytest.raises(ManifestError, match=re.escape("'fl.dataset.classes'")):
+            normalize_manifest(_zdt_manifest("x", fl={"dataset": {**idx, "classes": 1}}))
+
 
 class TestOptimizeArtifacts:
     def test_trace_has_exactly_t_rows_per_seed(self, tmp_path):
@@ -548,6 +569,23 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "eps_u=" in out and "eps_p=" in out and "eps_c=" in out
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "1e400"])
+    def test_hv_rejects_non_finite_ref(self, tmp_path, capsys, bad):
+        f = tmp_path / "front.json"
+        f.write_text("[[1.0, 2.0], [2.0, 1.0]]")
+        assert main(["hv", "--file", str(f), "--ref", "3", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(r"^error: --ref must be finite", captured.err, re.M)
+
+    def test_evaluate_rejects_repeated_param(self, capsys):
+        rc = main([
+            "evaluate", "--setting", "rd", "--seed", "0",
+            "--param", "lr=0.1", "--param", "sigma_rd=0.5", "--param", "c_clip=2", "--param", "lr=0.2",
+        ])
+        assert rc == 2
+        assert re.search(r"^error: --param lr given more than once", capsys.readouterr().err, re.M)
 
     def test_evaluate_rejects_negative_seed_by_name(self, capsys):
         rc = main([
