@@ -162,24 +162,30 @@ def pareto_front_mask(vs) -> np.ndarray:
 def nondominated_sort(vs) -> list[list[int]]:
     """Partition objective vectors into successive non-dominated fronts.
 
-    Returns a list of index lists; front k is non-dominated within the
-    union of fronts k, k+1, ...  (fast non-dominated sort, O(n^2 m)).
+    Returns a list of index lists, each in ascending index order; front k
+    is non-dominated within the union of fronts k, k+1, ...  The (n, n)
+    dominance matrix is built one objective column at a time (<= AND-ed,
+    < OR-ed over the columns), then the fronts are peeled off it by
+    counting each row's remaining dominators (Deb et al. 2002).
     """
     if len(vs) == 0:
         raise ValueError("nondominated_sort requires a nonempty list")
     Y = _as_2d(vs)
-    n, _ = Y.shape
-    # dom[i, j] = i dominates j
-    le = np.all(Y[:, None, :] <= Y[None, :, :], axis=2)
-    lt = np.any(Y[:, None, :] < Y[None, :, :], axis=2)
+    n = Y.shape[0]
+    # dom[i, j] = i dominates j: Y[i] <= Y[j] everywhere and < somewhere
+    le = np.ones((n, n), dtype=bool)
+    lt = np.zeros((n, n), dtype=bool)
+    for col in Y.T:
+        a, b = col[:, None], col[None, :]
+        le &= a <= b
+        lt |= a < b
     dom = le & lt
-    n_dominators = dom.sum(axis=0).astype(int)
+    remaining = dom.sum(axis=0)
     fronts: list[list[int]] = []
-    remaining = n_dominators.copy()
     current = np.flatnonzero(remaining == 0)
     assigned = 0
     while current.size:
-        fronts.append([int(i) for i in current])
+        fronts.append(current.tolist())
         assigned += current.size
         remaining[current] = -1
         remaining -= dom[current].sum(axis=0)

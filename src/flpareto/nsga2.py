@@ -22,15 +22,13 @@ from .moo import (
     nondominated_sort,
     selection_penalty,
 )
-from .seeding import TAG_EVAL, TAG_INIT, TAG_RANDOM, TAG_VARIATION, spawn_seed, stream
+from .seeding import TAG_EVAL, TAG_INIT, TAG_RANDOM, TAG_VARIATION, spawn_seeds, stream
 
 __all__ = [
     "NsgaConfig",
     "GenerationRecord",
     "RunResult",
     "latin_hypercube",
-    "sbx_crossover",
-    "polynomial_mutation",
     "run_nsga2",
     "run_random_search",
 ]
@@ -121,42 +119,6 @@ def _mutate(x, mutate, u, eta: float) -> np.ndarray:
     return np.clip(np.where(mutate, x + delta, x), 0.0, 1.0)
 
 
-def sbx_crossover(
-    p1: np.ndarray,
-    p2: np.ndarray,
-    eta: float,
-    rng: np.random.Generator,
-    gene_prob: float = SBX_GENE_PROB,
-    clip: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover with distribution index eta.
-
-    Each gene is crossed independently with probability `gene_prob`;
-    crossed genes satisfy c1 + c2 = p1 + p2 before clipping to [0, 1].
-    """
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    if p1.shape != p2.shape:
-        raise ValueError("parents must share a decoder (equal gene counts)")
-    u = rng.random(p1.shape)
-    cross = rng.random(p1.shape) < gene_prob
-    return _sbx(p1, p2, u, cross, eta, clip)
-
-
-def polynomial_mutation(
-    p: np.ndarray, eta: float, rate: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Bound-respecting polynomial mutation on [0, 1] genes.
-
-    A gene at 0 can only move up and a gene at 1 only down; larger eta
-    concentrates the perturbation near zero displacement.
-    """
-    x = np.asarray(p, dtype=float)
-    mutate = rng.random(x.shape) < rate
-    u = rng.random(x.shape)
-    return _mutate(x, mutate, u, eta)
-
-
 def _offspring(
     pop: np.ndarray, rank: np.ndarray, crowd: np.ndarray, cfg: NsgaConfig, rng: np.random.Generator
 ) -> np.ndarray:
@@ -164,22 +126,23 @@ def _offspring(
     picks under SBX (probability crossover_prob) and polynomial mutation.
 
     Each pair makes, in order, the draws of two `tournament_pick`s, the
-    crossover coin, then those of `sbx_crossover` (if crossed) and of
-    `polynomial_mutation` per child: the latter are rows of d uniforms, taken
-    in one call.  The arithmetic then runs once over all pairs.  An odd N
-    drops the last pair's second child.
+    crossover coin, then, as rows of d uniforms taken in one call, SBX's
+    (if crossed: u, then the gene mask) and each child's mutation draws
+    (the gene mask, then u).  The arithmetic then runs once over all
+    pairs.  An odd N drops the last pair's second child.
     """
     n, d = pop.shape
     pairs = (n + 1) // 2
-    picks = np.empty((pairs, 2), dtype=int)
-    crossed = np.zeros(pairs, dtype=bool)
+    rank, crowd = rank.tolist(), crowd.tolist()
+    picks, crossed = [], []
     draws = np.empty((pairs, 6, d))  # SBX u, SBX mask, then per child: mask, u
     for k in range(pairs):
-        picks[k] = tournament_pick(rank, crowd, rng), tournament_pick(rank, crowd, rng)
-        crossed[k] = rng.random() < cfg.crossover_prob
+        picks.append((tournament_pick(rank, crowd, rng), tournament_pick(rank, crowd, rng)))
+        crossed.append(rng.random() < cfg.crossover_prob)
         first = 0 if crossed[k] else 2
         draws[k, first:] = rng.random((6 - first, d))
-    kids = pop[picks]  # (pairs, 2, d)
+    crossed = np.array(crossed)
+    kids = pop[np.array(picks)]  # (pairs, 2, d)
     c = draws[crossed]
     kids[crossed, 0], kids[crossed, 1] = _sbx(
         kids[crossed, 0], kids[crossed, 1], c[:, 0], c[:, 1] < SBX_GENE_PROB, cfg.eta_crossover
@@ -264,16 +227,15 @@ def select_survivors(penalized: np.ndarray, n_keep: int) -> list[int]:
     return chosen
 
 
-def tournament_pick(
-    rank: np.ndarray, crowd: np.ndarray, rng: np.random.Generator
-) -> int:
-    """Binary tournament under the crowded-comparison order."""
-    i, j = rng.integers(0, rank.shape[0], size=2)
+def tournament_pick(rank: list[int], crowd: list[float], rng: np.random.Generator) -> int:
+    """Binary tournament under the crowded-comparison order, on a
+    generation's ranks and crowding distances as Python lists."""
+    i, j = rng.integers(0, len(rank), size=2).tolist()
     if rank[i] != rank[j]:
-        return int(i if rank[i] < rank[j] else j)
+        return i if rank[i] < rank[j] else j
     if crowd[i] != crowd[j]:
-        return int(i if crowd[i] > crowd[j] else j)
-    return int(min(i, j))
+        return i if crowd[i] > crowd[j] else j
+    return min(i, j)
 
 
 def _record(archive: Archive, t: int, z: np.ndarray) -> GenerationRecord:
@@ -314,9 +276,14 @@ def _start(
 def _evaluate_generation(
     problem: Problem, archive: Archive, X: np.ndarray, seed: int, t: int
 ) -> None:
-    """Evaluate generation t's batch X, row i under seed
-    spawn_seed(seed, TAG_EVAL, t, i), and archive it."""
-    seeds = np.array([spawn_seed(seed, TAG_EVAL, t, i) for i in range(X.shape[0])])
+    """Evaluate generation t's batch X, row i under the seed that
+    SeedSequence([seed, TAG_EVAL, t, i]) generates, and archive it.
+
+    The evaluator gets the seeds as `np.array` types them from Python ints,
+    which the FL golden artifacts pin: int64 when all are below 2**63,
+    uint64 when none is, and otherwise float64, rounded to 53 bits.
+    """
+    seeds = np.array(spawn_seeds(seed, TAG_EVAL, t, count=X.shape[0]).tolist())
     archive.append_batch(X, evaluate_batch(problem, X, seeds), generation=t)
 
 

@@ -12,6 +12,7 @@ from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit
 
 from flpareto.gp import JITTERS, LENGTH_SCALES, NOISE_VARS, SIGNAL_VARS, GPHyper, GpFitError
+from flpareto.nsga2 import SBX_GENE_PROB, _mutate, _sbx
 
 
 def oracle_dominates(a, b) -> bool:
@@ -33,6 +34,50 @@ def oracle_front_partition(Y) -> list[list[int]]:
         fronts.append(front)
         alive = [i for i in alive if i not in front]
     return fronts
+
+
+def oracle_spawn_seed(*keys: int) -> int:
+    """One derived 64-bit seed, from numpy's own SeedSequence."""
+    ss = np.random.SeedSequence([int(k) for k in keys])
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def oracle_tournament_pick(rank, crowd, rng) -> int:
+    """Binary tournament under the crowded-comparison order, comparing
+    numpy scalars of the rank and crowding arrays."""
+    i, j = rng.integers(0, rank.shape[0], size=2)
+    if rank[i] != rank[j]:
+        return int(i if rank[i] < rank[j] else j)
+    if crowd[i] != crowd[j]:
+        return int(i if crowd[i] > crowd[j] else j)
+    return int(min(i, j))
+
+
+def oracle_sbx_crossover(p1, p2, eta, rng, gene_prob=SBX_GENE_PROB, clip=True):
+    """Simulated binary crossover of one pair with distribution index eta.
+
+    Each gene is crossed independently with probability `gene_prob`;
+    crossed genes satisfy c1 + c2 = p1 + p2 before clipping to [0, 1].
+    """
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    if p1.shape != p2.shape:
+        raise ValueError("parents must share a decoder (equal gene counts)")
+    u = rng.random(p1.shape)
+    cross = rng.random(p1.shape) < gene_prob
+    return _sbx(p1, p2, u, cross, eta, clip)
+
+
+def oracle_polynomial_mutation(p, eta, rate, rng):
+    """Bound-respecting polynomial mutation of one child's [0, 1] genes.
+
+    A gene at 0 can only move up and a gene at 1 only down; larger eta
+    concentrates the perturbation near zero displacement.
+    """
+    x = np.asarray(p, dtype=float)
+    mutate = rng.random(x.shape) < rate
+    u = rng.random(x.shape)
+    return _mutate(x, mutate, u, eta)
 
 
 def oracle_front_mask(Y) -> np.ndarray:

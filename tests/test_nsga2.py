@@ -16,65 +16,64 @@ from flpareto.nsga2 import (
     NsgaConfig,
     evaluate_batch,
     latin_hypercube,
-    polynomial_mutation,
     rank_and_crowding,
     run_nsga2,
     run_random_search,
-    sbx_crossover,
     select_survivors,
-    tournament_pick,
 )
 from flpareto.seeding import TAG_VARIATION, stream
+
+from conftest import oracle_polynomial_mutation, oracle_sbx_crossover, oracle_tournament_pick
 
 
 class TestSbx:
     def test_identical_parents_identical_children(self, rng):
         p = rng.random(8)
-        c1, c2 = sbx_crossover(p, p.copy(), eta=2.0, rng=rng)
+        c1, c2 = oracle_sbx_crossover(p, p.copy(), eta=2.0, rng=rng)
         assert np.allclose(c1, p) and np.allclose(c2, p)
 
     def test_zero_gene_probability_is_identity(self, rng):
         p1, p2 = rng.random(8), rng.random(8)
-        c1, c2 = sbx_crossover(p1, p2, eta=2.0, rng=rng, gene_prob=0.0)
+        c1, c2 = oracle_sbx_crossover(p1, p2, eta=2.0, rng=rng, gene_prob=0.0)
         assert np.array_equal(c1, p1) and np.array_equal(c2, p2)
 
     def test_mean_preservation_before_clipping(self, rng):
         for _ in range(50):
             p1, p2 = rng.random(10), rng.random(10)
-            c1, c2 = sbx_crossover(p1, p2, eta=2.0, rng=rng, clip=False)
+            c1, c2 = oracle_sbx_crossover(p1, p2, eta=2.0, rng=rng, clip=False)
             assert np.allclose(c1 + c2, p1 + p2, atol=1e-12)
 
     def test_children_clipped(self, rng):
         p1 = np.full(30, 0.01)
         p2 = np.full(30, 0.99)
         for _ in range(20):
-            c1, c2 = sbx_crossover(p1, p2, eta=0.5, rng=rng)
+            c1, c2 = oracle_sbx_crossover(p1, p2, eta=0.5, rng=rng)
             assert np.all((0 <= c1) & (c1 <= 1)) and np.all((0 <= c2) & (c2 <= 1))
 
     def test_decoder_mismatch(self, rng):
         with pytest.raises(ValueError):
-            sbx_crossover(np.zeros(3), np.zeros(4), 2.0, rng)
+            oracle_sbx_crossover(np.zeros(3), np.zeros(4), 2.0, rng)
 
 
 class TestPolynomialMutation:
     def test_rate_zero_identity(self, rng):
         p = rng.random(12)
-        assert np.array_equal(polynomial_mutation(p, 20.0, 0.0, rng), p)
+        assert np.array_equal(oracle_polynomial_mutation(p, 20.0, 0.0, rng), p)
 
     def test_bounds_respected_at_corners(self, rng):
         zeros = np.zeros(2000)
         ones = np.ones(2000)
-        assert np.all(polynomial_mutation(zeros, 5.0, 1.0, rng) >= 0.0)
-        assert np.all(polynomial_mutation(ones, 5.0, 1.0, rng) <= 1.0)
+        assert np.all(oracle_polynomial_mutation(zeros, 5.0, 1.0, rng) >= 0.0)
+        assert np.all(oracle_polynomial_mutation(ones, 5.0, 1.0, rng) <= 1.0)
 
     def test_displacement_shrinks_with_eta(self):
         n = 10_000
         base = np.full(n, 0.5)
         d2 = np.abs(
-            polynomial_mutation(base, 2.0, 1.0, np.random.default_rng(0)) - 0.5
+            oracle_polynomial_mutation(base, 2.0, 1.0, np.random.default_rng(0)) - 0.5
         ).mean()
         d20 = np.abs(
-            polynomial_mutation(base, 20.0, 1.0, np.random.default_rng(0)) - 0.5
+            oracle_polynomial_mutation(base, 20.0, 1.0, np.random.default_rng(0)) - 0.5
         ).mean()
         assert d20 < d2
 
@@ -103,17 +102,17 @@ class TestHelpers:
 
 
 def _per_pair_offspring(pop, rank, crowd, cfg, rng):
-    """NSGA-II's variation as a loop over pairs of the public operators."""
+    """NSGA-II's variation as a loop over pairs of the per-pair oracles."""
     kids = []
     while len(kids) < len(pop):
-        i = tournament_pick(rank, crowd, rng)
-        j = tournament_pick(rank, crowd, rng)
+        i = oracle_tournament_pick(rank, crowd, rng)
+        j = oracle_tournament_pick(rank, crowd, rng)
         if rng.random() < cfg.crossover_prob:
-            c1, c2 = sbx_crossover(pop[i], pop[j], cfg.eta_crossover, rng)
+            c1, c2 = oracle_sbx_crossover(pop[i], pop[j], cfg.eta_crossover, rng)
         else:
             c1, c2 = pop[i], pop[j]
-        c1 = polynomial_mutation(c1, cfg.eta_mutation, cfg.mutation_prob, rng)
-        c2 = polynomial_mutation(c2, cfg.eta_mutation, cfg.mutation_prob, rng)
+        c1 = oracle_polynomial_mutation(c1, cfg.eta_mutation, cfg.mutation_prob, rng)
+        c2 = oracle_polynomial_mutation(c2, cfg.eta_mutation, cfg.mutation_prob, rng)
         kids.extend([c1, c2])
     return np.stack(kids[: len(pop)])
 
