@@ -10,7 +10,7 @@ Library layout:
     net, data, flsim, protect
               the federated simulator: model, datasets, training loop and
               the three protection mechanisms
-    bench     analytic benchmarks and brute-force oracles
+    bench     analytic benchmarks
     spaces, settings, runner, cli
               hyperparameter decoding, experiment settings, artifact
               orchestration and the command line

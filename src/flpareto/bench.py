@@ -1,4 +1,4 @@
-"""Analytic multi-objective benchmarks and brute-force oracles.
+"""Analytic multi-objective benchmarks.
 
 These live behind the same evaluator seam as the FL simulator so the
 optimizers cannot distinguish a benchmark from a real FL evaluation.
@@ -8,19 +8,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .moo import ConstraintSpec, Problem, pareto_front_mask
+from .moo import ConstraintSpec, Problem
 
 __all__ = [
     "zdt1",
     "constrained_toy",
     "zdt1_problem",
     "constrained_toy_problem",
-    "brute_force_front",
     "get_benchmark",
     "BENCHMARKS",
 ]
-
-MAX_GRID_POINTS = 10**7
 
 
 def _check_box(X: np.ndarray) -> None:
@@ -105,31 +102,3 @@ def get_benchmark(name: str, dim: int | None = None) -> Problem:
     if name not in BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r}; choose from {sorted(BENCHMARKS)}")
     return BENCHMARKS[name]() if dim is None else BENCHMARKS[name](dim)
-
-
-def brute_force_front(
-    problem: Problem,
-    grid: int,
-    constraints: ConstraintSpec | None = None,
-) -> np.ndarray:
-    """Non-dominated objective vectors of a full grid over [0, 1]^d.
-
-    Evaluates a `grid`-points-per-axis lattice and filters it with
-    `pareto_front_mask`.  When `constraints` is given, infeasible grid
-    points are dropped before the filter.  Refuses grids above 10^7 points.
-    """
-    d = problem.dim
-    if grid**d > MAX_GRID_POINTS:
-        raise ValueError(
-            f"grid of {grid}^{d} points exceeds the {MAX_GRID_POINTS} point limit"
-        )
-    axes = [np.linspace(0.0, 1.0, grid)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.column_stack([m.ravel() for m in mesh])
-    Y = np.atleast_2d(problem.evaluate(X, np.zeros(X.shape[0], dtype=np.uint64)))
-    if constraints is not None:
-        keep = np.all(Y <= constraints.bounds_array(), axis=1)
-        Y = Y[keep]
-    if Y.shape[0] == 0:
-        return Y
-    return Y[pareto_front_mask(Y)]

@@ -22,7 +22,6 @@ __all__ = [
     "rd_protect",
     "rd_leakage",
     "bc_protect",
-    "bc_pack",
     "bc_cost",
     "sf_protect",
     "sf_leakage",
@@ -41,6 +40,8 @@ class RandomizationParams:
             raise ValueError("c_clip must be positive")
         if self.sigma_rd < 0:
             raise ValueError("sigma_rd must be nonnegative")
+        if not 0.0 < self.c1 < math.inf:
+            raise ValueError("c1 must be finite and > 0")
 
 
 def rd_protect(
@@ -73,8 +74,9 @@ class BatchCryptParams:
     t_dec: float = 5e-3
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.payload_bits < 1 or self.clients < 1:
-            raise ValueError("batch_size, payload_bits and clients must be >= 1")
+        for name in ("batch_size", "payload_bits", "clients"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     @property
     def headroom_bits(self) -> int:
@@ -121,20 +123,6 @@ def bc_protect(W: np.ndarray, p: BatchCryptParams) -> np.ndarray:
     return codes * scale
 
 
-def bc_pack(W: np.ndarray, p: BatchCryptParams) -> list[int]:
-    """The quantized codes of W, offset-binary, packed batch-wise into big integers."""
-    codes, _ = _bc_quantize(W, p)
-    slot_width = p.payload_bits // p.batch_size
-    bias = 1 << (p.bits_per_value - 1)
-    batches: list[int] = []
-    for start in range(0, codes.size, p.batch_size):
-        payload = 0
-        for j, c in enumerate(codes[start : start + p.batch_size]):
-            payload |= (int(c) + bias) << (j * slot_width)
-        batches.append(payload)
-    return batches
-
-
 def bc_cost(d_w: int, p: BatchCryptParams, train_time) -> float:
     """Mean per-client cost: training + encryption plus shared aggregation time."""
     times = np.atleast_1d(np.asarray(train_time, dtype=float))
@@ -157,8 +145,8 @@ class SparsificationParams:
             raise ValueError("rho must lie in [0, 1]")
         if not 0.0 <= self.xi <= 0.99:
             raise ValueError("xi must lie in [0, 0.99]")
-        if self.c2 <= 0:
-            raise ValueError("c2 must be positive")
+        if not 0.0 < self.c2 < math.inf:
+            raise ValueError("c2 must be finite and > 0")
 
 
 @dataclass

@@ -34,7 +34,6 @@ from .seeding import TAG_INIT, TAG_PSL_MODEL, TAG_PSL_PREF, stream
 __all__ = [
     "PslConfig",
     "ParetoSetModel",
-    "tchebycheff",
     "train_pareto_set_model",
     "generate_candidates",
     "greedy_hvi_select",
@@ -72,16 +71,6 @@ class PslConfig:
             raise ValueError("model_lr must be finite and > 0")
         if not 0.0 <= self.lcb_beta < np.inf:
             raise ValueError("lcb_beta must be finite and >= 0")
-
-
-def tchebycheff(y, lam, z) -> float:
-    """Weighted Tchebycheff value max_i lam_i * (y_i - z_i) for ideal z."""
-    y = np.asarray(y, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if not (y.shape == lam.shape == z.shape):
-        raise ValueError("y, lam and z must share one shape")
-    return float(np.max(lam * (y - z)))
 
 
 def sample_preferences(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -123,9 +112,6 @@ class ParetoSetModel:
         z3 = h2 @ p["W3"] + p["b3"]
         x = expit(z3)
         return x, {"lam": lam, "h1": h1, "h2": h2, "x": x}
-
-    def __call__(self, lam: np.ndarray) -> np.ndarray:
-        return self.forward(np.atleast_2d(lam))[0]
 
     def backward(self, cache: dict, dx: np.ndarray, grads: dict[str, np.ndarray]) -> None:
         """Write the gradient of each parameter into `grads`, which holds an

@@ -45,7 +45,7 @@ from .moo import Archive, ConstraintSpec, Problem
 from .nsga2 import GenerationRecord, NsgaConfig, RunResult, run_nsga2, run_random_search
 from .psl import PslConfig, run_psl
 from .schema import SCHEMA_VERSION, TRACE_COLUMNS
-from .settings import FL_SETTINGS, FlOptions, build_fl_problem
+from .settings import SETTINGS, FlOptions, build_fl_problem
 
 __all__ = [
     "read_manifest", "normalize_manifest", "finite_ref_point", "fl_options", "algorithm_config", "run_manifest",
@@ -91,10 +91,13 @@ def _coerce(value, hint):
     if typing.get_origin(hint) is tuple:
         return tuple(_coerce(v, typing.get_args(hint)[0]) for v in value)
     if hint in (int, float):
-        # JSON numbers only, integral for int; a bool is also a numbers.Real
-        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if not number or (hint is int and not float(value).is_integer()):
-            raise ValueError(f"must be {'an integer' if hint is int else 'a number'}, got {value!r}")
+        # JSON numbers only (a bool is also a numbers.Real), integral for int, finite for float
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if ok and not (hint is int and isinstance(value, numbers.Integral)):
+            # in a float's finite range: not NaN, not +-inf, no integer past 2**1024
+            ok = abs(value) <= float(np.finfo(float).max) and (hint is float or float(value).is_integer())
+        if not ok:
+            raise ValueError(f"must be {'an integer' if hint is int else 'a finite number'}, got {value!r}")
         return hint(value)
     return value
 
@@ -181,7 +184,7 @@ def normalize_manifest(raw: dict) -> dict:
     m = dict(raw)
     _require(m.get("algorithm") in ALGORITHMS, "algorithm", f"must be one of {ALGORITHMS}")
     setting = m.get("setting")
-    valid_settings = tuple(FL_SETTINGS) + tuple(sorted(BENCHMARKS))
+    valid_settings = tuple(SETTINGS) + tuple(sorted(BENCHMARKS))
     _require(setting in valid_settings, "setting", f"must be one of {valid_settings}")
     m["constraint_mode"] = m.get("constraint_mode", "cmofl")
     _require(
@@ -194,8 +197,8 @@ def normalize_manifest(raw: dict) -> dict:
     m["seeds"] = seeds = [_number(s, int, "seeds") for s in seeds]
     _require(min(seeds) >= 0, "seeds", "must be a nonempty list of nonnegative integers")
     _require(len(set(seeds)) == len(seeds), "seeds", "must not repeat")
-    m["generations"] = _integer(m, "generations", 20, 0)
-    m["population"] = _integer(m, "population", 20, 1)
+    m["generations"] = _integer(m, "generations", NsgaConfig.generations, 0)
+    m["population"] = _integer(m, "population", NsgaConfig.population_size, 1)
     m["workers"] = _integer(m, "workers", 1, 1)
     m["out_dir"] = str(m.get("out_dir", "runs/out"))
 
@@ -207,10 +210,9 @@ def normalize_manifest(raw: dict) -> dict:
         rp = m["ref_point"]
         _require(isinstance(rp, list), "ref_point", "must be a list of numbers")
         m["ref_point"] = [_number(v, float, "ref_point") for v in rp]
-        try:
-            finite_ref_point(m["ref_point"], "ref_point")
-        except ValueError as exc:
-            raise _field_error("ref_point", str(exc).partition(" ")[2]) from None
+        fl_setting = SETTINGS.get(setting)
+        n_obj = len(fl_setting.objectives) if fl_setting else get_benchmark(setting, m.get("dim")).n_obj
+        _require(len(rp) == n_obj, "ref_point", f"needs {n_obj} components for setting {setting!r}")
 
     # the echo keeps only the given fl keys, with integer fields as integers
     fl = m.get("fl", {})
@@ -236,18 +238,6 @@ def _build_problem(manifest: dict) -> Problem:
 
 def _constraints_for_mode(problem: Problem, mode: str) -> ConstraintSpec:
     return problem.constraints.with_zero_penalties() if mode == "mofl-baseline" else problem.constraints
-
-
-def _ref_point(manifest: dict, problem: Problem) -> np.ndarray:
-    if manifest.get("ref_point") is not None:
-        z = np.asarray(manifest["ref_point"], dtype=float)
-        if z.shape != (problem.n_obj,):
-            raise ManifestError(
-                f"manifest field 'ref_point': needs {problem.n_obj} components for setting "
-                f"{manifest['setting']!r}"
-            )
-        return z
-    return np.asarray(problem.ref_point, dtype=float)
 
 
 # hashed into core_hash, so a checkpoint in an older layout starts the run afresh
@@ -392,7 +382,6 @@ def _run_one_seed(manifest: dict, seed: int, out: Path) -> RunResult:
     """Run one seed; rebuilds its own Problem, so it can run in a worker process."""
     problem = _build_problem(manifest)
     constraints = _constraints_for_mode(problem, manifest["constraint_mode"])
-    z = _ref_point(manifest, problem)
     algo = manifest["algorithm"]
     T = manifest["generations"]
     ckpt_dir = out / "checkpoints"
@@ -442,7 +431,7 @@ def _run_one_seed(manifest: dict, seed: int, out: Path) -> RunResult:
         written = len(archive)
 
     cfg = algorithm_config(manifest)
-    run = dict(constraints=constraints, ref_point=z, on_generation=checkpoint, resume=resume)
+    run = dict(constraints=constraints, ref_point=manifest.get("ref_point"), on_generation=checkpoint, resume=resume)
     if cfg is None:
         return run_random_search(problem, manifest["population"], T, seed, **run)
     return (run_nsga2 if algo == "nsga2" else run_psl)(problem, cfg, seed, **run)
@@ -557,12 +546,13 @@ def load_front_file(path) -> tuple[np.ndarray, np.ndarray | None]:
         if "raw" not in payload:
             raise ValueError(f"{path}: archive file lacks a 'raw' field")
         Y = np.asarray(payload["raw"], dtype=float)
-        feas = (
-            np.asarray(payload["feasible"], dtype=bool)
-            if "feasible" in payload
-            else None
-        )
-        return Y, feas
+        if "feasible" not in payload:
+            return Y, None
+        feas = payload["feasible"]
+        one_per_row = isinstance(feas, list) and Y.shape[:1] == (len(feas),)
+        if not (one_per_row and all(isinstance(f, bool) for f in feas)):
+            raise ValueError(f"{path}: 'feasible' must be a list of booleans, one per 'raw' row")
+        return Y, np.array(feas, dtype=bool)
     if not payload:
         return np.empty((0, 0)), None
     Y = np.asarray(payload, dtype=float)

@@ -17,8 +17,6 @@ hidden widths [1, width_max], rho [0, 1], xi [0, 0.99].
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -122,7 +120,13 @@ class FlOptions:
     c2: float = SparsificationParams.c2
 
     def __post_init__(self):
-        check_minimums(self, {**RUN_MINIMUMS, "width_max": 1})
+        from .runner import _coerce  # imported here, because runner imports this module
+
+        check_minimums(self, {**RUN_MINIMUMS, "width_max": 2})  # spaces.Var needs low < high
+        # the mechanisms' own rules on their constants
+        RandomizationParams(sigma_rd=0.0, c_clip=1.0, c1=self.c1)
+        BatchCryptParams(batch_size=1, payload_bits=self.payload_bits, clients=self.clients)
+        SparsificationParams(rho=0.0, xi=0.0, c2=self.c2)
         if not isinstance(self.dataset, dict):
             raise ValueError("dataset must be an object")
         kind = self.dataset.get("kind", "synthetic")
@@ -138,11 +142,11 @@ class FlOptions:
             if name not in DATASET_VALUES:
                 continue
             hint, lo = DATASET_VALUES[name]
-            # a finite JSON number (a bool is also a numbers.Real), integral for int
-            ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if ok and not isinstance(value, numbers.Integral):
-                ok = math.isfinite(value) and (hint is float or float(value).is_integer())
-            if not (ok and value >= lo):
+            try:
+                ok = _coerce(value, hint) >= lo
+            except ValueError:
+                ok = False
+            if not ok:
                 kind_of = "an integer" if hint is int else "a finite number"
                 raise ValueError(f"dataset.{name} must be {kind_of} >= {lo}, got {value!r}")
 

@@ -12,7 +12,11 @@ from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit
 
 from flpareto.gp import JITTERS, LENGTH_SCALES, NOISE_VARS, SIGNAL_VARS, GPHyper, GpFitError
+from flpareto.moo import pareto_front_mask
 from flpareto.nsga2 import SBX_GENE_PROB, _mutate, _sbx
+from flpareto.protect import _bc_quantize
+
+MAX_GRID_POINTS = 10**7
 
 
 def oracle_dominates(a, b) -> bool:
@@ -92,6 +96,54 @@ def oracle_front_mask(Y) -> np.ndarray:
         lt = np.any(Y[None, :, :] < block[:, None, :], axis=2)
         mask[start : start + chunk] = ~np.any(le & lt, axis=1)
     return mask
+
+
+def oracle_brute_force_front(problem, grid: int, constraints=None) -> np.ndarray:
+    """Non-dominated objective vectors of a full grid over [0, 1]^d.
+
+    Evaluates a `grid`-points-per-axis lattice and filters it with
+    `pareto_front_mask`.  When `constraints` is given, infeasible grid
+    points are dropped before the filter.  Refuses grids above 10^7 points.
+    """
+    d = problem.dim
+    if grid**d > MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid of {grid}^{d} points exceeds the {MAX_GRID_POINTS} point limit"
+        )
+    axes = [np.linspace(0.0, 1.0, grid)] * d
+    mesh = np.meshgrid(*axes, indexing="ij")
+    X = np.column_stack([m.ravel() for m in mesh])
+    Y = np.atleast_2d(problem.evaluate(X, np.zeros(X.shape[0], dtype=np.uint64)))
+    if constraints is not None:
+        keep = np.all(Y <= constraints.bounds_array(), axis=1)
+        Y = Y[keep]
+    if Y.shape[0] == 0:
+        return Y
+    return Y[pareto_front_mask(Y)]
+
+
+def oracle_tchebycheff(y, lam, z) -> float:
+    """Weighted Tchebycheff value max_i lam_i * (y_i - z_i) for ideal z."""
+    y = np.asarray(y, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if not (y.shape == lam.shape == z.shape):
+        raise ValueError("y, lam and z must share one shape")
+    return float(np.max(lam * (y - z)))
+
+
+def oracle_bc_pack(W, p) -> list[int]:
+    """The quantized codes of W, offset-binary, packed batch-wise into big integers."""
+    codes, _ = _bc_quantize(W, p)
+    slot_width = p.payload_bits // p.batch_size
+    bias = 1 << (p.bits_per_value - 1)
+    batches: list[int] = []
+    for start in range(0, codes.size, p.batch_size):
+        payload = 0
+        for j, c in enumerate(codes[start : start + p.batch_size]):
+            payload |= (int(c) + bias) << (j * slot_width)
+        batches.append(payload)
+    return batches
 
 
 def mc_hypervolume(Y, z, n_samples: int, seed: int = 0):

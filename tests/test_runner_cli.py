@@ -105,7 +105,7 @@ class TestManifestValidation:
         with pytest.raises(ManifestError, match="population"):
             normalize_manifest(_zdt_manifest("x", population=1))
 
-    # the seeds [0, 1] / workers 2 case raises inside worker processes
+    # normalize_manifest refuses it, so no seed runs, serially or in worker processes
     @pytest.mark.parametrize("seeds,workers", [([0], 1), ([0, 1], 2)], ids=["serial", "processes"])
     def test_ref_point_dimension_checked(self, tmp_path, capsys, seeds, workers):
         m = _zdt_manifest(tmp_path / "r", ref_point=[1.0, 1.0, 1.0], seeds=seeds, workers=workers)
@@ -115,6 +115,35 @@ class TestManifestValidation:
         cfg.write_text(json.dumps(m))
         assert main(["optimize", "--config", str(cfg)]) == 2
         assert "ref_point" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    # refused by name before out_dir exists; unchecked, each gives a leakage
+    # outside [0, 1] or fails inside every seed
+    @pytest.mark.parametrize(
+        "setting,field,value",
+        [
+            ("zdt1", "ref_point", [1.0, 1.0, 1.0]),
+            *[("rd", "fl.c1", v) for v in (-1.0, 0.0, float("nan"), float("inf"))],
+            *[("sf", "fl.c2", v) for v in (0.0, -1.0, float("nan"), float("inf"))],
+            ("bc", "fl.payload_bits", 0),
+            ("rd", "fl.width_max", 1),
+        ],
+    )
+    def test_refused_before_any_seed_runs(self, tmp_path, capsys, setting, field, value):
+        out = tmp_path / "run"
+        block, _, key = field.rpartition(".")
+        m = _zdt_manifest(out, setting=setting, dim=None, **({block: {key: value}} if block else {key: value}))
+        with pytest.raises(ManifestError, match=re.escape(f"'{field}'")):
+            normalize_manifest(m)
+        with pytest.raises(ManifestError, match=re.escape(f"'{field}'")):
+            run_manifest(m)
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps(m))
+        commands = [["optimize"]] + [["evaluate", "--setting", setting]] * (block == "fl")
+        for command in commands:
+            assert main([*command, "--config", str(cfg)]) == 2
+            assert re.search(rf"^error: .*'{re.escape(field)}'", capsys.readouterr().err, re.M)
+        assert not out.exists()
 
     @pytest.mark.parametrize("block,key", [("ga", "mutation_rate"), ("psl", "steps"), ("fl", "client")])
     def test_unknown_nested_field_named(self, block, key):
@@ -204,7 +233,9 @@ class TestManifestValidation:
         value = m[key][0] if key == "seeds" else m[key]
         assert value == 3 and isinstance(value, int)
 
-    @pytest.mark.parametrize("ref_point", [[True, 11.0], ["11", 11.0], [11.0, float("nan")], [float("inf"), 11.0]])
+    @pytest.mark.parametrize(
+        "ref_point", [[True, 11.0], ["11", 11.0], [11.0, float("nan")], [float("inf"), 11.0], [10**400, 11.0]]
+    )
     def test_ref_point_takes_finite_numbers(self, ref_point):
         with pytest.raises(ManifestError, match="'ref_point'"):
             normalize_manifest(_zdt_manifest("x", ref_point=ref_point))
@@ -560,6 +591,16 @@ class TestCli:
         f3 = tmp_path / "empty.json"
         f3.write_text("[]")
         assert main(["hv", "--file", str(f3), "--ref", "3", "3"]) == 0
+
+    # the mask must be booleans, one per row: not cast, not indexed past its end
+    @pytest.mark.parametrize("feasible", [[True], [True, "no"], [1, 0], [True, False, True], None, "yes"])
+    def test_hv_refuses_malformed_feasible_mask(self, tmp_path, capsys, feasible):
+        f = tmp_path / "archive.json"
+        f.write_text(json.dumps({"raw": [[1.0, 2.0], [2.0, 1.0]], "feasible": feasible}))
+        assert main(["hv", "--file", str(f), "--ref", "3", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(r"^error: .*'feasible' must be a list of booleans", captured.err, re.M)
 
     def test_evaluate_accepts_in_range_values(self, capsys):
         rc = main([
