@@ -68,7 +68,6 @@ class FederatedData:
     client_y: list[np.ndarray]
     test_X: np.ndarray
     test_y: np.ndarray
-    n_features: int
     n_classes: int
 
     @property
@@ -243,6 +242,5 @@ def load_dataset(spec: dict, n_clients: int, seed: int = 0) -> FederatedData:
         client_y=client_y,
         test_X=test_X,
         test_y=test_y,
-        n_features=X.shape[1],
         n_classes=n_classes,
     )

@@ -91,8 +91,8 @@ class BatchCryptParams:
         b = self.bits_per_value
         if b < 2:
             raise ValueError(
-                f"batch_size {self.batch_size} leaves {b} bits per value in a "
-                f"{self.payload_bits}-bit payload (headroom {self.headroom_bits}); need >= 2"
+                f"payload_bits {self.payload_bits} leaves {b} bits per value at batch_size "
+                f"{self.batch_size} (headroom {self.headroom_bits}); need >= 2"
             )
         return b
 
@@ -160,14 +160,13 @@ def sf_protect(
     W_new: np.ndarray,
     W_old: np.ndarray,
     p: SparsificationParams,
-    rng: np.random.Generator | None = None,
+    connection_mask: np.ndarray,
     eligible: np.ndarray | None = None,
-    connection_mask: np.ndarray | None = None,
 ) -> SparsifyResult:
     """Split parameters into shared / retained / never-public sets.
 
-    The connection mask (public with probability rho per eligible entry) is
-    normally drawn once per evaluation and passed in; among public entries
+    The connection mask (public with probability rho per entry) is drawn
+    once per evaluation by the caller; among public eligible entries
     the xi fraction with the smallest |W_new - W_old| stays private.  The
     three masks partition the eligible set exactly.
     """
@@ -177,10 +176,6 @@ def sf_protect(
         raise ValueError("W_new and W_old must have equal shapes")
     if eligible is None:
         eligible = np.ones(W_new.shape, dtype=bool)
-    if connection_mask is None:
-        if rng is None:
-            raise ValueError("need either a connection_mask or an rng to draw one")
-        connection_mask = rng.random(W_new.shape) < p.rho
     public = connection_mask & eligible
 
     retained = np.zeros(W_new.shape, dtype=bool)

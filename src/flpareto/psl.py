@@ -146,13 +146,6 @@ class ParetoSetModel:
         self.params = self.views(flat)
         return flat
 
-    def copy(self) -> "ParetoSetModel":
-        return ParetoSetModel(
-            params={k: v.copy() for k, v in self.params.items()},
-            n_obj=self.n_obj,
-            dim=self.dim,
-        )
-
 
 def surrogate_loss_and_grads(
     model: ParetoSetModel,

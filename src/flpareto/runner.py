@@ -10,6 +10,10 @@ executes one run per seed and writes byte-reproducible artifacts:
     summary.json           mean/std HV per generation across seeds
     checkpoints/seed<S>.jsonl  per-generation state, enables resume
 
+Every JSON file, and every checkpoint line, has one encoding: json's C
+encoder with sorted keys, no whitespace (`,` and `:` separators), numpy
+values as their Python equivalents and one trailing newline.
+
 A checkpoint is append-only JSON lines and holds only what resume reads.
 Its header line names the schema version, the run configuration's hash
 and the seed.  Each completed generation appends one line: that
@@ -35,7 +39,7 @@ import numbers
 import os
 import types
 import typing
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -265,83 +269,14 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-_SCALARS = frozenset({int, float, bool, type(None)})
-_compact = json.JSONEncoder(separators=(",", ":")).encode  # the C encoder
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _scalar(x) -> str:
-    """json's text for None, a bool, an int or a float."""
-    if x is None:
-        return "null"
-    if x is True or x is False:
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if x != x:
-        return "NaN"
-    if x == float("inf") or x == float("-inf"):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
-def _key(k) -> str:
-    """A dict key as json writes it, before quoting."""
-    if isinstance(k, str):
-        return k
-    if k is None or isinstance(k, (int, float)):
-        return _scalar(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-def _pretty(obj, level: int) -> str:
-    """`json.dumps(obj, sort_keys=True, indent=1, default=_json_default)`,
-    nested `level` deep.
-
-    json's indenting encoder is pure Python.  A list of numbers, or of
-    nonempty rows of numbers, is written by one call to the C encoder
-    instead; its text then holds no `,`, `[` or `]` but its separators and
-    brackets, so `str.replace` can indent it.
-    """
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if obj is None or isinstance(obj, (int, float)):
-        return _scalar(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner, outer = "\n" + " " * (level + 1), "\n" + " " * level
-        types = set(map(type, obj))
-        if types <= _SCALARS:
-            body = _compact(obj)[1:-1].replace(",", "," + inner)
-        elif types <= {list, tuple} and all(obj) and set(map(type, chain.from_iterable(obj))) <= _SCALARS:
-            row = inner + " "
-            body = (
-                _compact(obj)[1:-1]
-                .replace("],[", "]\0[")
-                .replace(",", "," + row)
-                .replace("\0", "," + inner)
-                .replace("[", "[" + row)
-                .replace("]", inner + "]")
-            )
-        else:
-            body = ("," + inner).join(_pretty(v, level + 1) for v in obj)
-        return "[" + inner + body + outer + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner, outer = "\n" + " " * (level + 1), "\n" + " " * level
-        body = ("," + inner).join(
-            _encode_str(_key(k)) + ": " + _pretty(v, level + 1) for k, v in sorted(obj.items())
-        )
-        return "{" + inner + body + outer + "}"
-    return _pretty(_json_default(obj), level)
+# the C encoder, for checkpoint lines and final artifacts alike
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_json_default).encode
 
 
 def _dump_json(path: Path, obj) -> None:
-    """Write `obj` as `json.dumps(obj, sort_keys=True, indent=1, default=_json_default)` does."""
+    """Write `obj` as one `_encode` line, atomically."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(_pretty(obj, 0) + "\n")
+    tmp.write_text(_encode(obj) + "\n")
     os.replace(tmp, path)
 
 
@@ -375,7 +310,7 @@ def _read_checkpoint(path: Path) -> tuple[list[dict], int]:
 
 
 def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_default) + "\n"
+    return _encode(obj) + "\n"
 
 
 def _run_one_seed(manifest: dict, seed: int, out: Path) -> RunResult:
@@ -542,20 +477,20 @@ def load_front_file(path) -> tuple[np.ndarray, np.ndarray | None]:
     Returns (raw objectives, feasible mask or None for bare lists).
     """
     payload = json.loads(Path(path).read_text())
-    if isinstance(payload, dict):
-        if "raw" not in payload:
-            raise ValueError(f"{path}: archive file lacks a 'raw' field")
-        Y = np.asarray(payload["raw"], dtype=float)
-        if "feasible" not in payload:
-            return Y, None
-        feas = payload["feasible"]
-        one_per_row = isinstance(feas, list) and Y.shape[:1] == (len(feas),)
-        if not (one_per_row and all(isinstance(f, bool) for f in feas)):
-            raise ValueError(f"{path}: 'feasible' must be a list of booleans, one per 'raw' row")
-        return Y, np.array(feas, dtype=bool)
-    if not payload:
-        return np.empty((0, 0)), None
-    Y = np.asarray(payload, dtype=float)
-    if Y.ndim != 2:
+    archive = isinstance(payload, dict)
+    if archive and "raw" not in payload:
+        raise ValueError(f"{path}: archive file lacks a 'raw' field")
+    rows = payload["raw"] if archive else payload
+    try:
+        Y = np.empty((0, 0)) if rows == [] else np.asarray(rows, dtype=float)
+    except TypeError:  # a JSON object among the values
+        Y = None
+    if Y is None or Y.ndim != 2:
         raise ValueError(f"{path}: expected a list of objective vectors")
-    return Y, None
+    if not archive or "feasible" not in payload:
+        return Y, None
+    feas = payload["feasible"]
+    one_per_row = isinstance(feas, list) and Y.shape[:1] == (len(feas),)
+    if not (one_per_row and all(isinstance(f, bool) for f in feas)):
+        raise ValueError(f"{path}: 'feasible' must be a list of booleans, one per 'raw' row")
+    return Y, np.array(feas, dtype=bool)

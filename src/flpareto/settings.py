@@ -44,6 +44,7 @@ __all__ = [
 PRIVACY_BOUND = 0.8
 COST_BOUND_SECONDS = 500.0
 PENALTY = 20.0  # on every bounded objective
+BATCH_SIZES = (100, 200, 400, 800)  # bc's searched batch sizes
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def build_space(setting: str, width_max: int) -> SearchSpace:
             Var("c_clip", "real", 1.0, 4.0),
             Var("hidden1", "int", 1, width_max),
             Var("hidden2", "int", 1, width_max),
-            Var("bs", "cat", choices=(100, 200, 400, 800)),
+            Var("bs", "cat", choices=BATCH_SIZES),
             Var("rho", "real", 0.0, 1.0),
             Var("xi", "real", 0.0, 0.99),
         )
@@ -125,7 +126,8 @@ class FlOptions:
         check_minimums(self, {**RUN_MINIMUMS, "width_max": 2})  # spaces.Var needs low < high
         # the mechanisms' own rules on their constants
         RandomizationParams(sigma_rd=0.0, c_clip=1.0, c1=self.c1)
-        BatchCryptParams(batch_size=1, payload_bits=self.payload_bits, clients=self.clients)
+        # >= 2 bits per value at the smallest searched batch size, or every bc row is invalid
+        BatchCryptParams(min(BATCH_SIZES), self.payload_bits, self.clients).checked_bits()
         SparsificationParams(rho=0.0, xi=0.0, c2=self.c2)
         if not isinstance(self.dataset, dict):
             raise ValueError("dataset must be an object")

@@ -138,14 +138,14 @@ class TestSparsification:
     def test_full_share(self, rng):
         p = SparsificationParams(rho=1.0, xi=0.0)
         W = rng.normal(size=40)
-        res = sf_protect(W, np.zeros(40), p, rng)
+        res = sf_protect(W, np.zeros(40), p, rng.random(40) < p.rho)
         assert res.shared_mask.all()
         assert not res.retained_mask.any()
         assert not res.never_public_mask.any()
 
     def test_no_share(self, rng):
         p = SparsificationParams(rho=0.0, xi=0.0)
-        res = sf_protect(rng.normal(size=40), np.zeros(40), p, rng)
+        res = sf_protect(rng.normal(size=40), np.zeros(40), p, rng.random(40) < p.rho)
         assert not res.shared_mask.any()
         assert res.never_public_mask.all()
 
@@ -153,7 +153,7 @@ class TestSparsification:
         p = SparsificationParams(rho=1.0, xi=0.5)
         W_old = rng.normal(size=100)
         W_new = W_old + rng.normal(size=100)
-        res = sf_protect(W_new, W_old, p, rng)
+        res = sf_protect(W_new, W_old, p, rng.random(100) < p.rho)
         # full-sort oracle
         order = np.argsort(np.abs(W_new - W_old), kind="stable")
         want = set(order[:50].tolist())
@@ -164,9 +164,8 @@ class TestSparsification:
         for _ in range(20):
             p = SparsificationParams(rho=float(rng.random()), xi=float(rng.random() * 0.99))
             eligible = rng.random(60) < 0.8
-            res = sf_protect(
-                rng.normal(size=60), rng.normal(size=60), p, rng, eligible=eligible
-            )
+            W_new, W_old = rng.normal(size=60), rng.normal(size=60)
+            res = sf_protect(W_new, W_old, p, rng.random(60) < p.rho, eligible=eligible)
             total = res.shared_mask | res.retained_mask | res.never_public_mask
             assert np.array_equal(total, eligible)
             assert not (res.shared_mask & res.retained_mask).any()
@@ -205,7 +204,8 @@ class TestSparsification:
         assert np.array_equal(rd, W)
         deq = bc_protect(W, BatchCryptParams(batch_size=100))
         assert np.max(np.abs(deq - W)) < 1e-3 * np.max(np.abs(W))
-        sf = sf_protect(W, np.zeros(100), SparsificationParams(1.0, 0.0), rng)
+        p = SparsificationParams(1.0, 0.0)
+        sf = sf_protect(W, np.zeros(100), p, rng.random(100) < p.rho)
         assert sf.shared_mask.all()
 
 

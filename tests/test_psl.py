@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -99,7 +101,7 @@ class TestTraining:
         cs = ConstraintSpec(bounds=(None, 0.5), penalties=(0.0, 20.0))
         ideal = np.array([-0.1, -0.1])
         model = ParetoSetModel.create(2, 2, (8, 6), rng)
-        oracle = model.copy()
+        oracle = copy.deepcopy(model)
         _, losses = train_pareto_set_model(
             model, gps, cs, steps=50, rng=np.random.default_rng(3), ideal=ideal, lr=1e-2
         )
@@ -166,7 +168,7 @@ class TestTraining:
         kwargs = dict(lr=1e-2, batch=PslConfig.model_batch, beta=PslConfig.lcb_beta,
                       sharpness=psl.PENALTY_SHARPNESS)
         want_params, want = oracle_train_pareto_set_model(
-            model.copy().params, gps, cs, steps, oracle_rng := np.random.default_rng(seed), ideal, **kwargs
+            copy.deepcopy(model).params, gps, cs, steps, oracle_rng := np.random.default_rng(seed), ideal, **kwargs
         )
         _, losses = train_pareto_set_model(
             model, gps, cs, steps, got_rng := np.random.default_rng(seed), ideal, **kwargs
