@@ -3,18 +3,22 @@
 Targets are standardized internally; posteriors are reported in the
 original units.  Hyperparameters are either given explicitly or picked by
 log-marginal-likelihood search over a fixed log-spaced grid, which keeps
-fitting deterministic and dependency-free.  Posterior input gradients are
-analytic (the Pareto-set model trains through them); a `GPStack` serves
-several GPs fitted on one X, built once and queried many times.
+fitting deterministic and dependency-free.  Every query goes through a
+`GPStack` of GPs fitted on one X, built once and queried many times: it
+holds each GP's K⁻¹, so a query is GEMMs, with no triangular solve.
+Posterior input gradients are analytic (the Pareto-set model trains
+through them).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 __all__ = [
     "GPHyper",
@@ -25,7 +29,6 @@ __all__ = [
     "gp_fit_joint",
     "gp_posterior",
     "gp_posterior_grad",
-    "gp_posterior_grads",
 ]
 
 # fixed search grid: 5 length scales x 5 signal variances x 3 noise variances
@@ -61,15 +64,22 @@ class GPModel:
     def n(self) -> int:
         return self.X.shape[0]
 
+    @cached_property
+    def kinv(self) -> np.ndarray:
+        """(K + jitter I)⁻¹ from L (LAPACK dpotri), built on first use."""
+        inv, info = dpotri(self.L, lower=1)
+        if info > 0:
+            raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal potri")
+        # dpotri fills the lower triangle; mirror it
+        return np.tril(inv) + np.tril(inv, -1).T
+
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     ar = np.sum(A * A, axis=1)[:, None]
     br = np.sum(B * B, axis=1)[None, :]
     return np.maximum(ar + br - 2.0 * (A @ B.T), 0.0)
-
-
-def _kernel_from_sq(sq: np.ndarray, hyper: GPHyper) -> np.ndarray:
-    return hyper.signal_var * np.exp(-0.5 * sq / hyper.length_scale**2)
 
 
 def _try_cholesky(K: np.ndarray, eye: np.ndarray) -> tuple[np.ndarray, float] | None:
@@ -166,121 +176,16 @@ def gp_fit(X, y, hyper: GPHyper | None = None) -> GPModel:
     return gp_fit_joint(X, np.reshape(np.asarray(y, dtype=float), (-1, 1)), hyper)[0]
 
 
-def _solve_lower(L: np.ndarray, B: np.ndarray, trans: int = 0) -> np.ndarray:
-    """Solve L x = B (trans 0) or L^T x = B (trans 1) for lower-triangular L.
-
-    LAPACK dtrtrs called as scipy's `solve_triangular` calls it for a
-    Fortran-ordered L (cholesky's output), without its Python-side input
-    handling; the result is bitwise the same.
-    """
-    x, info = dtrtrs(L, B, 1, trans)  # (lower, trans) by position: keywords cost more
-    if info > 0:
-        raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
-    return x
-
-
 def gp_posterior(g: GPModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and standard deviation (original units).
 
     Accepts a single point or an (q, d) batch; returns matching shapes.
     Variance is the latent-function variance (no observation noise), so it
-    is ~0 at noiseless training points.
+    is ~0 at noiseless training points.  The one-GP case of `GPStack`.
     """
     arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    Xq = np.atleast_2d(arr)
-    kq = _kernel_from_sq(_sq_dists(Xq, g.X), g.hyper)  # (q, n)
-    v = _solve_lower(g.L, kq.T)  # (n, q)
-    var_s = g.hyper.signal_var - np.sum(v * v, axis=0)
-    mean = g.y_shift + g.y_scale * (kq @ g.alpha)
-    std = g.y_scale * np.sqrt(np.where(var_s < 1e-12, 0.0, var_s))
-    return (float(mean[0]), float(std[0])) if single else (mean, std)
-
-
-class GPStack:
-    """Several GPs fitted on one X, queried together with input gradients.
-
-    Built once from the fitted GPs, it checks that they share X and holds
-    what every query reuses: the stacked hyperparameters and target
-    scalings, ‖X‖², and each GP's Cholesky factor and weights.  A query runs
-    the elementwise kernel and kernel-derivative work once for all GPs.
-    Each reduction (`kq @ alpha`, both triangular solves, the variance sum
-    and both einsums) stays one call per GP on the operand layout of a lone
-    GP, so every GP's numbers are bitwise those it gives on its own.
-    """
-
-    def __init__(self, gps: list[GPModel]):
-        X = gps[0].X
-        if any(not np.array_equal(g.X, X) for g in gps[1:]):
-            raise ValueError("the GPs must share their training inputs X")
-        self.X = X
-        self.x_sq = np.sum(X * X, axis=1)[None, :]
-        self.factors = [(g.L, g.alpha) for g in gps]
-        self.signal_var = np.array([g.hyper.signal_var for g in gps])[:, None]
-        self.ls2 = np.array([g.hyper.length_scale**2 for g in gps])[:, None, None]
-        self.y_shift = np.array([g.y_shift for g in gps])[:, None]
-        self.y_scale = np.array([g.y_scale for g in gps])[:, None]
-        # the broadcast views each query uses
-        self._X = X[None, :, :]
-        self._signal_var = self.signal_var[:, :, None]
-        self._ls2 = self.ls2[..., None]
-        self._y_scale = self.y_scale[:, :, None]
-
-    def __call__(
-        self, Xq: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(mean (m, q), std (m, q), dmean (m, q, d), dstd (m, q, d)) at the
-        (q, d) queries, in original units.
-
-        dstd is 0 where the posterior std underflows (clamped), matching the
-        forward pass.
-        """
-        m, q = len(self.factors), Xq.shape[0]
-        xq_sq = np.add.reduce(Xq * Xq, axis=1)[:, None]
-        sq = np.maximum(xq_sq + self.x_sq - 2.0 * (Xq @ self.X.T), 0.0)
-        kq = self._signal_var * np.exp(-0.5 * sq / self.ls2)  # (m, q, n)
-        # dk[j, q, i, :] = k_j(xq, Xi) * (Xi - xq) / ls_j^2
-        diff = self._X - Xq[:, None, :]  # (q, n, d)
-        dk = kq[..., None] * (diff / self._ls2)
-        mean_s = np.empty((m, q))
-        vv = np.empty((m, q))
-        dmean_s = np.empty((m, q, Xq.shape[1]))
-        kinv_dk = np.empty_like(dmean_s)
-        for j, (L, alpha) in enumerate(self.factors):
-            np.matmul(kq[j], alpha, out=mean_s[j])
-            v = _solve_lower(L, kq[j].T)  # (n, q), Fortran-ordered
-            np.add.reduce(v * v, axis=0, out=vv[j])
-            np.einsum("qid,i->qd", dk[j], alpha, out=dmean_s[j])
-            # K^-1 kq by back-solving L^T x = v, the forward solve's result
-            kinv_kq = _solve_lower(L, v, trans=1)
-            np.einsum("iq,qid->qd", kinv_kq, dk[j], out=kinv_dk[j])
-        var_s = np.subtract(self.signal_var, vv, out=vv)
-        std_s = np.sqrt(np.where(var_s < 1e-12, 0.0, var_s))
-        dvar_s = np.multiply(kinv_dk, -2.0, out=kinv_dk)
-        dstd_s = np.zeros(dvar_s.shape)
-        std3 = std_s[..., None]
-        np.divide(dvar_s, 2.0 * std3, out=dstd_s, where=std3 > 1e-9)
-        return (
-            self.y_shift + self.y_scale * mean_s,
-            np.multiply(self.y_scale, std_s, out=std_s),
-            np.multiply(self._y_scale, dmean_s, out=dmean_s),
-            np.multiply(self._y_scale, dstd_s, out=dstd_s),
-        )
-
-
-def gp_posterior_grads(
-    gps: list[GPModel], Xq: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Batched posteriors with analytic input gradients of GPs that share X.
-
-    Returns one (mean (q,), std (q,), dmean (q, d), dstd (q, d)) per GP, in
-    original units; see `GPStack`, which a caller that queries the same GPs
-    many times builds once.
-    """
-    post = GPStack(gps)(np.atleast_2d(np.asarray(Xq, dtype=float)))
-    return [tuple(a[j] for a in post) for j in range(len(gps))]
+    mean, std, _ = GPStack([g])(np.atleast_2d(arr))
+    return (float(mean[0, 0]), float(std[0, 0])) if arr.ndim == 1 else (mean[0], std[0])
 
 
 def gp_posterior_grad(
@@ -288,6 +193,92 @@ def gp_posterior_grad(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched posterior with analytic input gradients (original units).
 
-    Returns (mean (q,), std (q,), dmean (q, d), dstd (q, d)); see `GPStack`.
+    Returns (mean (q,), std (q,), dmean (q, d), dstd (q, d)); the one-GP
+    case of `GPStack`.
     """
-    return gp_posterior_grads([g], Xq)[0]
+    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
+    mean, std, grad = GPStack([g])(Xq)
+    dmean, dstd = grad(np.zeros(Xq.shape[0], dtype=np.intp))
+    return mean[0], std[0], dmean, dstd
+
+
+class GPStack:
+    """Several GPs fitted on one X, queried together.
+
+    Built once from the fitted GPs, it checks that they share X and stacks
+    what every query reuses: the hyperparameters and target scalings, ‖X‖²,
+    each GP's weights and each GP's K⁻¹ (m, n, n).  A query forms the
+    (m, q, n) kernel once, takes the means as `kq @ alpha`, W = kq @ K⁻¹ in
+    one batched GEMM and the variances as `signal_var - rowsum(W ⊙ kq)`, so
+    it makes no triangular solve.  Input gradients come from the same kq,
+    W and alpha, for one GP per query row.
+
+    K⁻¹ trades accuracy for speed: near training inputs `kq K⁻¹ kqᵀ`
+    cancels worse than the Cholesky form's ‖L⁻¹ kqᵀ‖², so a variance
+    carries rounding of order eps · cond(K) · signal_var, not eps ·
+    signal_var.  A variance below 1e-12 reads 0, with a zero std gradient,
+    so at a noiseless training input of a fit whose rounding stays below
+    that, the std and its gradient are exactly 0.
+    """
+
+    def __init__(self, gps: list[GPModel]):
+        X = gps[0].X
+        if any(not np.array_equal(g.X, X) for g in gps[1:]):
+            raise ValueError("the GPs must share their training inputs X")
+        self.X = X
+        self.x_sq = np.sum(X * X, axis=1)
+        self.alpha = np.stack([g.alpha for g in gps])  # (m, n)
+        self.kinv = np.stack([g.kinv for g in gps])  # (m, n, n)
+        self.signal_var = np.array([g.hyper.signal_var for g in gps])[:, None]  # (m, 1)
+        self.y_shift = np.array([g.y_shift for g in gps])[:, None]
+        self.y_scale = np.array([g.y_scale for g in gps])[:, None]
+        ls2 = np.array([g.hyper.length_scale**2 for g in gps])
+        # the broadcast views and factors each query uses
+        self._alpha = self.alpha[:, :, None]
+        # sq / (-2 ls²) is bitwise -0.5 sq / ls², the kernel of the fit
+        self._neg_2ls2 = (-2.0 * ls2)[:, None, None]
+        self._signal_var = self.signal_var[:, :, None]
+        # rows 0 and 1: the factors that turn the sums of `grad` into dmean
+        # and, divided by the std, into dstd, in original units
+        self._grad_scale = np.array([1.0, -1.0])[:, None] * (self.y_scale[:, 0] / ls2)
+
+    def __call__(self, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable]:
+        """(mean (m, q), std (m, q), grad) at the (q, d) queries, in
+        original units.
+
+        `grad(obj)`, for one GP index per query row, returns the input
+        gradients (dmean (q, d), dstd (q, d)) of GP obj[i] at query i.
+        dstd is 0 where the posterior std underflows (clamped), matching
+        the forward pass.
+        """
+        m, q, n = self.alpha.shape[0], Xq.shape[0], self.X.shape[0]
+        sq = np.add.reduce(Xq * Xq, axis=1)[:, None] + self.x_sq
+        sq -= 2.0 * (Xq @ self.X.T)
+        np.maximum(sq, 0.0, out=sq)
+        kq = np.exp(sq / self._neg_2ls2)  # (m, q, n)
+        kq *= self._signal_var
+        mv = np.empty((2, m, q))  # the means and rowsum(W ⊙ kq), standardized
+        np.matmul(kq, self._alpha, out=mv[0, :, :, None])
+        wk = np.matmul(kq, self.kinv)  # W
+        wk *= kq
+        np.add.reduce(wk, axis=2, out=mv[1])
+        var_s = self.signal_var - mv[1]
+        std_s = np.sqrt(np.where(var_s < 1e-12, 0.0, var_s))
+
+        def grad(obj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # in standardized units, dmean = (Σ_i alpha_i k_i X_i - mean x) / ls²
+            # and dvar = -2 (Σ_i W_i k_i X_i - rowsum(W ⊙ kq) x) / ls²
+            at = obj * q + np.arange(q)
+            rows = np.empty((2, q, n))
+            np.multiply(kq.reshape(-1, n).take(at, axis=0), self.alpha.take(obj, axis=0), out=rows[0])
+            wk.reshape(-1, n).take(at, axis=0, out=rows[1])
+            d = (rows.reshape(2 * q, n) @ self.X).reshape(2, q, -1)
+            d -= mv.reshape(2, -1).take(at, axis=1)[:, :, None] * Xq
+            # dstd = dvar / (2 std), and 0 where the std is clamped
+            std_w = std_s.take(at)
+            scale = self._grad_scale.take(obj, axis=1)
+            scale[1] /= np.where(std_w > 1e-9, std_w, np.inf)
+            d *= scale[:, :, None]
+            return d[0], d[1]
+
+        return self.y_shift + self.y_scale * mv[0], self.y_scale * std_s, grad

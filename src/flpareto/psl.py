@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-# gp_fit and gp_posterior_grad are unused here, but perfbench/tracer.py wraps
-# psl.gp_fit and psl.gp_posterior_grad
+# gp_fit, gp_posterior and gp_posterior_grad are unused here, but
+# perfbench/tracer.py wraps psl.gp_fit, psl.gp_posterior and psl.gp_posterior_grad
 from .gp import GPModel, GPStack, gp_fit, gp_fit_joint, gp_posterior, gp_posterior_grad  # noqa: F401
 from .moo import (
     Archive,
@@ -194,7 +194,7 @@ class _SurrogateLoss:
         """The loss at the (B, m) preferences; writes its gradient into `grads`."""
         B = lam.shape[0]
         x, cache = model.forward(lam)
-        mean, std, dmean, dstd = self.posterior(x)
+        mean, std, grad = self.posterior(x)
         lcb = (mean - self.beta * std).T  # (B, m)
         # the hinge penalty smoothed by a sharp softplus
         u = np.where(self.bounded, lcb - self.bounds, 0.0)
@@ -202,18 +202,14 @@ class _SurrogateLoss:
         pen = lcb + self.penalties * (np.logaddexp(0.0, su) / self.sharpness)
         scaled = lam * (pen - self.ideal)
         # each row's loss is its winning objective's term, so its gradient
-        # flows through that objective alone; at[b] and by_obj[b] index row
-        # b's winner in the flattened (B, m) and (m, B) layouts
-        rows = np.arange(B)
+        # flows through that objective alone, the only one the posterior
+        # differentiates; at[b] indexes row b's winner in the flattened (B, m)
         winner = scaled.argmax(axis=1)
-        at = rows * lam.shape[1] + winner
-        by_obj = winner * B + rows
+        at = np.arange(B) * lam.shape[1] + winner
         loss = float(np.add.reduce(scaled.take(at)) / B)  # np.mean's arithmetic
         dpen_dlcb = 1.0 + self.penalties.take(winner) * expit(su.take(at))
-        d = x.shape[1]
-        dmean_w = dmean.reshape(-1, d).take(by_obj, axis=0)  # (B, d)
-        dstd_w = dstd.reshape(-1, d).take(by_obj, axis=0)
-        dx = ((lam.take(at) / B) * dpen_dlcb)[:, None] * (dmean_w - self.beta * dstd_w)
+        dmean, dstd = grad(winner)
+        dx = ((lam.take(at) / B) * dpen_dlcb)[:, None] * (dmean - self.beta * dstd)
         model.backward(cache, dx, grads)
         return loss
 
@@ -421,10 +417,8 @@ def run_psl(
         )
 
         cand = generate_candidates(model, cfg.n_candidates, stream(seed, TAG_PSL_PREF, t))
-        lcb = np.empty((cfg.n_candidates, problem.n_obj))
-        for j, g in enumerate(gps):
-            mean, std = gp_posterior(g, cand)
-            lcb[:, j] = mean - cfg.lcb_beta * std
+        mean, std, _ = GPStack(gps)(cand)
+        lcb = (mean - cfg.lcb_beta * std).T
         picked = greedy_hvi_select(penalize(lcb, constraints), archive.penalized, N, z)
         _evaluate_generation(problem, archive, cand[picked], seed, t)
 

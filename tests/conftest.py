@@ -212,9 +212,9 @@ def oracle_gp_fit(X, y, hyper=None):
     return L, alpha, h, jitter, shift, scale
 
 
-def _oracle_posterior_grads(gps, Xq):
+def oracle_posterior_grads(gps, Xq):
     """Per-GP posteriors with input gradients, one GP after another, each
-    with its own kernel, solves and reductions (original units)."""
+    with its own kernel, Cholesky solves and reductions (original units)."""
     X = gps[0].X
     ar = np.sum(Xq * Xq, axis=1)[:, None]
     br = np.sum(X * X, axis=1)[None, :]
@@ -240,7 +240,54 @@ def _oracle_posterior_grads(gps, Xq):
     return out
 
 
-def _oracle_loss_and_grads(p, lam, gps, bounds, alphas, finite, ideal, beta, sharpness):
+EPS = np.finfo(float).eps
+
+
+def cholesky_checked(gps):
+    """A check of posteriors of `gps` (one (mean, std, dmean, dstd) per GP,
+    original units) against `oracle_posterior_grads`, the Cholesky form.
+
+    A library posterior takes kq K⁻¹ kqᵀ from an explicit K⁻¹, so it may
+    differ from the oracle by rounding.  The bounds, per GP and query, in
+    standardized units, with κ = cond(K):
+    - mean: 4n·eps·Σ|k_i alpha_i|, a dot product's rounding bound;
+    - dmean: 4n·eps·Σ|k_i alpha_i|·(‖X_i‖∞ + ‖x‖∞) / ls², the bound of both
+      forms of Σ k_i alpha_i (X_i - x) / ls² (by rows, or as one sum);
+    - var: 64·eps·κ·signal_var.  The error of kq K⁻¹ kqᵀ grows with K's
+      condition; over 240 GPs at n ≤ 406 with noise down to 1e-6 it was at
+      most 4.1·eps·κ·signal_var;
+    - std: sqrt(var bound + 1e-12), which the var bound and the 1e-12
+      variance clamp imply, as |√a − √b| ≤ √|a − b|;
+    - dvar = 2·std·dstd: 64·eps·κ·signal_var / ls² (at most 5 over the same
+      GPs).  A row whose std either side clamps has no dstd to compare, and
+      its std bound checks it.
+    """
+    kappas = []
+    for g in gps:
+        s = np.linalg.svd(g.L, compute_uv=False)
+        kappas.append((s[0] / s[-1]) ** 2)
+
+    def check(Xq, got):
+        for g, kappa, post, want in zip(gps, kappas, got, oracle_posterior_grads(gps, Xq), strict=True):
+            mean, std, dmean, dstd = (np.asarray(a) / g.y_scale for a in post)
+            w_mean, w_std, w_dmean, w_dstd = (a / g.y_scale for a in want)
+            sv, ls2, n = g.hyper.signal_var, g.hyper.length_scale**2, g.X.shape[0]
+            sq = np.maximum(np.sum(Xq * Xq, 1)[:, None] + np.sum(g.X * g.X, 1) - 2.0 * Xq @ g.X.T, 0.0)
+            ka = np.abs(sv * np.exp(-0.5 * sq / ls2) * g.alpha)  # (q, n)
+            reach = np.abs(g.X).max(axis=1) + np.abs(Xq).max(axis=1)[:, None]
+            var_tol = 64 * EPS * kappa * sv
+            # the shift to original units rounds each mean once more
+            assert np.all(np.abs(mean - w_mean) <= 4 * n * EPS * ka.sum(1) + 2 * EPS * np.abs(w_mean))
+            assert np.all(np.abs(std - w_std) <= np.sqrt(var_tol + 1e-12))
+            assert np.all(np.abs(dmean - w_dmean) <= (4 * n * EPS * (ka * reach).sum(1) / ls2)[:, None])
+            both = (std > 1e-9) & (w_std > 1e-9)
+            dvar, w_dvar = 2 * std[both, None] * dstd[both], 2 * w_std[both, None] * w_dstd[both]
+            assert np.all(np.abs(dvar - w_dvar) <= 64 * EPS * kappa * sv / ls2)
+
+    return check
+
+
+def _oracle_loss_and_grads(p, lam, gps, bounds, alphas, finite, ideal, beta, sharpness, posterior):
     """Mean Tchebycheff loss of the penalized LCBs and its parameter grads."""
     B, m, d = lam.shape[0], len(gps), p["b3"].size
     h1 = np.tanh(lam @ p["W1"] + p["b1"])
@@ -248,7 +295,7 @@ def _oracle_loss_and_grads(p, lam, gps, bounds, alphas, finite, ideal, beta, sha
     x = expit(h2 @ p["W3"] + p["b3"])
     lcb = np.empty((B, m))
     dlcb = np.empty((B, m, d))
-    for j, (mean, std, dmean, dstd) in enumerate(_oracle_posterior_grads(gps, x)):
+    for j, (mean, std, dmean, dstd) in enumerate(posterior(gps, x)):
         lcb[:, j] = mean - beta * std
         dlcb[:, j, :] = dmean - beta * dstd
     u = np.where(finite, lcb - bounds, 0.0)
@@ -272,10 +319,11 @@ def _oracle_loss_and_grads(p, lam, gps, bounds, alphas, finite, ideal, beta, sha
     return loss, grads
 
 
-def oracle_train_pareto_set_model(params, gps, constraints, steps, rng, ideal, lr, batch, beta, sharpness):
+def oracle_train_pareto_set_model(params, gps, constraints, steps, rng, ideal, lr, batch, beta, sharpness, posterior):
     """Adam training of a Pareto-set network's `params` (a dict in the
-    network's layer order), one preference draw and one posterior pass per
-    step; returns the final weights and the loss trace."""
+    network's layer order), one preference draw and one `posterior(gps, x)`
+    pass (per GP: mean, std, dmean, dstd) per step; returns the final
+    weights and the loss trace."""
     flat = np.concatenate([np.ravel(v) for v in params.values()])
     views, start = {}, 0
     for k, v in params.items():
@@ -289,7 +337,7 @@ def oracle_train_pareto_set_model(params, gps, constraints, steps, rng, ideal, l
     losses = []
     for t in range(1, steps + 1):
         lam = rng.dirichlet(np.ones(len(gps)), size=batch)
-        loss, grads = _oracle_loss_and_grads(views, lam, gps, bounds, alphas, finite, ideal, beta, sharpness)
+        loss, grads = _oracle_loss_and_grads(views, lam, gps, bounds, alphas, finite, ideal, beta, sharpness, posterior)
         g = np.concatenate([np.ravel(grads[k]) for k in views])
         m_t = b1 * m_t + (1 - b1) * g
         v_t = b2 * v_t + (1 - b2) * g * g

@@ -1,71 +1,18 @@
 import numpy as np
 import pytest
-from conftest import oracle_gp_fit
-from scipy.linalg import LinAlgError, cho_solve, solve_triangular
+from conftest import cholesky_checked, oracle_gp_fit
+from scipy.linalg import LinAlgError
 
 from flpareto.gp import (
     NOISE_VARS,
     GPHyper,
     GPStack,
     GpFitError,
-    _kernel_from_sq,
-    _sq_dists,
     gp_fit,
     gp_fit_joint,
     gp_posterior,
     gp_posterior_grad,
-    gp_posterior_grads,
 )
-
-
-def _reference_posterior_grad(g, Xq):
-    """gp_posterior_grad with K^-1 kq from a full Cholesky solve."""
-    kq = _kernel_from_sq(_sq_dists(Xq, g.X), g.hyper)
-    mean_s = kq @ g.alpha
-    v = solve_triangular(g.L, kq.T, lower=True)
-    var_s = g.hyper.signal_var - np.sum(v * v, axis=0)
-    var_s = np.where(var_s < 1e-12, 0.0, var_s)
-    diff = (g.X[None, :, :] - Xq[:, None, :]) / g.hyper.length_scale**2
-    dk = kq[:, :, None] * diff
-    dmean_s = np.einsum("qid,i->qd", dk, g.alpha)
-    kinv_kq = cho_solve((g.L, True), kq.T)
-    dvar_s = -2.0 * np.einsum("iq,qid->qd", kinv_kq, dk)
-    std_s = np.sqrt(var_s)
-    safe = std_s > 1e-9
-    dstd_s = np.zeros_like(dvar_s)
-    dstd_s[safe] = dvar_s[safe] / (2.0 * std_s[safe, None])
-    return (
-        g.y_shift + g.y_scale * mean_s,
-        g.y_scale * std_s,
-        g.y_scale * dmean_s,
-        g.y_scale * dstd_s,
-    )
-
-
-def _per_gp_posterior_grad(g, Xq):
-    """One GP's posterior gradient by its own distances and scipy's
-    solve_triangular: the computation the shared-distance path replaced."""
-    kq = _kernel_from_sq(_sq_dists(Xq, g.X), g.hyper)
-    mean_s = kq @ g.alpha
-    v = solve_triangular(g.L, kq.T, lower=True, check_finite=False)
-    var_s = g.hyper.signal_var - np.sum(v * v, axis=0)
-    var_s = np.where(var_s < 1e-12, 0.0, var_s)
-    ls2 = g.hyper.length_scale**2
-    diff = (g.X[None, :, :] - Xq[:, None, :]) / ls2
-    dk = kq[:, :, None] * diff
-    dmean_s = np.einsum("qid,i->qd", dk, g.alpha)
-    kinv_kq = solve_triangular(g.L, v, lower=True, trans="T", check_finite=False)
-    dvar_s = -2.0 * np.einsum("iq,qid->qd", kinv_kq, dk)
-    std_s = np.sqrt(var_s)
-    safe = std_s > 1e-9
-    dstd_s = np.zeros_like(dvar_s)
-    dstd_s[safe] = dvar_s[safe] / (2.0 * std_s[safe, None])
-    return (
-        g.y_shift + g.y_scale * mean_s,
-        g.y_scale * std_s,
-        g.y_scale * dmean_s,
-        g.y_scale * dstd_s,
-    )
 
 
 class TestFit:
@@ -160,23 +107,24 @@ class TestPosterior:
             assert abs(fdm - dm[0, j]) / max(abs(fdm), 1e-12) < 1e-5
             assert abs(fds - ds[0, j]) / max(abs(fds), 1e-12) < 1e-5
 
-    def test_posterior_grad_bitwise_equals_cholesky_solve(self, rng):
-        # the back-solve from the forward solve's result must reproduce the
-        # full cho_solve formula bit for bit, training points included
+    def test_posterior_grad_matches_cholesky_solve(self, rng):
+        # within cholesky_checked's bounds, over target scales from 1e-3 to
+        # 1e3 and grid-searched fits, training points included
         for trial in range(12):
             n, d = int(rng.integers(1, 40)), int(rng.integers(1, 6))
             X = rng.random((n, d))
             y = rng.random(n) * 10.0 ** rng.integers(-3, 4)
             g = gp_fit(X, y) if trial % 2 else gp_fit(X, y, GPHyper(0.3, 1.0, 1e-6))
             Xq = np.vstack([rng.random((16, d)), X[:2]])
-            for got, want in zip(gp_posterior_grad(g, Xq), _reference_posterior_grad(g, Xq)):
-                assert np.array_equal(got, want)
+            cholesky_checked([g])(Xq, [gp_posterior_grad(g, Xq)])
 
 
 class TestSharedPosteriorGrad:
     def test_bitwise_equals_per_gp_oracle(self, rng):
         # m GPs on one X, each with its own hyperparameters and targets;
-        # the queries include training points, where the std is clamped
+        # the queries include training points, where the std is clamped.
+        # Each GP's part of the stacked output is bitwise that GP queried
+        # alone, and within cholesky_checked's bounds of the Cholesky form
         for trial in range(40):
             n, q, d = int(rng.integers(1, 61)), int(rng.integers(1, 41)), int(rng.integers(2, 7))
             m = 2 + trial % 2
@@ -190,20 +138,22 @@ class TestSharedPosteriorGrad:
                 )
                 for j in range(m)
             ]
-            for g, got in zip(gps, gp_posterior_grads(gps, Xq), strict=True):
-                want = _per_gp_posterior_grad(g, Xq)
-                for a, b in zip(got, want, strict=True):
+            mean, std, grad = GPStack(gps)(Xq)
+            per_gp = [(mean[j], std[j], *grad(np.full(q + 2, j))) for j in range(m)]
+            cholesky_checked(gps)(Xq, per_gp)
+            for g, got in zip(gps, per_gp, strict=True):
+                for a, b in zip(got, gp_posterior_grad(g, Xq), strict=True):
                     assert np.array_equal(a, b)
-                for a, b in zip(gp_posterior_grad(g, Xq), want, strict=True):
-                    assert np.array_equal(a, b)
-                for a, b in zip(gp_posterior(g, Xq), want[:2], strict=True):
+                for a, b in zip(gp_posterior(g, Xq), got[:2], strict=True):
                     assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("n", [1, 9, 105])
+    @pytest.mark.parametrize("n", [1, 5, 9, 45, 105, 406])
     @pytest.mark.parametrize("d", [1, 10])
     def test_stack_bitwise_equals_per_gp_oracle(self, n, d):
-        # the stacked (m, q) and (m, q, d) output, GP by GP, at sizes where
-        # the order of a reduction decides its rounding
+        # the stacked (m, q) output and the (q, d) gradients of one GP per
+        # row, GP by GP, bitwise those of the GP queried alone, at sizes
+        # where the order of a reduction decides its rounding; and within
+        # cholesky_checked's bounds of the Cholesky form
         rng = np.random.default_rng([n, d])
         X = rng.random((n, d))
         Xq = np.vstack([rng.random((16, d)), X[:2]])
@@ -211,12 +161,16 @@ class TestSharedPosteriorGrad:
             gp_fit(X, rng.random(n) * 10.0 ** (2 * j - 2), GPHyper(0.3 + 0.4 * j, 0.5 + j, NOISE_VARS[j]))
             for j in range(3)
         ] + [gp_fit(X, rng.random(n))]
-        mean, std, dmean, dstd = GPStack(gps)(Xq)
+        mean, std, grad = GPStack(gps)(Xq)
         q = Xq.shape[0]
-        assert mean.shape == std.shape == (4, q) and dmean.shape == dstd.shape == (4, q, d)
+        obj = rng.integers(0, 4, q)
+        dmean, dstd = grad(obj)
+        assert mean.shape == std.shape == (4, q) and dmean.shape == dstd.shape == (q, d)
+        cholesky_checked(gps)(Xq, [(mean[j], std[j], *grad(np.full(q, j))) for j in range(4)])
         for j, g in enumerate(gps):
-            want = _per_gp_posterior_grad(g, Xq)
-            for got, w in zip((mean[j], std[j], dmean[j], dstd[j]), want, strict=True):
+            want = gp_posterior_grad(g, Xq)
+            rows = obj == j
+            for got, w in zip((mean[j], std[j], dmean[rows], dstd[rows]), (want[0], want[1], want[2][rows], want[3][rows])):
                 assert got.tobytes() == w.tobytes()
 
     def test_singular_factor_raises(self, rng):
@@ -234,8 +188,6 @@ class TestSharedPosteriorGrad:
         b = gp_fit(rng.random((5, 2)), rng.random(5), h)
         with pytest.raises(ValueError, match="must share their training inputs X"):
             GPStack([a, b])
-        with pytest.raises(ValueError, match="must share their training inputs X"):
-            gp_posterior_grads([a, b], rng.random((3, 2)))
 
 
 def _assert_fits_equal_oracle(gps, X, Y, hyper=None):

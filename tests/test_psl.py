@@ -2,11 +2,12 @@ import copy
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import oracle_tchebycheff, oracle_train_pareto_set_model
-from flpareto.bench import zdt1_problem
-from flpareto.gp import GPHyper, gp_fit, gp_posterior
-from flpareto import psl
+from conftest import cholesky_checked, oracle_tchebycheff, oracle_train_pareto_set_model
+from flpareto.bench import constrained_toy_problem, zdt1_problem
+from flpareto.gp import GPHyper, GPStack, gp_fit, gp_posterior, gp_posterior_grad
+from flpareto import gp, psl
 from flpareto.moo import ConstraintSpec, Problem, hypervolume, penalize
 from flpareto.psl import (
     ParetoSetModel,
@@ -135,6 +136,8 @@ class TestTraining:
         (3, 3, 5, (), (8, 6), 40),
         (3, 10, 105, (0, 1, 2), (8, 6), 40),
         (3, 10, 30, (1,), (8, 6), 40),
+        (3, 5, 45, (1,), (8, 6), 40),
+        (3, 5, 406, (1,), (64, 64), 40),
     ]
 
     @pytest.mark.parametrize("m, d, n, bounded, hidden, steps", ORACLE_CASES)
@@ -153,22 +156,36 @@ class TestTraining:
 
     def test_training_at_a_training_input_matches_frozen_oracle(self):
         # the untrained model maps every preference to the box centre, a
-        # training input of noiseless GPs: the std is clamped and dstd is 0
+        # training input of noiseless GPs: the std is clamped to exactly 0,
+        # and so is its gradient
         rng = np.random.default_rng(4)
         X = np.vstack([rng.random((8, 3)), np.full(3, 0.5)])
         Y = rng.random((9, 2))
         gps = [gp_fit(X, Y[:, j], GPHyper(0.4, 1.0, 0.0)) for j in range(2)]
         assert [gp_posterior(g, np.full(3, 0.5))[1] for g in gps] == [0.0, 0.0]
+        assert all(np.all(gp_posterior_grad(g, np.full((1, 3), 0.5))[3] == 0.0) for g in gps)
         cs = ConstraintSpec(bounds=(None, 0.5), penalties=(0.0, 20.0))
         self._assert_matches_oracle(gps, cs, Y.min(axis=0) - 0.05, (8, 6), 40, seed=1)
 
     @staticmethod
     def _assert_matches_oracle(gps, cs, ideal, hidden, steps, seed):
+        """Training bitwise equals the frozen oracle's given the same
+        posterior, the stack's; at every step that posterior, every GP at
+        every row, is within cholesky_checked's bounds of the Cholesky form."""
+        check = cholesky_checked(gps)
+
+        def stack_posterior(gps, x):
+            mean, std, grad = GPStack(gps)(x)
+            post = [(mean[j], std[j], *grad(np.full(x.shape[0], j))) for j in range(len(gps))]
+            check(x, post)
+            return post
+
         model = ParetoSetModel.create(len(gps), gps[0].X.shape[1], hidden, np.random.default_rng(seed))
         kwargs = dict(lr=1e-2, batch=PslConfig.model_batch, beta=PslConfig.lcb_beta,
                       sharpness=psl.PENALTY_SHARPNESS)
         want_params, want = oracle_train_pareto_set_model(
-            copy.deepcopy(model).params, gps, cs, steps, oracle_rng := np.random.default_rng(seed), ideal, **kwargs
+            copy.deepcopy(model).params, gps, cs, steps, oracle_rng := np.random.default_rng(seed), ideal,
+            **kwargs, posterior=stack_posterior,
         )
         _, losses = train_pareto_set_model(
             model, gps, cs, steps, got_rng := np.random.default_rng(seed), ideal, **kwargs
@@ -199,13 +216,34 @@ class TestTraining:
         model.params["W3"] = rng.normal(0, 0.1, model.params["W3"].shape)
         model.params["b3"] = rng.normal(0, 0.1, model.params["b3"].shape)
         lam = sample_preferences(5, 2, rng)
-        ideal = np.array([-0.1, -0.1])
-        loss, grads = surrogate_loss_and_grads(model, lam, gps, cs, ideal, 0.1, 50.0)
-        h = 1e-6
+        self._assert_grads_match_finite_differences(model, lam, gps, cs, np.array([-0.1, -0.1]), 1e-6, 5)
+
+    def test_gradients_match_finite_differences_at_three_objectives(self):
+        # m=3, one bounded objective, n=100 rows and the grid's least noise
+        # at a long length scale: K is ill-conditioned, where K⁻¹ cancels
+        # worst.  The loss then carries rounding of about eps·cond(K), so
+        # the step is 1e-4: the central difference's rounding term is
+        # about 1e-6 of the gradient, its truncation term about 1e-8
+        rng = np.random.default_rng([3, 100])
+        X = rng.random((100, 5))
+        Y = np.column_stack([np.sin(3.0 * X @ rng.normal(size=5) + j) for j in range(3)])
+        gps = [gp_fit(X, Y[:, j], GPHyper(0.8, 1.0, 1e-6)) for j in range(3)]
+        assert min(np.linalg.cond(g.L @ g.L.T) for g in gps) > 1e5
+        cs = ConstraintSpec(bounds=(None, float(np.median(Y[:, 1])), None), penalties=(0.0, 20.0, 0.0))
+        model = ParetoSetModel.create(3, 5, (8, 8), rng)
+        model.params["W3"] = rng.normal(0, 1.0, model.params["W3"].shape)
+        model.params["b3"] = rng.normal(0, 1.0, model.params["b3"].shape)
+        lam = sample_preferences(PslConfig.model_batch, 3, rng)
+        self._assert_grads_match_finite_differences(model, lam, gps, cs, Y.min(axis=0) - 0.05, 1e-4, 6)
+
+    @staticmethod
+    def _assert_grads_match_finite_differences(model, lam, gps, cs, ideal, h, per_layer):
+        """Central differences at step h, of `per_layer` parameters a layer,
+        within 1e-4 relative of the analytic gradient."""
+        _, grads = surrogate_loss_and_grads(model, lam, gps, cs, ideal, 0.1, 50.0)
         check_rng = np.random.default_rng(0)
         for k, P in model.params.items():
-            flat_ids = check_rng.choice(P.size, size=min(5, P.size), replace=False)
-            for fid in flat_ids:
+            for fid in check_rng.choice(P.size, size=min(per_layer, P.size), replace=False):
                 idx = np.unravel_index(fid, P.shape)
                 orig = P[idx]
                 P[idx] = orig + h
@@ -216,6 +254,20 @@ class TestTraining:
                 fd = (lp - lm) / (2 * h)
                 rel = abs(fd - grads[k][idx]) / max(abs(fd), abs(grads[k][idx]), 1e-10)
                 assert rel < 1e-4, f"{k}{idx}: fd={fd} analytic={grads[k][idx]}"
+
+    def test_training_and_candidate_scoring_make_no_triangular_solve(self, monkeypatch):
+        # each generation trains the model on the posterior and scores its
+        # candidates with it: GEMMs against each GP's K⁻¹.  Fitting keeps
+        # its Cholesky solve (dpotrs), which is not patched
+        def refuse(*args, **kwargs):
+            raise AssertionError("a triangular solve in the PSL posterior")
+
+        monkeypatch.setattr(gp, "dtrtrs", refuse, raising=False)
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrtrs", refuse)
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", refuse)
+        cfg = PslConfig(generations=2, batch_size=3, n_candidates=50, n_init=6, model_steps=20)
+        res = run_psl(constrained_toy_problem(), cfg, seed=2)
+        assert len(res.archive) == 6 + 2 * 3
 
     def test_distance_to_pareto_segment_decreases(self, rng):
         gps, (a, b) = _toy_gps(rng, n=20)
