@@ -132,7 +132,7 @@ def _stacked_data(dataset_json: str, clients: int) -> tuple[np.ndarray, ...]:
     """
     spec = json.loads(dataset_json)
     data = load_dataset(spec, clients, seed=int(spec.get("seed", 0)))
-    arrays = (np.stack(data.client_X), np.stack(data.client_y), data.test_X, data.test_y)
+    arrays = (data.client_X, data.client_y, data.test_X, data.test_y)
     for a in arrays:
         a.flags.writeable = False
     return arrays

@@ -60,10 +60,6 @@ class GPModel:
     y_scale: float
     jitter: float
 
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
     @cached_property
     def kinv(self) -> np.ndarray:
         """(K + jitter I)⁻¹ from L (LAPACK dpotri), built on first use."""

@@ -35,9 +35,7 @@ import csv
 import dataclasses
 import hashlib
 import json
-import numbers
 import os
-import types
 import typing
 from itertools import repeat
 from pathlib import Path
@@ -50,6 +48,7 @@ from .nsga2 import GenerationRecord, NsgaConfig, RunResult, run_nsga2, run_rando
 from .psl import PslConfig, run_psl
 from .schema import SCHEMA_VERSION, TRACE_COLUMNS
 from .settings import SETTINGS, FlOptions, build_fl_problem
+from .spaces import _coerce
 
 __all__ = [
     "read_manifest", "normalize_manifest", "finite_ref_point", "fl_options", "algorithm_config", "run_manifest",
@@ -86,24 +85,6 @@ def _require(cond: bool, field: str, msg: str) -> None:
 def _reject_unknown(given: dict, known, prefix: str = "") -> None:
     extra = sorted(set(given) - set(known))
     _require(not extra, ",".join(prefix + k for k in extra), "unknown field(s)")
-
-
-def _coerce(value, hint):
-    """A JSON value as a config field annotated `hint` takes it."""
-    if isinstance(hint, types.UnionType):  # `int | None`
-        return None if value is None else _coerce(value, typing.get_args(hint)[0])
-    if typing.get_origin(hint) is tuple:
-        return tuple(_coerce(v, typing.get_args(hint)[0]) for v in value)
-    if hint in (int, float):
-        # JSON numbers only (a bool is also a numbers.Real), integral for int, finite for float
-        ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if ok and not (hint is int and isinstance(value, numbers.Integral)):
-            # in a float's finite range: not NaN, not +-inf, no integer past 2**1024
-            ok = abs(value) <= float(np.finfo(float).max) and (hint is float or float(value).is_integer())
-        if not ok:
-            raise ValueError(f"must be {'an integer' if hint is int else 'a finite number'}, got {value!r}")
-        return hint(value)
-    return value
 
 
 def _number(value, hint, field: str):

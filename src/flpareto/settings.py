@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .data import DATASET_FIELDS, DATASET_VALUES, IDX_PATHS, dataset_dims
+from .data import check_spec, dataset_dims
 from .flsim import RUN_MINIMUMS, FLRunConfig, check_minimums, flo_evaluate
 from .moo import ConstraintSpec, Problem
 from .net import ModelSpec
@@ -121,36 +121,13 @@ class FlOptions:
     c2: float = SparsificationParams.c2
 
     def __post_init__(self):
-        from .runner import _coerce  # imported here, because runner imports this module
-
         check_minimums(self, {**RUN_MINIMUMS, "width_max": 2})  # spaces.Var needs low < high
         # the mechanisms' own rules on their constants
         RandomizationParams(sigma_rd=0.0, c_clip=1.0, c1=self.c1)
         # >= 2 bits per value at the smallest searched batch size, or every bc row is invalid
         BatchCryptParams(min(BATCH_SIZES), self.payload_bits, self.clients).checked_bits()
         SparsificationParams(rho=0.0, xi=0.0, c2=self.c2)
-        if not isinstance(self.dataset, dict):
-            raise ValueError("dataset must be an object")
-        kind = self.dataset.get("kind", "synthetic")
-        if not isinstance(kind, str) or kind not in DATASET_FIELDS:
-            raise ValueError(f"dataset.kind must be one of {tuple(DATASET_FIELDS)}, got {kind!r}")
-        extra = sorted(set(self.dataset) - DATASET_FIELDS[kind])
-        if extra:
-            raise ValueError(f"dataset.{extra[0]} is not a {kind} dataset field")
-        missing = [k for k in IDX_PATHS if kind == "idx" and k not in self.dataset]
-        if missing:
-            raise ValueError(f"dataset.{missing[0]} is required by an idx dataset")
-        for name, value in self.dataset.items():
-            if name not in DATASET_VALUES:
-                continue
-            hint, lo = DATASET_VALUES[name]
-            try:
-                ok = _coerce(value, hint) >= lo
-            except ValueError:
-                ok = False
-            if not ok:
-                kind_of = "an integer" if hint is int else "a finite number"
-                raise ValueError(f"dataset.{name} must be {kind_of} >= {lo}, got {value!r}")
+        check_spec(self.dataset)
 
 
 def _model(fl_options: FlOptions, values: dict) -> ModelSpec:

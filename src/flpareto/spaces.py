@@ -2,17 +2,40 @@
 
 Optimizers work on genes in [0, 1]^d; a SearchSpace decodes a gene vector
 into the real, integer, and categorical values the FL evaluator consumes,
-and validates explicit values against their declared ranges.
+and validates explicit values against their declared ranges.  `_coerce`
+is the one rule by which a JSON value becomes a config number, in a
+manifest and in a dataset spec alike.
 """
 
 from __future__ import annotations
 
+import numbers
+import types
+import typing
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
 __all__ = ["Var", "SearchSpace"]
+
+
+def _coerce(value, hint):
+    """A JSON value as a config field annotated `hint` takes it."""
+    if isinstance(hint, types.UnionType):  # `int | None`
+        return None if value is None else _coerce(value, typing.get_args(hint)[0])
+    if typing.get_origin(hint) is tuple:
+        return tuple(_coerce(v, typing.get_args(hint)[0]) for v in value)
+    if hint in (int, float):
+        # JSON numbers only (a bool is also a numbers.Real), integral for int, finite for float
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if ok and not (hint is int and isinstance(value, numbers.Integral)):
+            # in a float's finite range: not NaN, not +-inf, no integer past 2**1024
+            ok = abs(value) <= float(np.finfo(float).max) and (hint is float or float(value).is_integer())
+        if not ok:
+            raise ValueError(f"must be {'an integer' if hint is int else 'a finite number'}, got {value!r}")
+        return hint(value)
+    return value
 
 
 @dataclass(frozen=True)

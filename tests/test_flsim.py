@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -23,6 +24,42 @@ from flpareto.seeding import TAG_FL_CLIENT, TAG_FL_INIT, stream
 from flpareto.settings import FlOptions, build_fl_problem, build_space, make_run_config
 
 SPEC = ModelSpec(in_dim=20, hidden1=32, hidden2=32, n_classes=2)
+
+# SHA-256 of dtype, shape and bytes of flsim._stacked_data's client X, client y,
+# test X and test y: the default synthetic spec at 5 clients, and the small IDX
+# spec of TestDatasetCache.test_idx_arrays_bit_for_bit at 3 clients
+SYNTHETIC_DIGESTS = [
+    "43b7c616c70c953b43868aedb097cc25c88aba1ada7a155aa477e707cdad4480",
+    "ea8bab0ee32a2343e6ec50edcd8c5ae4deb57ee434a63a1e5ac985349d62d4f2",
+    "085c75af208ba099f1df409a4624b64d1dbcdbbc6e46c807940c5d61f4a469c5",
+    "62c8add311d90739eb196b964d4251936657b6aad3757be653dc9e1b33d63439",
+]
+IDX_DIGESTS = [
+    "86ad242d112b64147701c0c1f605b055c59d7b970eed83c09791f995da2c5ac6",
+    "7b7145d02dd1609e2a8f67a7dbe0efdeb395268122ce7af04003addd3d6e6ead",
+    "626dcc8da09615b21f977868c481ee196f2f2654ac5f562a2c34cd2a33c0702b",
+    "01f3ef21b596ed40638aac4ef637d553bf2991536cb20b4b068eba1f7dfa4673",
+]
+
+
+def _write_idx(directory, images, labels, img_magic=0x803, lbl_magic=0x801):
+    """IDX image and label files of uint8 `images` (n, rows, cols) and `labels` in `directory`."""
+    directory.mkdir(parents=True, exist_ok=True)
+    n, rows, cols = images.shape
+    img_path = directory / "imgs.idx3-ubyte"
+    img_path.write_bytes(struct.pack(">iiii", img_magic, n, rows, cols) + images.tobytes())
+    lbl_path = directory / "lbls.idx1-ubyte"
+    lbl_path.write_bytes(struct.pack(">ii", lbl_magic, n) + labels.tobytes())
+    return img_path, lbl_path
+
+
+def _idx_spec(directory, classes, **splits):
+    """An idx dataset spec over IDX files, in `directory`, of each split's (images, labels)."""
+    paths = {}
+    for split, (images, labels) in splits.items():
+        img_path, lbl_path = _write_idx(directory / split, images, labels)
+        paths[f"{split}_images"], paths[f"{split}_labels"] = str(img_path), str(lbl_path)
+    return {"kind": "idx", **paths, "classes": classes}
 
 
 def _cfg(**kw):
@@ -212,6 +249,29 @@ class TestDatasetCache:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
 
+    @staticmethod
+    def _digests(arrays):
+        return [
+            hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + np.ascontiguousarray(a).tobytes()).hexdigest()
+            for a in arrays
+        ]
+
+    def test_synthetic_arrays_bit_for_bit(self):
+        arrays = flsim._stacked_data(json.dumps(dict(SYNTHETIC_DEFAULTS), sort_keys=True), 5)
+        assert self._digests(arrays) == SYNTHETIC_DIGESTS
+
+    def test_idx_arrays_bit_for_bit(self, tmp_path):
+        # 23 training images dealt to 3 clients leave 2 over; the test split has its own 9
+        gen = np.random.default_rng(5)
+        splits = {}
+        for split, n in (("train", 23), ("test", 9)):
+            images = gen.integers(0, 256, size=(n, 4, 4), dtype=np.uint8)
+            splits[split] = images, (gen.permutation(n) % 3).astype(np.uint8)
+        spec = _idx_spec(tmp_path, 3, **splits)
+        arrays = flsim._stacked_data(json.dumps(spec, sort_keys=True), 3)
+        assert [a.shape for a in arrays] == [(3, 7, 16), (3, 7), (9, 16), (9,)]
+        assert self._digests(arrays) == IDX_DIGESTS
+
     def test_one_load_per_dataset_and_client_count(self, monkeypatch):
         calls = self._count_loads(monkeypatch)
         small = {**SYNTHETIC_DEFAULTS, "n_per_client": 40}
@@ -336,7 +396,9 @@ class TestFlo:
 class TestData:
     def test_synthetic_partition_sizes_disjoint(self):
         data = load_dataset(dict(SYNTHETIC_DEFAULTS), n_clients=5, seed=0)
-        assert all(x.shape == (1000, 20) for x in data.client_X)
+        # the stacked arrays the simulator trains on
+        assert isinstance(data.client_X, np.ndarray) and data.client_X.shape == (5, 1000, 20)
+        assert isinstance(data.client_y, np.ndarray) and data.client_y.shape == (5, 1000)
         seen = set()
         for X in data.client_X:
             for row in X[:, 0]:
@@ -356,20 +418,10 @@ class TestData:
         with pytest.raises(ValueError):
             iid_partition(X, y, n_clients=3, n_per_client=4, rng=rng)
 
-    def _write_idx(self, tmp_path, images, labels, img_magic=0x803, lbl_magic=0x801):
-        n, rows, cols = images.shape
-        img_path = tmp_path / "imgs.idx3-ubyte"
-        img_path.write_bytes(
-            struct.pack(">iiii", img_magic, n, rows, cols) + images.tobytes()
-        )
-        lbl_path = tmp_path / "lbls.idx1-ubyte"
-        lbl_path.write_bytes(struct.pack(">ii", lbl_magic, n) + labels.tobytes())
-        return img_path, lbl_path
-
     def test_idx_roundtrip_counts_match_header(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(7, 4, 3)).astype(np.uint8)
         labels = rng.integers(0, 10, size=7).astype(np.uint8)
-        img_path, lbl_path = self._write_idx(tmp_path, images, labels)
+        img_path, lbl_path = _write_idx(tmp_path, images, labels)
         X = load_idx_images(img_path)
         y = load_idx_labels(lbl_path, n_classes=10)
         assert X.shape == (7, 12)
@@ -381,7 +433,7 @@ class TestData:
     def test_idx_bad_magic_names_offset(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(2, 2, 2)).astype(np.uint8)
         labels = rng.integers(0, 10, size=2).astype(np.uint8)
-        img_path, lbl_path = self._write_idx(tmp_path, images, labels, img_magic=0x999)
+        img_path, lbl_path = _write_idx(tmp_path, images, labels, img_magic=0x999)
         with pytest.raises(IdxFormatError, match="offset 0"):
             load_idx_images(img_path)
 
@@ -394,7 +446,7 @@ class TestData:
     def test_idx_label_out_of_range(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(3, 2, 2)).astype(np.uint8)
         labels = np.array([0, 9, 3], dtype=np.uint8)
-        _, lbl_path = self._write_idx(tmp_path, images, labels)
+        _, lbl_path = _write_idx(tmp_path, images, labels)
         with pytest.raises(IdxFormatError, match="outside"):
             load_idx_labels(lbl_path, n_classes=5)
 
@@ -402,7 +454,7 @@ class TestData:
     def test_idx_dataset_runs_through_fl_problem(self, tmp_path, rng, setting):
         images = rng.integers(0, 256, size=(30, 4, 4)).astype(np.uint8)
         labels = (np.arange(30) % 3).astype(np.uint8)
-        img_path, lbl_path = self._write_idx(tmp_path, images, labels)
+        img_path, lbl_path = _write_idx(tmp_path, images, labels)
         paths = dict.fromkeys(("train_images", "test_images"), str(img_path))
         paths.update(dict.fromkeys(("train_labels", "test_labels"), str(lbl_path)))
         fl = {"dataset": {"kind": "idx", **paths, "classes": 3}, "clients": 3, "rounds": 1,
@@ -421,10 +473,31 @@ class TestData:
         if setting == "sf":  # the widest model's weights: 16*4 + 4*4 + 4*3
             assert problem.ref_point[2] == 1.05 * 92
 
+    def test_idx_fewer_training_images_than_clients_refused(self, tmp_path, rng):
+        images = rng.integers(0, 256, size=(3, 4, 4)).astype(np.uint8)
+        labels = np.array([0, 1, 0], dtype=np.uint8)
+        spec = _idx_spec(tmp_path, 2, train=(images, labels), test=(images, labels))
+        with pytest.raises(ValueError, match="3 training images.* 5 clients"):
+            load_dataset(spec, n_clients=5)
+        # refused at the first evaluation, before any client trains
+        flsim._stacked_data.cache_clear()
+        model = ModelSpec(in_dim=16, hidden1=4, hidden2=4, n_classes=2)
+        with pytest.raises(ValueError, match="3 training images.* 5 clients"):
+            flo_evaluate(FLRunConfig(model=model, dataset=spec, lr=0.1, clients=5, rounds=1, local_epochs=1))
+        assert load_dataset(spec, n_clients=3).client_X.shape == (3, 1, 16)
+
+    def test_idx_test_image_shape_must_match_training(self, tmp_path, rng):
+        train = rng.integers(0, 256, size=(6, 4, 4)).astype(np.uint8)
+        test = rng.integers(0, 256, size=(6, 3, 3)).astype(np.uint8)
+        labels = (np.arange(6) % 2).astype(np.uint8)
+        spec = _idx_spec(tmp_path, 2, train=(train, labels), test=(test, labels))
+        with pytest.raises(IdxFormatError, match="test images are 3x3 but training images are 4x4"):
+            load_dataset(spec, n_clients=2)
+
     def test_idx_dataset_end_to_end(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(40, 3, 3)).astype(np.uint8)
         labels = (np.arange(40) % 2).astype(np.uint8)
-        img_path, lbl_path = self._write_idx(tmp_path, images, labels)
+        img_path, lbl_path = _write_idx(tmp_path, images, labels)
         spec = {
             "kind": "idx",
             "train_images": str(img_path),
