@@ -29,7 +29,7 @@ from .moo import (
 )
 from .nsga2 import NsgaConfig, run_nsga2, run_random_search
 from .psl import PslConfig, run_psl
-from .flsim import FLRunConfig, flo_evaluate
+from .flsim import FlOptions, FLRunConfig, flo_evaluate
 from .runner import run_manifest
 
 __version__ = "0.1.0"
@@ -49,6 +49,7 @@ __all__ = [
     "run_random_search",
     "PslConfig",
     "run_psl",
+    "FlOptions",
     "FLRunConfig",
     "flo_evaluate",
     "run_manifest",

@@ -97,8 +97,7 @@ def _cmd_evaluate(args) -> int:
     space = build_space(args.setting, opts.width_max)
     values = _parse_params(args.param or [])
     space.validate(values)
-    cfg = make_run_config(args.setting, values, opts, args.seed)
-    result = flo_evaluate(cfg)
+    result = flo_evaluate(make_run_config(args.setting, values, opts, args.seed))
     print(" ".join(f"{k}={getattr(result, k)!r}" for k in ("eps_u", "eps_p", "eps_c", "accuracy", "diverged")))
     return 0
 

@@ -1,10 +1,11 @@
 """Deterministic multi-client FedAvg simulator with protection mechanisms.
 
-One evaluation = decode hyperparameters, train `rounds` federated rounds
-under the configured mechanism, and report (utility loss, privacy leakage,
-training cost).  The K clients of a round start from the same global
-model, so they train in lockstep on stacked (K, n, d) data; each keeps its
-own shuffling stream, and its weights equal those of training it alone.
+One evaluation = one `FLRunConfig`: train `fl.rounds` rounds (`fl` is an
+`FlOptions`, a manifest's `fl` block) under the mechanism its params name,
+and report (utility loss, privacy leakage, training cost).  The K clients
+of a round start from the same global model, so they train in lockstep on
+stacked (K, n, d) data; each keeps its own shuffling stream, and its
+weights equal those of training it alone.
 Every stream of randomness derives from the evaluation seed, so identical
 configs are bit-identical regardless of worker count.
 """
@@ -19,46 +20,65 @@ from typing import Any
 import numpy as np
 
 from . import protect
-from .data import load_dataset
+from .data import check_spec, dataset_dims, load_dataset
 from .moo import aggregate_objective
 from .net import ModelSpec, accuracy, init_params, loss_and_grad
 from .seeding import TAG_FL_CLIENT, TAG_FL_INIT, TAG_FL_MASK, TAG_FL_MECH, stream
 
-__all__ = ["FLRunConfig", "EvaluationResult", "local_sgd", "fedavg", "flo_evaluate"]
+__all__ = ["FlOptions", "FLRunConfig", "EvaluationResult", "local_sgd", "fedavg", "flo_evaluate"]
 
 # ordering-only placeholder: seconds per (parameter x sample x epoch)
 DEFAULT_FLOP_TIME = 1e-8
 
-# the lowest value of each field that shapes a run; settings.FlOptions checks the same
-RUN_MINIMUMS = {"clients": 1, "rounds": 0, "local_epochs": 1, "batch_size": 1}
+MECHANISM_PARAMS = (protect.RandomizationParams, protect.BatchCryptParams, protect.SparsificationParams)
 
 
-def check_minimums(obj, minimums: dict) -> None:
-    """ValueError, naming the field first, if a field of `obj` is below its minimum."""
-    for name, lo in minimums.items():
-        if getattr(obj, name) < lo:
-            raise ValueError(f"{name} must be >= {lo}")
+@dataclass(frozen=True)
+class FlOptions:
+    """A manifest's `fl` block: the data, federation and mechanism constants of a run."""
+
+    dataset: dict = field(default_factory=dict)  # overrides of data.SYNTHETIC_DEFAULTS, or an idx spec
+    clients: int = 5
+    rounds: int = 10
+    local_epochs: int = 5
+    batch_size: int = 64
+    width_max: int = 32  # upper bound of the searched hidden widths, above their low bound 1
+    c1: float = protect.RandomizationParams.c1
+    payload_bits: int = protect.BatchCryptParams.payload_bits
+    c2: float = protect.SparsificationParams.c2
+
+    def __post_init__(self):
+        for name, lo in (("clients", 1), ("rounds", 0), ("local_epochs", 1), ("batch_size", 1), ("width_max", 2)):
+            if getattr(self, name) < lo:
+                raise ValueError(f"{name} must be >= {lo}")
+        # the mechanisms' own rules on their constants
+        protect.RandomizationParams(sigma_rd=0.0, c_clip=1.0, c1=self.c1)
+        # >= 2 bits per value at the smallest searched batch size, or every bc row is invalid
+        protect.BatchCryptParams(min(protect.BATCH_SIZES), self.payload_bits, self.clients).checked_bits()
+        protect.SparsificationParams(rho=0.0, xi=0.0, c2=self.c2)
+        check_spec(self.dataset)
 
 
 @dataclass(frozen=True)
 class FLRunConfig:
     model: ModelSpec
-    dataset: dict
     lr: float
-    clients: int = 5
-    rounds: int = 10
-    local_epochs: int = 5
-    batch_size: int = 64
-    mechanism: str = "none"  # "none" | "rd" | "bc" | "sf"
-    mechanism_params: Any = None
+    fl: FlOptions = field(default_factory=FlOptions)
+    mechanism_params: Any = None  # one of MECHANISM_PARAMS, or None for plain FedAvg
     seed: int = 0
 
     def __post_init__(self):
-        check_minimums(self, RUN_MINIMUMS)
         if self.lr < 0:
             raise ValueError("learning rate must be nonnegative")
-        if self.mechanism not in ("none", "rd", "bc", "sf"):
-            raise ValueError(f"unknown mechanism {self.mechanism!r}")
+        params = self.mechanism_params
+        if not (params is None or isinstance(params, MECHANISM_PARAMS)):
+            names = ", ".join(cls.__name__ for cls in MECHANISM_PARAMS)
+            raise ValueError(f"mechanism_params must be None or one of {names}, got {type(params).__name__}")
+
+    @property
+    def mechanism(self) -> str:
+        """The mechanism its params name ("rd", "bc" or "sf"); "none" without params."""
+        return "none" if self.mechanism_params is None else self.mechanism_params.mechanism
 
 
 @dataclass
@@ -164,12 +184,16 @@ def flo_evaluate(cfg: FLRunConfig) -> EvaluationResult:
     cost averages.  Divergence and invalid mechanism configurations yield
     eps_u = 1 with the flag set, keeping the evaluator total.
     """
-    X, y, test_X, test_y = _stacked_data(json.dumps(cfg.dataset, sort_keys=True), cfg.clients)
-    spec, p = cfg.model, cfg.mechanism_params
+    fl, spec, p = cfg.fl, cfg.model, cfg.mechanism_params
+    in_dim, n_classes = dataset_dims(fl.dataset)
+    if spec.in_dim != in_dim or spec.n_classes < n_classes:
+        raise ValueError(f"model (in_dim {spec.in_dim}, n_classes {spec.n_classes}) does not fit the "
+                         f"dataset ({in_dim} features, {n_classes} classes)")
+    X, y, test_X, test_y = _stacked_data(json.dumps(fl.dataset, sort_keys=True), fl.clients)
     d_w = spec.n_params
     K, n_k = y.shape
 
-    if cfg.mechanism == "bc" and cfg.rounds:
+    if cfg.mechanism == "bc" and fl.rounds:
         try:
             p.checked_bits()
         except ValueError as exc:
@@ -184,13 +208,13 @@ def flo_evaluate(cfg: FLRunConfig) -> EvaluationResult:
         sf_masks = [stream(cfg.seed, TAG_FL_MASK, k).random(d_w) < p.rho for k in range(K)]
 
     # each client is charged the same modelled training time every round
-    train_times = [DEFAULT_FLOP_TIME * d_w * n_k * cfg.local_epochs] * K
+    train_times = [DEFAULT_FLOP_TIME * d_w * n_k * fl.local_epochs] * K
     trace: list[dict] = []
     diverged = False
-    for i in range(cfg.rounds):
+    for i in range(fl.rounds):
         round_start = global_p
         locals_ = local_sgd(
-            round_start, X, y, spec, cfg.local_epochs, cfg.batch_size, cfg.lr,
+            round_start, X, y, spec, fl.local_epochs, fl.batch_size, cfg.lr,
             [stream(cfg.seed, TAG_FL_CLIENT, i, k) for k in range(K)],
         )
         diverged = not np.isfinite(locals_).all()

@@ -67,7 +67,7 @@ class GenerationRecord:
     hv_feasible: float
     hv_all: float
     feasible_count: int
-    best: tuple[float, ...]
+    best: tuple[float | None, ...]  # per objective over feasible rows; None while none is feasible
     evaluations: int
 
 
@@ -242,7 +242,6 @@ def _record(archive: Archive, t: int, z: np.ndarray) -> GenerationRecord:
     """Cumulative-archive metrics (append-only algorithms)."""
     feasible = archive.feasible
     Y = archive.raw[feasible]
-    best = Y.min(axis=0) if len(Y) else np.full(Y.shape[1], np.nan)
     hv_feasible = archive.hv(z, feasible)
     # hypervolume drops the rows outside z, so when every infeasible row lies
     # outside it, the whole archive gives the same sweep as the feasible rows
@@ -252,7 +251,7 @@ def _record(archive: Archive, t: int, z: np.ndarray) -> GenerationRecord:
         hv_feasible=hv_feasible,
         hv_all=archive.hv(z) if infeasible_inside else hv_feasible,
         feasible_count=int(feasible.sum()),
-        best=tuple(float(v) for v in best),
+        best=tuple(float(v) for v in Y.min(axis=0)) if len(Y) else (None,) * Y.shape[1],
         evaluations=len(archive),
     )
 

@@ -28,9 +28,12 @@ __all__ = [
     "sf_cost",
 ]
 
+BATCH_SIZES = (100, 200, 400, 800)  # bc's searched batch sizes
+
 
 @dataclass(frozen=True)
 class RandomizationParams:
+    mechanism = "rd"  # the name FLRunConfig.mechanism reads; a class attribute, not a field
     sigma_rd: float  # noise standard deviation, [0, 1]
     c_clip: float  # norm clip, [1, 4]
     c1: float = 1.0
@@ -66,7 +69,8 @@ def rd_leakage(p: RandomizationParams, d_w: int) -> float:
 
 @dataclass(frozen=True)
 class BatchCryptParams:
-    batch_size: int  # values per encrypted payload, from {100, 200, 400, 800}
+    mechanism = "bc"
+    batch_size: int  # values per encrypted payload, from BATCH_SIZES
     payload_bits: int = 4096
     clients: int = 5  # sets the additive-aggregation headroom
     t_enc: float = 5e-3  # per-batch encryption seconds (ordering-only placeholder)
@@ -136,6 +140,7 @@ def bc_cost(d_w: int, p: BatchCryptParams, train_time) -> float:
 
 @dataclass(frozen=True)
 class SparsificationParams:
+    mechanism = "sf"
     rho: float  # probability an eligible parameter is public, [0, 1]
     xi: float  # fraction of public params with smallest update kept private, [0, 0.99]
     c2: float = 8.0

@@ -43,11 +43,12 @@ from pathlib import Path
 import numpy as np
 
 from .bench import BENCHMARKS, get_benchmark
+from .flsim import FlOptions
 from .moo import Archive, ConstraintSpec, Problem
 from .nsga2 import GenerationRecord, NsgaConfig, RunResult, run_nsga2, run_random_search
 from .psl import PslConfig, run_psl
 from .schema import SCHEMA_VERSION, TRACE_COLUMNS
-from .settings import SETTINGS, FlOptions, build_fl_problem
+from .settings import SETTINGS, build_fl_problem
 from .spaces import _coerce
 
 __all__ = [
@@ -185,7 +186,8 @@ def normalize_manifest(raw: dict) -> dict:
     m["generations"] = _integer(m, "generations", NsgaConfig.generations, 0)
     m["population"] = _integer(m, "population", NsgaConfig.population_size, 1)
     m["workers"] = _integer(m, "workers", 1, 1)
-    m["out_dir"] = str(m.get("out_dir", "runs/out"))
+    m["out_dir"] = m.get("out_dir", "runs/out")
+    _require(isinstance(m["out_dir"], str) and m["out_dir"], "out_dir", "must be a nonempty string")
 
     if m.get("dim") is not None:
         _require(setting in BENCHMARKS, "dim", "only benchmarks take a dimension")
@@ -250,8 +252,8 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-# the C encoder, for checkpoint lines and final artifacts alike
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_json_default).encode
+# the C encoder, for checkpoint lines and final artifacts alike; NaN and Infinity raise
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_json_default, allow_nan=False).encode
 
 
 def _dump_json(path: Path, obj) -> None:
@@ -464,7 +466,7 @@ def load_front_file(path) -> tuple[np.ndarray, np.ndarray | None]:
     rows = payload["raw"] if archive else payload
     try:
         Y = np.empty((0, 0)) if rows == [] else np.asarray(rows, dtype=float)
-    except TypeError:  # a JSON object among the values
+    except (TypeError, ValueError):  # an object, a string or a ragged row among the values
         Y = None
     if Y is None or Y.ndim != 2:
         raise ValueError(f"{path}: expected a list of objective vectors")

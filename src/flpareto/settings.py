@@ -1,7 +1,7 @@
 """Experimental settings: search spaces, constraints, and FL evaluators.
 
-Three protected settings over the federated simulator, each one
-`FlSetting` record in `SETTINGS`; a setting's name is also its mechanism's:
+Three protected settings, each one `FlSetting` record in `SETTINGS` named
+as its mechanism, whose rows each run as one `flsim.FLRunConfig`:
 
   rd  -- Gaussian randomization; minimize (utility loss, privacy leakage),
          privacy constrained <= 0.8 with penalty 20.
@@ -17,23 +17,22 @@ hidden widths [1, width_max], rho [0, 1], xi [0, 0.99].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from .data import check_spec, dataset_dims
-from .flsim import RUN_MINIMUMS, FLRunConfig, check_minimums, flo_evaluate
+from .data import dataset_dims
+from .flsim import FLRunConfig, FlOptions, flo_evaluate
 from .moo import ConstraintSpec, Problem
 from .net import ModelSpec
-from .protect import BatchCryptParams, RandomizationParams, SparsificationParams
+from .protect import BATCH_SIZES, BatchCryptParams, RandomizationParams, SparsificationParams
 from .spaces import SearchSpace, Var
 
 __all__ = [
     "FL_SETTINGS",
     "SETTINGS",
     "FlSetting",
-    "FlOptions",
     "build_space",
     "build_constraints",
     "build_fl_problem",
@@ -44,7 +43,6 @@ __all__ = [
 PRIVACY_BOUND = 0.8
 COST_BOUND_SECONDS = 500.0
 PENALTY = 20.0  # on every bounded objective
-BATCH_SIZES = (100, 200, 400, 800)  # bc's searched batch sizes
 
 
 @dataclass(frozen=True)
@@ -106,30 +104,6 @@ def build_constraints(setting: str) -> ConstraintSpec:
     return ConstraintSpec(bounds=bounds, penalties=tuple(0.0 if b is None else PENALTY for b in bounds))
 
 
-@dataclass(frozen=True)
-class FlOptions:
-    """A manifest's `fl` block; defaults but `dataset` and `width_max` are the simulator's."""
-
-    dataset: dict = field(default_factory=dict)  # overrides of data.SYNTHETIC_DEFAULTS, or an idx spec
-    clients: int = FLRunConfig.clients
-    rounds: int = FLRunConfig.rounds
-    local_epochs: int = FLRunConfig.local_epochs
-    batch_size: int = FLRunConfig.batch_size
-    width_max: int = 32  # upper bound of the searched hidden widths
-    c1: float = RandomizationParams.c1
-    payload_bits: int = BatchCryptParams.payload_bits
-    c2: float = SparsificationParams.c2
-
-    def __post_init__(self):
-        check_minimums(self, {**RUN_MINIMUMS, "width_max": 2})  # spaces.Var needs low < high
-        # the mechanisms' own rules on their constants
-        RandomizationParams(sigma_rd=0.0, c_clip=1.0, c1=self.c1)
-        # >= 2 bits per value at the smallest searched batch size, or every bc row is invalid
-        BatchCryptParams(min(BATCH_SIZES), self.payload_bits, self.clients).checked_bits()
-        SparsificationParams(rho=0.0, xi=0.0, c2=self.c2)
-        check_spec(self.dataset)
-
-
 def _model(fl_options: FlOptions, values: dict) -> ModelSpec:
     """The model of decoded `values`; hidden widths not searched are width_max."""
     in_dim, n_classes = dataset_dims(fl_options.dataset)
@@ -153,13 +127,8 @@ def make_run_config(setting: str, values: dict, fl_options: FlOptions, seed: int
     """Assemble an FLRunConfig from decoded hyperparameter values."""
     return FLRunConfig(
         model=_model(fl_options, values),
-        dataset=fl_options.dataset,
         lr=float(values["lr"]),
-        clients=fl_options.clients,
-        rounds=fl_options.rounds,
-        local_epochs=fl_options.local_epochs,
-        batch_size=fl_options.batch_size,
-        mechanism=setting,
+        fl=fl_options,
         mechanism_params=_setting(setting).params(values, fl_options),
         seed=int(seed),
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from flpareto.bench import constrained_toy_problem, zdt1_problem
 from flpareto.data import SYNTHETIC_DEFAULTS, load_dataset
-from flpareto.flsim import FLRunConfig, flo_evaluate, local_sgd
+from flpareto.flsim import FLRunConfig, FlOptions, flo_evaluate, local_sgd
 from flpareto.gp import GPHyper, gp_fit
 from flpareto.moo import hypervolume, nondominated_sort
 from flpareto.net import ModelSpec, accuracy, init_params, loss_and_grad
@@ -278,21 +278,21 @@ def test_criterion_7_fl_sanity():
     def work():
         spec = ModelSpec(in_dim=20, hidden1=32, hidden2=32, n_classes=2)
         res = flo_evaluate(
-            FLRunConfig(model=spec, dataset=dict(SYNTHETIC_DEFAULTS), lr=0.1, seed=42)
+            FLRunConfig(model=spec, lr=0.1, fl=FlOptions(dataset=dict(SYNTHETIC_DEFAULTS)), seed=42)
         )
         sane = res.eps_u <= 0.05
 
         cfg = FLRunConfig(
-            model=spec, dataset=dict(SYNTHETIC_DEFAULTS), lr=0.1, seed=11,
-            clients=1, rounds=3, local_epochs=2,
+            model=spec, lr=0.1, seed=11,
+            fl=FlOptions(dataset=dict(SYNTHETIC_DEFAULTS), clients=1, rounds=3, local_epochs=2),
         )
         fed = flo_evaluate(cfg)
-        data = load_dataset(cfg.dataset, 1, seed=int(cfg.dataset.get("seed", 0)))
+        data = load_dataset(cfg.fl.dataset, 1, seed=int(cfg.fl.dataset.get("seed", 0)))
         w = init_params(spec, stream(cfg.seed, TAG_FL_INIT))
-        for i in range(cfg.rounds):
+        for i in range(cfg.fl.rounds):
             w = local_sgd(
                 w, data.client_X[0], data.client_y[0], spec,
-                cfg.local_epochs, cfg.batch_size, cfg.lr,
+                cfg.fl.local_epochs, cfg.fl.batch_size, cfg.lr,
                 stream(cfg.seed, TAG_FL_CLIENT, i, 0),
             )
         central_acc = accuracy(w, data.test_X, data.test_y, spec)

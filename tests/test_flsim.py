@@ -17,11 +17,12 @@ from flpareto.data import (
     load_idx_labels,
 )
 import flpareto.flsim as flsim
-from flpareto.flsim import EvaluationResult, FLRunConfig, fedavg, flo_evaluate, local_sgd
+import flpareto.settings as settings
+from flpareto.flsim import EvaluationResult, FLRunConfig, FlOptions, fedavg, flo_evaluate, local_sgd
 from flpareto.net import ModelSpec, accuracy, init_params, loss_and_grad, predict
 from flpareto.protect import RandomizationParams, SparsificationParams, BatchCryptParams
 from flpareto.seeding import TAG_FL_CLIENT, TAG_FL_INIT, stream
-from flpareto.settings import FlOptions, build_fl_problem, build_space, make_run_config
+from flpareto.settings import build_fl_problem, build_space, make_run_config
 
 SPEC = ModelSpec(in_dim=20, hidden1=32, hidden2=32, n_classes=2)
 
@@ -62,10 +63,12 @@ def _idx_spec(directory, classes, **splits):
     return {"kind": "idx", **paths, "classes": classes}
 
 
-def _cfg(**kw):
-    base = dict(model=SPEC, dataset=dict(SYNTHETIC_DEFAULTS), lr=0.1, seed=42)
-    base.update(kw)
-    return FLRunConfig(**base)
+def _cfg(mechanism="none", mechanism_params=None, lr=0.1, seed=42, **fl):
+    """A run of SPEC on the default synthetic data; `fl` holds FlOptions fields."""
+    fl = FlOptions(**{"dataset": dict(SYNTHETIC_DEFAULTS), **fl})
+    cfg = FLRunConfig(model=SPEC, lr=lr, fl=fl, mechanism_params=mechanism_params, seed=seed)
+    assert cfg.mechanism == mechanism
+    return cfg
 
 
 class TestNet:
@@ -226,7 +229,66 @@ class TestRunConfig:
     def test_out_of_range_field_named_first(self, key, value):
         # batch_size -1 used to train nothing and report the untrained model
         with pytest.raises(ValueError, match=f"^{key} must be >= "):
-            _cfg(**{key: value})
+            FlOptions(**{key: value})
+
+    # a direct config gets the manifest path's checks: unchecked, the typo
+    # trained on the default 20 features
+    def test_dataset_typo_named(self):
+        with pytest.raises(ValueError, match=r"^dataset\.featurs "):
+            FLRunConfig(model=SPEC, lr=0.1, fl=FlOptions(dataset={"featurs": 5}))
+
+    # unchecked, params of no mechanism failed mid-run with an AttributeError
+    @pytest.mark.parametrize(
+        "params", [{"sigma_rd": 0.5}, "rd", EvaluationResult(0.0, 0.0, 0.0, 1.0)], ids=["dict", "str", "other"]
+    )
+    def test_params_that_are_no_mechanisms_refused(self, params):
+        with pytest.raises(ValueError, match="^mechanism_params must be None or one of RandomizationParams"):
+            FLRunConfig(model=SPEC, lr=0.1, mechanism_params=params)
+
+    @pytest.mark.parametrize(
+        "params, mechanism",
+        [
+            (RandomizationParams(sigma_rd=0.5, c_clip=2.0), "rd"),
+            (BatchCryptParams(batch_size=100), "bc"),
+            (SparsificationParams(rho=0.5, xi=0.1), "sf"),
+            (None, "none"),
+        ],
+    )
+    def test_mechanism_named_by_its_params(self, params, mechanism):
+        assert FLRunConfig(model=SPEC, lr=0.1, mechanism_params=params).mechanism == mechanism
+
+    # refused before any client trains; unchecked, these failed inside a matmul
+    # or a reshape
+    @pytest.mark.parametrize(
+        "model, dataset, message",
+        [
+            (ModelSpec(in_dim=7), {}, r"in_dim 7\b.*\(20 features"),
+            (ModelSpec(in_dim=20, n_classes=2), {"classes": 3}, r"n_classes 2\b.*, 3 classes"),
+        ],
+    )
+    def test_model_that_does_not_fit_its_dataset_refused(self, monkeypatch, model, dataset, message):
+        monkeypatch.setattr(flsim, "local_sgd", lambda *a: pytest.fail("a client trained"))
+        cfg = FLRunConfig(model=model, lr=0.1, fl=FlOptions(dataset=dataset, rounds=1, local_epochs=1))
+        with pytest.raises(ValueError, match=message):
+            flo_evaluate(cfg)
+
+
+class TestEvaluatorSeam:
+    # perfbench's tracer wraps settings.flo_evaluate and reads `mechanism` and
+    # `model` from its argument; fl-search evaluates in worker processes, where
+    # a traced smoke run never shows them, so this pins the seam
+    @pytest.mark.parametrize("setting", ["rd", "bc", "sf"])
+    def test_problem_passes_a_config_naming_its_setting(self, monkeypatch, setting):
+        seen = []
+
+        def recording(cfg):
+            seen.append(cfg)
+            return flo_evaluate(cfg)
+
+        monkeypatch.setattr(settings, "flo_evaluate", recording)
+        problem = build_fl_problem(setting, {"rounds": 1, "local_epochs": 1, "width_max": 4})
+        problem.evaluate(np.full((1, problem.dim), 0.5), [0])
+        assert [(cfg.mechanism, type(cfg.model)) for cfg in seen] == [(setting, ModelSpec)]
 
 
 class TestDatasetCache:
@@ -334,12 +396,12 @@ class TestFlo:
         res = flo_evaluate(cfg)
         # rebuild centralized training: same init, same per-round streams,
         # fedavg over one client is the identity
-        data = load_dataset(cfg.dataset, 1, seed=int(cfg.dataset.get("seed", 0)))
+        data = load_dataset(cfg.fl.dataset, 1, seed=int(cfg.fl.dataset.get("seed", 0)))
         w = init_params(cfg.model, stream(cfg.seed, TAG_FL_INIT))
-        for i in range(cfg.rounds):
+        for i in range(cfg.fl.rounds):
             w = local_sgd(
                 w, data.client_X[0], data.client_y[0], cfg.model,
-                cfg.local_epochs, cfg.batch_size, cfg.lr,
+                cfg.fl.local_epochs, cfg.fl.batch_size, cfg.lr,
                 stream(cfg.seed, TAG_FL_CLIENT, i, 0),
             )
         acc = accuracy(w, data.test_X, data.test_y, cfg.model)
@@ -348,12 +410,12 @@ class TestFlo:
     def test_one_round_equals_manual_composition(self):
         cfg = _cfg(clients=3, rounds=1)
         res = flo_evaluate(cfg)
-        data = load_dataset(cfg.dataset, 3, seed=int(cfg.dataset.get("seed", 0)))
+        data = load_dataset(cfg.fl.dataset, 3, seed=int(cfg.fl.dataset.get("seed", 0)))
         w0 = init_params(cfg.model, stream(cfg.seed, TAG_FL_INIT))
         locals_ = [
             local_sgd(
                 w0, data.client_X[k], data.client_y[k], cfg.model,
-                cfg.local_epochs, cfg.batch_size, cfg.lr,
+                cfg.fl.local_epochs, cfg.fl.batch_size, cfg.lr,
                 stream(cfg.seed, TAG_FL_CLIENT, 0, k),
             )
             for k in range(3)
@@ -468,7 +530,7 @@ class TestData:
         assert (cfg.model.in_dim, cfg.model.n_classes) == (16, 3)
         assert not flo_evaluate(cfg).diverged
         # each client gets y.size // clients samples, as load_dataset documents
-        client_X = flsim._stacked_data(json.dumps(cfg.dataset, sort_keys=True), 3)[0]
+        client_X = flsim._stacked_data(json.dumps(cfg.fl.dataset, sort_keys=True), 3)[0]
         assert client_X.shape == (3, 10, 16)
         if setting == "sf":  # the widest model's weights: 16*4 + 4*4 + 4*3
             assert problem.ref_point[2] == 1.05 * 92
@@ -482,8 +544,9 @@ class TestData:
         # refused at the first evaluation, before any client trains
         flsim._stacked_data.cache_clear()
         model = ModelSpec(in_dim=16, hidden1=4, hidden2=4, n_classes=2)
+        fl = FlOptions(dataset=spec, clients=5, rounds=1, local_epochs=1)
         with pytest.raises(ValueError, match="3 training images.* 5 clients"):
-            flo_evaluate(FLRunConfig(model=model, dataset=spec, lr=0.1, clients=5, rounds=1, local_epochs=1))
+            flo_evaluate(FLRunConfig(model=model, lr=0.1, fl=fl))
         assert load_dataset(spec, n_clients=3).client_X.shape == (3, 1, 16)
 
     def test_idx_test_image_shape_must_match_training(self, tmp_path, rng):

@@ -14,6 +14,7 @@ from flpareto import nsga2, runner
 from flpareto.bench import get_benchmark
 from flpareto.cli import main
 from flpareto.data import SYNTHETIC_DEFAULTS
+from flpareto.flsim import FlOptions
 from flpareto.runner import (
     ManifestError,
     algorithm_config,
@@ -22,7 +23,6 @@ from flpareto.runner import (
     run_manifest,
 )
 from flpareto.schema import ARCHIVE_FIELDS, SUMMARY_GENERATION_FIELDS, TRACE_COLUMNS
-from flpareto.settings import FlOptions
 from flpareto.spaces import SearchSpace, Var
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -100,6 +100,17 @@ class TestManifestValidation:
     def test_tiny_population_for_nsga2(self):
         with pytest.raises(ManifestError, match="population"):
             normalize_manifest(_zdt_manifest("x", population=1))
+
+    # unchecked, these wrote under ./None/ and ./5/, or into the working directory
+    @pytest.mark.parametrize("out_dir", [None, 5, ""])
+    def test_out_dir_must_be_a_nonempty_string(self, tmp_path, monkeypatch, out_dir):
+        monkeypatch.chdir(tmp_path)
+        m = _zdt_manifest("x", generations=1, out_dir=out_dir)
+        with pytest.raises(ManifestError, match="'out_dir': must be a nonempty string"):
+            normalize_manifest(m)
+        with pytest.raises(ManifestError, match="'out_dir'"):
+            run_manifest(m)
+        assert list(tmp_path.iterdir()) == []
 
     # normalize_manifest refuses it, so no seed runs, serially or in worker processes
     @pytest.mark.parametrize("seeds,workers", [([0], 1), ([0, 1], 2)], ids=["serial", "processes"])
@@ -317,6 +328,27 @@ class TestOptimizeArtifacts:
         rows = json.loads((out / "summary.json").read_text())["per_generation"]
         assert len(rows) == 4
         assert all(sorted(row) == sorted(SUMMARY_GENERATION_FIELDS) for row in rows)
+
+    # with no feasible row, `best` is null, not a bare NaN, and resume reads it back
+    def test_artifacts_are_strict_json_without_a_feasible_row(self, tmp_path):
+        def strict(text):
+            return json.loads(text, parse_constant=lambda name: pytest.fail(f"bare {name} in an artifact"))
+
+        out = tmp_path / "run"
+        m = {"algorithm": "random", "setting": "constrained_toy", "seeds": [27], "population": 1,
+             "generations": 1, "out_dir": str(out)}
+        run_manifest(m)
+        summary = strict((out / "summary.json").read_text())
+        assert summary["final"]["27"]["best_per_objective"] == [None, None, None]
+        for path in out.glob("*.json"):
+            strict(path.read_text())
+        lines = [strict(line) for line in (out / "checkpoints" / "seed27.jsonl").read_text().splitlines()]
+        assert lines[-1]["record"]["best"] == [None, None, None]
+        first = _hash_dir(out)
+        run_manifest(m)  # resumes from the checkpoint's last line
+        assert _hash_dir(out) == first
+        with pytest.raises(ValueError):
+            runner._encode({"best": [float("nan")]})
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "run"
@@ -564,14 +596,18 @@ class TestCli:
         assert re.search(r"^error: .*'feasible' must be a list of booleans", captured.err, re.M)
 
     # `raw` must be a list of objective vectors: not indexed as one
-    @pytest.mark.parametrize("raw", [[1.0, 2.0], 5, {"a": 1.0}], ids=["flat", "scalar", "object"])
+    @pytest.mark.parametrize(
+        "raw",
+        [[1.0, 2.0], 5, {"a": 1.0}, [[1.0, 2.0], [3.0]], [[1.0, "a"]]],
+        ids=["flat", "scalar", "object", "ragged", "string"],
+    )
     def test_hv_refuses_raw_that_is_not_a_list_of_vectors(self, tmp_path, capsys, raw):
         f = tmp_path / "archive.json"
         f.write_text(json.dumps({"raw": raw}))
         assert main(["hv", "--file", str(f), "--ref", "3", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert re.search(r"^error: .*expected a list of objective vectors", captured.err, re.M)
+        assert re.search(rf"^error: {re.escape(str(f))}: expected a list of objective vectors", captured.err, re.M)
 
     def test_hv_archive_with_empty_raw_is_an_empty_front(self, tmp_path, capsys):
         f = tmp_path / "archive.json"
