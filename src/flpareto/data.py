@@ -81,10 +81,6 @@ class FederatedData:
     test_X: np.ndarray
     test_y: np.ndarray
 
-    @property
-    def n_clients(self) -> int:
-        return len(self.client_X)
-
 
 def check_spec(spec) -> None:
     """ValueError, naming the field as `dataset.<field>` first, unless `spec` is

@@ -2,10 +2,11 @@
 
 One evaluation = one `FLRunConfig`: train `fl.rounds` rounds (`fl` is an
 `FlOptions`, a manifest's `fl` block) under the mechanism its params name,
-and report (utility loss, privacy leakage, training cost).  The K clients
-of a round start from the same global model, so they train in lockstep on
-stacked (K, n, d) data; each keeps its own shuffling stream, and its
-weights equal those of training it alone.
+and report (utility loss, privacy leakage, training cost); the mechanism
+constants come from `fl`.  The K clients of a round start from the same
+global model, so they train in lockstep on stacked (K, n, d) data; each
+keeps its own shuffling stream, and its weights equal those of training it
+alone.
 Every stream of randomness derives from the evaluation seed, so identical
 configs are bit-identical regardless of worker count.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -35,7 +37,7 @@ MECHANISM_PARAMS = (protect.RandomizationParams, protect.BatchCryptParams, prote
 
 @dataclass(frozen=True)
 class FlOptions:
-    """A manifest's `fl` block: the data, federation and mechanism constants of a run."""
+    """A manifest's `fl` block: the data, federation and mechanism constants of a run, and their rules."""
 
     dataset: dict = field(default_factory=dict)  # overrides of data.SYNTHETIC_DEFAULTS, or an idx spec
     clients: int = 5
@@ -43,19 +45,19 @@ class FlOptions:
     local_epochs: int = 5
     batch_size: int = 64
     width_max: int = 32  # upper bound of the searched hidden widths, above their low bound 1
-    c1: float = protect.RandomizationParams.c1
-    payload_bits: int = protect.BatchCryptParams.payload_bits
-    c2: float = protect.SparsificationParams.c2
+    c1: float = 1.0  # rd's distortion constant
+    payload_bits: int = 4096  # bc's ciphertext payload
+    c2: float = 8.0  # sf's distortion constant
 
     def __post_init__(self):
-        for name, lo in (("clients", 1), ("rounds", 0), ("local_epochs", 1), ("batch_size", 1), ("width_max", 2)):
-            if getattr(self, name) < lo:
+        for name, lo in dict(clients=1, rounds=0, local_epochs=1, batch_size=1, width_max=2, payload_bits=1).items():
+            if not getattr(self, name) >= lo:
                 raise ValueError(f"{name} must be >= {lo}")
-        # the mechanisms' own rules on their constants
-        protect.RandomizationParams(sigma_rd=0.0, c_clip=1.0, c1=self.c1)
+        for name in ("c1", "c2"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         # >= 2 bits per value at the smallest searched batch size, or every bc row is invalid
-        protect.BatchCryptParams(min(protect.BATCH_SIZES), self.payload_bits, self.clients).checked_bits()
-        protect.SparsificationParams(rho=0.0, xi=0.0, c2=self.c2)
+        protect.bc_bits(min(protect.BATCH_SIZES), self.payload_bits, self.clients)
         check_spec(self.dataset)
 
 
@@ -195,7 +197,7 @@ def flo_evaluate(cfg: FLRunConfig) -> EvaluationResult:
 
     if cfg.mechanism == "bc" and fl.rounds:
         try:
-            p.checked_bits()
+            bits = protect.bc_bits(p.batch_size, fl.payload_bits, fl.clients)
         except ValueError as exc:
             return EvaluationResult(
                 eps_u=1.0, eps_p=0.0, eps_c=0.0, accuracy=0.0,
@@ -225,10 +227,10 @@ def flo_evaluate(cfg: FLRunConfig) -> EvaluationResult:
             global_p = fedavg(
                 [protect.rd_protect(w, p, stream(cfg.seed, TAG_FL_MECH, i, k)) for k, w in enumerate(locals_)]
             )
-            leaks, round_cost = [protect.rd_leakage(p, d_w)] * K, aggregate_objective(train_times)
+            leaks, round_cost = [protect.rd_leakage(p, d_w, fl.c1)] * K, aggregate_objective(train_times)
         elif cfg.mechanism == "bc":
-            global_p = fedavg([protect.bc_protect(w, p) for w in locals_])
-            leaks, round_cost = [0.0] * K, protect.bc_cost(d_w, p, train_times)
+            global_p = fedavg([protect.bc_protect(w, bits) for w in locals_])
+            leaks, round_cost = [0.0] * K, protect.bc_cost(d_w, p.batch_size, train_times)
         elif cfg.mechanism == "sf":
             results = [
                 protect.sf_protect(w, round_start, p, eligible=eligible, connection_mask=m)
@@ -236,7 +238,7 @@ def flo_evaluate(cfg: FLRunConfig) -> EvaluationResult:
             ]
             global_p = _sf_aggregate(round_start, locals_, results)
             leaks = [
-                protect.sf_leakage(w[r.retained_mask | r.never_public_mask], p.c2)
+                protect.sf_leakage(w[r.retained_mask | r.never_public_mask], fl.c2)
                 for w, r in zip(locals_, results)
             ]
             round_cost = protect.sf_cost([r.shared_mask for r in results])

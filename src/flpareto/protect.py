@@ -4,7 +4,9 @@ Three mechanisms: Gaussian randomization (clip-by-norm plus noise),
 batched quantize-and-pack encryption (reproduced as quantization plus a
 calibrated cost model, no real ciphertexts), and sparsification (public
 vs private sub-model split).  Leakage formulas map mechanism strength to
-a value in [0, 1]; larger means more privacy leaked.
+a value in [0, 1]; larger means more privacy leaked.  A params class holds
+the searched values; run constants (C1, C2, bc's payload and client count)
+are arguments, from `flsim.FlOptions`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ __all__ = [
     "SparsifyResult",
     "rd_protect",
     "rd_leakage",
+    "bc_bits",
     "bc_protect",
     "bc_cost",
     "sf_protect",
@@ -30,21 +33,23 @@ __all__ = [
 
 BATCH_SIZES = (100, 200, 400, 800)  # bc's searched batch sizes
 
+# bc's per-batch operation seconds (ordering-only placeholders)
+T_ENC = 5e-3
+T_ADD = 1e-4
+T_DEC = 5e-3
+
 
 @dataclass(frozen=True)
 class RandomizationParams:
     mechanism = "rd"  # the name FLRunConfig.mechanism reads; a class attribute, not a field
     sigma_rd: float  # noise standard deviation, [0, 1]
     c_clip: float  # norm clip, [1, 4]
-    c1: float = 1.0
 
     def __post_init__(self):
-        if self.c_clip <= 0:
+        if not self.c_clip > 0:
             raise ValueError("c_clip must be positive")
-        if self.sigma_rd < 0:
+        if not self.sigma_rd >= 0:
             raise ValueError("sigma_rd must be nonnegative")
-        if not 0.0 < self.c1 < math.inf:
-            raise ValueError("c1 must be finite and > 0")
 
 
 def rd_protect(
@@ -59,11 +64,13 @@ def rd_protect(
     return out
 
 
-def rd_leakage(p: RandomizationParams, d_w: int) -> float:
+def rd_leakage(p: RandomizationParams, d_w: int, c1: float) -> float:
     """1 - min(1, C1 * sigma^2 / clip^2 * sqrt(d_w)); zero noise leaks fully."""
     if d_w < 1:
         raise ValueError("d_w must be >= 1")
-    distortion = p.c1 * (p.sigma_rd**2 / p.c_clip**2) * math.sqrt(d_w)
+    if not c1 > 0:
+        raise ValueError("c1 must be positive")
+    distortion = c1 * (p.sigma_rd**2 / p.c_clip**2) * math.sqrt(d_w)
     return 1.0 - min(1.0, distortion)
 
 
@@ -71,70 +78,59 @@ def rd_leakage(p: RandomizationParams, d_w: int) -> float:
 class BatchCryptParams:
     mechanism = "bc"
     batch_size: int  # values per encrypted payload, from BATCH_SIZES
-    payload_bits: int = 4096
-    clients: int = 5  # sets the additive-aggregation headroom
-    t_enc: float = 5e-3  # per-batch encryption seconds (ordering-only placeholder)
-    t_add: float = 1e-4
-    t_dec: float = 5e-3
 
     def __post_init__(self):
-        for name in ("batch_size", "payload_bits", "clients"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-
-    @property
-    def headroom_bits(self) -> int:
-        return math.ceil(math.log2(self.clients)) + 1
-
-    @property
-    def bits_per_value(self) -> int:
-        return self.payload_bits // self.batch_size - self.headroom_bits
-
-    def checked_bits(self) -> int:
-        """bits_per_value, or ValueError if it leaves fewer than 2 bits."""
-        b = self.bits_per_value
-        if b < 2:
-            raise ValueError(
-                f"payload_bits {self.payload_bits} leaves {b} bits per value at batch_size "
-                f"{self.batch_size} (headroom {self.headroom_bits}); need >= 2"
-            )
-        return b
-
-    def n_batches(self, d_w: int) -> int:
-        return math.ceil(d_w / self.batch_size)
+        if not self.batch_size >= 1:
+            raise ValueError("batch_size must be >= 1")
 
 
-def _bc_quantize(W: np.ndarray, p: BatchCryptParams) -> tuple[np.ndarray, float]:
-    """Integer codes and lattice scale of W at p's bits per value."""
-    b = p.checked_bits()
+def bc_bits(batch_size: int, payload_bits: int, clients: int) -> int:
+    """Bits per value when batch_size values share one payload_bits payload.
+
+    Each value keeps ceil(log2(clients)) + 1 headroom bits, so that the
+    clients' slot-wise sum cannot overflow.  ValueError below 2 bits.
+    """
+    headroom = math.ceil(math.log2(clients)) + 1
+    b = payload_bits // batch_size - headroom
+    if b < 2:
+        raise ValueError(
+            f"payload_bits {payload_bits} leaves {b} bits per value at batch_size "
+            f"{batch_size} (headroom {headroom}); need >= 2"
+        )
+    return b
+
+
+def _bc_quantize(W: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
+    """Integer codes and lattice scale of W at `bits` bits per value."""
     W = np.asarray(W, dtype=float)
     r = float(np.max(np.abs(W))) if W.size else 0.0
     if r == 0.0:
         return np.zeros(W.shape, dtype=np.int64), 1.0
     lattice_range = 2.0 ** math.ceil(math.log2(r))
-    scale = lattice_range / 2.0 ** (b - 1)
+    scale = lattice_range / 2.0 ** (bits - 1)
     return np.rint(W / scale).astype(np.int64), scale
 
 
-def bc_protect(W: np.ndarray, p: BatchCryptParams) -> np.ndarray:
+def bc_protect(W: np.ndarray, bits: int) -> np.ndarray:
     """Symmetric uniform quantization, dequantized for the training path.
 
     Values are quantized onto a power-of-two lattice (scale = next power of
-    two above max|W| over 2^(b-1)), which keeps the max error within
-    r / (2^(b-1) - 1) and makes quantize-dequantize exactly idempotent.
+    two above max|W| over 2^(bits-1)), which keeps the max error within
+    r / (2^(bits-1) - 1) and makes quantize-dequantize exactly idempotent.
+    `bits` is `bc_bits` of the run.
     """
-    codes, scale = _bc_quantize(W, p)
+    codes, scale = _bc_quantize(W, bits)
     return codes * scale
 
 
-def bc_cost(d_w: int, p: BatchCryptParams, train_time) -> float:
-    """Mean per-client cost: training + encryption plus shared aggregation time."""
-    times = np.atleast_1d(np.asarray(train_time, dtype=float))
+def bc_cost(d_w: int, batch_size: int, train_times) -> float:
+    """Mean per-client cost: training + encryption plus shared aggregation time, one train time per client."""
+    times = np.atleast_1d(np.asarray(train_times, dtype=float))
     if np.any(times < 0):
         raise ValueError("train_time must be nonnegative")
-    nb = p.n_batches(d_w)
-    q1 = times + nb * p.t_enc
-    q2 = nb * (p.clients * p.t_add + p.t_dec)
+    nb = math.ceil(d_w / batch_size)
+    q1 = times + nb * T_ENC
+    q2 = nb * (times.size * T_ADD + T_DEC)
     return float(np.mean(q1 + q2))
 
 
@@ -143,15 +139,12 @@ class SparsificationParams:
     mechanism = "sf"
     rho: float  # probability an eligible parameter is public, [0, 1]
     xi: float  # fraction of public params with smallest update kept private, [0, 0.99]
-    c2: float = 8.0
 
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
         if not 0.0 <= self.xi <= 0.99:
             raise ValueError("xi must lie in [0, 0.99]")
-        if not 0.0 < self.c2 < math.inf:
-            raise ValueError("c2 must be finite and > 0")
 
 
 @dataclass
@@ -206,7 +199,7 @@ def sf_leakage(retained_values, c2: float) -> float:
     mu is the mean magnitude of the private parameters; an empty private
     set gives mu = 0 and full leakage 1.
     """
-    if c2 <= 0:
+    if not c2 > 0:
         raise ValueError("c2 must be positive")
     vals = np.asarray(retained_values, dtype=float)
     mu = float(np.mean(np.abs(vals))) if vals.size else 0.0

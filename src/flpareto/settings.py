@@ -53,24 +53,24 @@ class FlSetting:
     bounds: tuple[float | None, ...]  # upper bound per objective; None = unconstrained
     ref_point: tuple[float | None, ...]  # None: 1.05 x the widest model's weight count
     variables: tuple[str, ...]  # searched, in gene order
-    params: Callable[[dict, FlOptions], Any]  # mechanism parameters of decoded values
+    params: Callable[[dict], Any]  # mechanism parameters of decoded values
 
 
 SETTINGS = {
     "rd": FlSetting(
         objectives=("eps_u", "eps_p"), bounds=(None, PRIVACY_BOUND), ref_point=(1.05, 1.05),
         variables=("lr", "sigma_rd", "c_clip"),
-        params=lambda v, fl: RandomizationParams(float(v["sigma_rd"]), float(v["c_clip"]), fl.c1),
+        params=lambda v: RandomizationParams(float(v["sigma_rd"]), float(v["c_clip"])),
     ),
     "bc": FlSetting(
         objectives=("eps_u", "eps_c"), bounds=(None, COST_BOUND_SECONDS), ref_point=(1.05, 600.0),
         variables=("lr", "hidden1", "hidden2", "bs"),
-        params=lambda v, fl: BatchCryptParams(int(v["bs"]), fl.payload_bits, fl.clients),
+        params=lambda v: BatchCryptParams(int(v["bs"])),
     ),
     "sf": FlSetting(
         objectives=("eps_u", "eps_p", "eps_c"), bounds=(None, PRIVACY_BOUND, None),
         ref_point=(1.05, 1.05, None), variables=("lr", "hidden1", "hidden2", "rho", "xi"),
-        params=lambda v, fl: SparsificationParams(float(v["rho"]), float(v["xi"]), fl.c2),
+        params=lambda v: SparsificationParams(float(v["rho"]), float(v["xi"])),
     ),
 }
 FL_SETTINGS = tuple(SETTINGS)
@@ -129,7 +129,7 @@ def make_run_config(setting: str, values: dict, fl_options: FlOptions, seed: int
         model=_model(fl_options, values),
         lr=float(values["lr"]),
         fl=fl_options,
-        mechanism_params=_setting(setting).params(values, fl_options),
+        mechanism_params=_setting(setting).params(values),
         seed=int(seed),
     )
 

@@ -74,7 +74,10 @@ class Var:
                     f"{self.name}={value!r} invalid: must be one of {list(self.choices)}"
                 )
             return
-        v = float(value)
+        try:
+            v = float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{self.name}={value!r} must be a number") from None
         if not (self.low <= v <= self.high):
             raise ValueError(
                 f"{self.name}={value!r} out of range [{self.low}, {self.high}]"

@@ -14,7 +14,7 @@ from scipy.special import expit
 from flpareto.gp import JITTERS, LENGTH_SCALES, NOISE_VARS, SIGNAL_VARS, GPHyper, GpFitError
 from flpareto.moo import pareto_front_mask
 from flpareto.nsga2 import SBX_GENE_PROB, _mutate, _sbx
-from flpareto.protect import _bc_quantize
+from flpareto.protect import _bc_quantize, bc_bits
 
 MAX_GRID_POINTS = 10**7
 
@@ -132,15 +132,16 @@ def oracle_tchebycheff(y, lam, z) -> float:
     return float(np.max(lam * (y - z)))
 
 
-def oracle_bc_pack(W, p) -> list[int]:
+def oracle_bc_pack(W, batch_size, payload_bits, clients) -> list[int]:
     """The quantized codes of W, offset-binary, packed batch-wise into big integers."""
-    codes, _ = _bc_quantize(W, p)
-    slot_width = p.payload_bits // p.batch_size
-    bias = 1 << (p.bits_per_value - 1)
+    bits = bc_bits(batch_size, payload_bits, clients)
+    codes, _ = _bc_quantize(W, bits)
+    slot_width = payload_bits // batch_size
+    bias = 1 << (bits - 1)
     batches: list[int] = []
-    for start in range(0, codes.size, p.batch_size):
+    for start in range(0, codes.size, batch_size):
         payload = 0
-        for j, c in enumerate(codes[start : start + p.batch_size]):
+        for j, c in enumerate(codes[start : start + batch_size]):
             payload |= (int(c) + bias) << (j * slot_width)
         batches.append(payload)
     return batches

@@ -246,17 +246,19 @@ def test_criterion_5_psl_budget_efficiency():
 # ---------------------------------------------------------------- criterion 6
 
 def test_criterion_6_privacy_formulas():
+    c1 = FlOptions().c1  # the fl block's default distortion constant
+
     def work():
         checks = [
-            rd_leakage(RandomizationParams(0.0, 2.0), 100) == 1.0,
-            rd_leakage(RandomizationParams(1.0, 1.0), 4) == 0.0,
-            rd_leakage(RandomizationParams(0.5, 2.0), 16) == 0.75,
+            rd_leakage(RandomizationParams(0.0, 2.0), 100, c1) == 1.0,
+            rd_leakage(RandomizationParams(1.0, 1.0), 4, c1) == 0.0,
+            rd_leakage(RandomizationParams(0.5, 2.0), 16, c1) == 0.75,
             sf_leakage([], 8.0) == 1.0,
             sf_leakage([1e12], 8.0) == 0.0,
             abs(sf_leakage([8.0 * np.log(2.0)], 8.0)) < 1e-12,
         ]
-        sig = [rd_leakage(RandomizationParams(s, 2.0), 64) for s in np.linspace(0, 1, 1000)]
-        clip = [rd_leakage(RandomizationParams(0.5, c), 64) for c in np.linspace(1, 4, 1000)]
+        sig = [rd_leakage(RandomizationParams(s, 2.0), 64, c1) for s in np.linspace(0, 1, 1000)]
+        clip = [rd_leakage(RandomizationParams(0.5, c), 64, c1) for c in np.linspace(1, 4, 1000)]
         mus = [sf_leakage([m], 8.0) for m in np.linspace(0, 3, 1000)]
         mono = (
             all(b <= a for a, b in zip(sig, sig[1:]))

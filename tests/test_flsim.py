@@ -17,6 +17,7 @@ from flpareto.data import (
     load_idx_labels,
 )
 import flpareto.flsim as flsim
+import flpareto.protect as protect
 import flpareto.settings as settings
 from flpareto.flsim import EvaluationResult, FLRunConfig, FlOptions, fedavg, flo_evaluate, local_sgd
 from flpareto.net import ModelSpec, accuracy, init_params, loss_and_grad, predict
@@ -272,6 +273,24 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=message):
             flo_evaluate(cfg)
 
+    # the params hold the searched values only, so a direct config and the
+    # manifest path read the same fl block's constants
+    @pytest.mark.parametrize(
+        "setting, fl, values, params",
+        [
+            ("bc", {"clients": 3}, {"bs": 100}, BatchCryptParams(100)),
+            ("rd", {"c1": 4.0}, {"sigma_rd": 0.05, "c_clip": 2.0}, RandomizationParams(0.05, 2.0)),
+            ("bc", {"payload_bits": 600}, {"bs": 200}, BatchCryptParams(200)),
+            ("sf", {"c2": 1.0}, {"rho": 0.5, "xi": 0.3}, SparsificationParams(0.5, 0.3)),
+        ],
+        ids=["clients", "c1", "payload_bits", "c2"],
+    )
+    def test_direct_config_reads_the_fl_blocks_constants(self, setting, fl, values, params):
+        fl = FlOptions(**{"dataset": dict(SYNTHETIC_DEFAULTS), "rounds": 1, "local_epochs": 1, **fl})
+        via_manifest = flo_evaluate(make_run_config(setting, {"lr": 0.1, **values}, fl, seed=3))
+        direct = flo_evaluate(FLRunConfig(model=SPEC, lr=0.1, fl=fl, mechanism_params=params, seed=3))
+        assert direct == via_manifest
+
 
 class TestEvaluatorSeam:
     # perfbench's tracer wraps settings.flo_evaluate and reads `mechanism` and
@@ -289,6 +308,26 @@ class TestEvaluatorSeam:
         problem = build_fl_problem(setting, {"rounds": 1, "local_epochs": 1, "width_max": 4})
         problem.evaluate(np.full((1, problem.dim), 0.5), [0])
         assert [(cfg.mechanism, type(cfg.model)) for cfg in seen] == [(setting, ModelSpec)]
+
+    # the tracer's protect.*.s metrics wrap these names, which flsim must call
+    # through the module once per client per round
+    @pytest.mark.parametrize("setting", ["rd", "bc", "sf"])
+    def test_problem_calls_its_mechanism_per_client_per_round(self, monkeypatch, setting):
+        calls = {"rd": 0, "bc": 0, "sf": 0}
+        for mech in calls:
+            original = getattr(protect, f"{mech}_protect")
+
+            def counting(*args, _mech=mech, _original=original, **kwargs):
+                calls[_mech] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(protect, f"{mech}_protect", counting)
+        fl = {"clients": 3, "rounds": 2, "local_epochs": 1, "width_max": 4}
+        problem = build_fl_problem(setting, fl)
+        row = problem.evaluate(np.full((1, problem.dim), 0.5), [0])
+        assert np.isfinite(row).all() and row[0, 0] < 1.0  # a trained row, not an invalid one
+        per_run = fl["clients"] * fl["rounds"]
+        assert calls == {mech: per_run if mech == setting else 0 for mech in calls}
 
 
 class TestDatasetCache:
@@ -432,16 +471,17 @@ class TestFlo:
         assert res.diverged and res.eps_u == 1.0
 
     def test_mechanism_config_error_keeps_evaluator_total(self):
-        p = BatchCryptParams(batch_size=800, clients=5)  # < 2 bits per value
+        p = BatchCryptParams(batch_size=800)  # < 2 bits per value at 5 clients
         res = flo_evaluate(_cfg(mechanism="bc", mechanism_params=p, rounds=1))
         assert res.diverged and res.eps_u == 1.0
 
     def test_rd_mechanism_reports_formula_leakage(self):
         p = RandomizationParams(sigma_rd=0.5, c_clip=2.0)
-        res = flo_evaluate(_cfg(mechanism="rd", mechanism_params=p, rounds=2))
+        cfg = _cfg(mechanism="rd", mechanism_params=p, rounds=2)
+        res = flo_evaluate(cfg)
         from flpareto.protect import rd_leakage
 
-        assert res.eps_p == pytest.approx(rd_leakage(p, SPEC.n_params))
+        assert res.eps_p == pytest.approx(rd_leakage(p, SPEC.n_params, cfg.fl.c1))
 
     def test_sf_costs_average_over_rounds(self):
         p = SparsificationParams(rho=1.0, xi=0.0)
@@ -570,5 +610,5 @@ class TestData:
             "classes": 2,
         }
         data = load_dataset(spec, n_clients=4, seed=1)
-        assert data.n_clients == 4
+        assert len(data.client_X) == 4
         assert all(x.shape[0] == 10 for x in data.client_X)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import oracle_bc_pack
+from flpareto import protect
+from flpareto.flsim import FlOptions
 from flpareto.protect import (
     BatchCryptParams,
     RandomizationParams,
     SparsificationParams,
+    bc_bits,
     bc_cost,
     bc_protect,
     rd_leakage,
@@ -16,6 +19,13 @@ from flpareto.protect import (
     sf_leakage,
     sf_protect,
 )
+
+FL = FlOptions()  # the default mechanism constants
+
+
+def _zero_op_costs(monkeypatch, t_enc=0.0):
+    for name, value in (("T_ENC", t_enc), ("T_ADD", 0.0), ("T_DEC", 0.0)):
+        monkeypatch.setattr(protect, name, value)
 
 
 class TestRandomization:
@@ -39,97 +49,91 @@ class TestRandomization:
         assert abs(np.std(out) - 0.37) / 0.37 < 0.03
 
     def test_leakage_zero_noise_full_leak(self):
-        assert rd_leakage(RandomizationParams(0.0, 2.0), d_w=100) == 1.0
+        assert rd_leakage(RandomizationParams(0.0, 2.0), d_w=100, c1=FL.c1) == 1.0
 
     def test_leakage_example_saturated(self):
-        assert rd_leakage(RandomizationParams(1.0, 1.0), d_w=4) == pytest.approx(0.0)
+        assert rd_leakage(RandomizationParams(1.0, 1.0), d_w=4, c1=FL.c1) == pytest.approx(0.0)
 
     def test_leakage_example_interior(self):
-        got = rd_leakage(RandomizationParams(0.5, 2.0), d_w=16)
+        got = rd_leakage(RandomizationParams(0.5, 2.0), d_w=16, c1=FL.c1)
         assert got == pytest.approx(0.75)
 
     def test_monotone_in_sigma_and_clip(self):
         sigmas = np.linspace(0.0, 1.0, 1000)
-        vals = [rd_leakage(RandomizationParams(s, 2.0), 64) for s in sigmas]
+        vals = [rd_leakage(RandomizationParams(s, 2.0), 64, FL.c1) for s in sigmas]
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
         clips = np.linspace(1.0, 4.0, 1000)
-        vals = [rd_leakage(RandomizationParams(0.5, c), 64) for c in clips]
+        vals = [rd_leakage(RandomizationParams(0.5, c), 64, FL.c1) for c in clips]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 class TestBatchCrypt:
     def test_all_zero_roundtrip(self):
-        p = BatchCryptParams(batch_size=100)
-        deq = bc_protect(np.zeros(250), p)
-        batches = oracle_bc_pack(np.zeros(250), p)
+        deq = bc_protect(np.zeros(250), bc_bits(100, FL.payload_bits, FL.clients))
+        batches = oracle_bc_pack(np.zeros(250), 100, FL.payload_bits, FL.clients)
         assert np.array_equal(deq, np.zeros(250))
         assert all(isinstance(b, int) for b in batches)
 
     def test_quantization_error_bound(self, rng):
-        p = BatchCryptParams(batch_size=400)  # 6 bits per value
-        b = p.bits_per_value
+        b = bc_bits(400, FL.payload_bits, FL.clients)  # 6 bits per value
         for _ in range(20):
             W = rng.normal(size=500) * rng.random()
-            deq = bc_protect(W, p)
+            deq = bc_protect(W, b)
             r = np.max(np.abs(W))
             assert np.max(np.abs(deq - W)) <= r / (2 ** (b - 1) - 1) + 1e-15
 
     def test_idempotent_second_pass_exact(self, rng):
-        p = BatchCryptParams(batch_size=200)
+        b = bc_bits(200, FL.payload_bits, FL.clients)
         for _ in range(20):
             W = rng.normal(size=333)
-            d1 = bc_protect(W, p)
-            d2 = bc_protect(d1, p)
+            d1 = bc_protect(W, b)
+            d2 = bc_protect(d1, b)
             assert np.array_equal(d1, d2)
 
     def test_sixteen_bit_mode_near_identity(self, rng):
-        p = BatchCryptParams(batch_size=100)  # 36 bits per value
+        b = bc_bits(100, FL.payload_bits, FL.clients)  # 36 bits per value
         W = rng.normal(size=1000)
-        deq = bc_protect(W, p)
+        deq = bc_protect(W, b)
         assert np.max(np.abs(deq - W)) < 1e-3 * np.max(np.abs(W))
 
     def test_batch_too_large_for_payload(self):
-        p = BatchCryptParams(batch_size=800, clients=5)  # 5 - 4 = 1 bit
-        assert p.bits_per_value < 2
-        with pytest.raises(ValueError):
-            bc_protect(np.ones(10), p)
+        # 4096 // 800 - 4 = 1 bit at 5 clients
+        with pytest.raises(ValueError, match=r"^payload_bits 4096 leaves 1 bits per value at batch_size 800"):
+            bc_bits(800, FL.payload_bits, 5)
 
-    def test_batch_count(self):
-        p = BatchCryptParams(batch_size=100)
-        assert p.n_batches(100) == 1
-        assert p.n_batches(101) == 2
+    def test_batch_count(self, monkeypatch):
+        _zero_op_costs(monkeypatch, t_enc=1.0)  # cost = batch count
+        assert bc_cost(100, 100, 0.0) == 1
+        assert bc_cost(101, 100, 0.0) == 2
 
     def test_single_batch_when_small(self):
-        p = BatchCryptParams(batch_size=100)
-        batches = oracle_bc_pack(np.ones(60), p)
+        batches = oracle_bc_pack(np.ones(60), 100, FL.payload_bits, FL.clients)
         assert len(batches) == 1
 
     def test_cost_halves_when_bs_doubles(self):
         d_w = 800
-        c1 = bc_cost(d_w, BatchCryptParams(batch_size=100, t_enc=1.0, t_add=0, t_dec=0), 0.0)
-        c2 = bc_cost(d_w, BatchCryptParams(batch_size=200, t_enc=1.0, t_add=0, t_dec=0), 0.0)
+        c1 = bc_cost(d_w, 100, 0.0)
+        c2 = bc_cost(d_w, 200, 0.0)
         assert c1 == pytest.approx(2 * c2)
 
-    def test_zero_op_costs_give_mean_train_time(self):
-        p = BatchCryptParams(batch_size=100, t_enc=0.0, t_add=0.0, t_dec=0.0)
-        assert bc_cost(500, p, [1.0, 2.0, 3.0]) == pytest.approx(2.0)
+    def test_zero_op_costs_give_mean_train_time(self, monkeypatch):
+        _zero_op_costs(monkeypatch)
+        assert bc_cost(500, 100, [1.0, 2.0, 3.0]) == pytest.approx(2.0)
 
     def test_cost_formula(self):
-        p = BatchCryptParams(batch_size=100, clients=4, t_enc=0.01, t_add=0.001, t_dec=0.02)
-        nb = p.n_batches(250)  # 3 batches
-        want = 1.5 + nb * 0.01 + nb * (4 * 0.001 + 0.02)
-        assert bc_cost(250, p, [1.0, 2.0]) == pytest.approx(want)
+        nb = 3  # batches of 100 in 250 values
+        want = 1.5 + nb * protect.T_ENC + nb * (4 * protect.T_ADD + protect.T_DEC)
+        assert bc_cost(250, 100, [1.0, 2.0, 1.0, 2.0]) == pytest.approx(want)
 
     def test_aggregation_headroom_absorbs_client_sum(self, rng):
         # packed codes are offset-binary; a K-fold slot-wise sum must not
         # overflow into the next slot
-        p = BatchCryptParams(batch_size=200, clients=5)
-        slot = p.payload_bits // p.batch_size
+        slot = FL.payload_bits // 200
         total = 0
-        for _ in range(p.clients):
+        for _ in range(FL.clients):
             W = rng.normal(size=200)
             W[0] = np.max(np.abs(W)) + 1.0  # force a full-scale code
-            batches = oracle_bc_pack(W, p)
+            batches = oracle_bc_pack(W, 200, FL.payload_bits, FL.clients)
             total += batches[0]
         assert total < 1 << (slot * 200)
 
@@ -202,7 +206,7 @@ class TestSparsification:
         W = rng.normal(size=100) * 0.1
         rd = rd_protect(W, RandomizationParams(0.0, 4.0), rng)
         assert np.array_equal(rd, W)
-        deq = bc_protect(W, BatchCryptParams(batch_size=100))
+        deq = bc_protect(W, bc_bits(100, FL.payload_bits, FL.clients))
         assert np.max(np.abs(deq - W)) < 1e-3 * np.max(np.abs(W))
         p = SparsificationParams(1.0, 0.0)
         sf = sf_protect(W, np.zeros(100), p, rng.random(100) < p.rho)
@@ -213,8 +217,8 @@ class TestSparsification:
 @pytest.mark.parametrize(
     "make,field",
     [
-        (lambda v: RandomizationParams(0.5, 1.0, c1=v), "c1"),
-        (lambda v: SparsificationParams(0.5, 0.5, c2=v), "c2"),
+        (lambda v: FlOptions(c1=v), "c1"),
+        (lambda v: FlOptions(c2=v), "c2"),
     ],
     ids=["c1", "c2"],
 )
@@ -224,7 +228,27 @@ def test_distortion_constant_finite_and_positive(make, field, value):
         make(value)
 
 
+# bc's searched batch size is its params' one field; its constants are the fl block's
 @pytest.mark.parametrize("field", ["batch_size", "payload_bits", "clients"])
 def test_batch_crypt_field_named(field):
+    make = BatchCryptParams if field == "batch_size" else lambda v: FlOptions(**{field: v})
     with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
-        BatchCryptParams(**{"batch_size": 100, field: 0})
+        make(0)
+
+
+# NaN must fail each check: let through, rd adds no noise (or clips nothing)
+# and reports leakage 0, a perfect-privacy row
+@pytest.mark.parametrize(
+    "make,field",
+    [
+        (lambda: RandomizationParams(math.nan, 2.0), "sigma_rd"),
+        (lambda: RandomizationParams(0.5, math.nan), "c_clip"),
+        (lambda: rd_leakage(RandomizationParams(0.5, 2.0), 16, math.nan), "c1"),
+        (lambda: BatchCryptParams(math.nan), "batch_size"),
+        (lambda: sf_leakage([0.1], math.nan), "c2"),
+    ],
+    ids=["sigma_rd", "c_clip", "rd_leakage-c1", "batch_size", "sf_leakage-c2"],
+)
+def test_nan_mechanism_value_refused_by_name(make, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        make()

@@ -658,6 +658,15 @@ class TestCli:
         assert rc == 2
         assert re.search(r"^error: .*\blr\b", capsys.readouterr().err, re.M)
 
+    # the message names the variable, not only float()'s "could not convert"
+    def test_evaluate_rejects_non_numeric_param_by_name(self, capsys):
+        rc = main([
+            "evaluate", "--setting", "rd", "--seed", "0",
+            "--param", "lr=abc", "--param", "sigma_rd=0.5", "--param", "c_clip=2",
+        ])
+        assert rc == 2
+        assert re.search(r"^error: lr='abc' must be a number", capsys.readouterr().err, re.M)
+
     def test_evaluate_rejects_out_of_range_naming_bounds(self, capsys):
         rc = main([
             "evaluate", "--setting", "rd", "--seed", "0",
