@@ -70,8 +70,8 @@ class FLRunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("learning rate must be nonnegative")
+        if not 0.0 <= self.lr < math.inf:
+            raise ValueError("lr must be finite and >= 0")
         params = self.mechanism_params
         if not (params is None or isinstance(params, MECHANISM_PARAMS)):
             names = ", ".join(cls.__name__ for cls in MECHANISM_PARAMS)

@@ -3,7 +3,9 @@
 Per generation: vary the parents, evaluate the offspring, penalize raw
 objectives that violate their bounds, then keep the top N of parents plus
 offspring under (non-domination rank, crowding distance, insertion index).
-A random-search baseline with the same record stream lives here too.
+A random-search baseline lives here too, and `run_search`, the generation
+loop of all three engines (PSL's too): each engine supplies its initial
+batch and one step, which evaluates through `_evaluate_generation`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "latin_hypercube",
     "run_nsga2",
     "run_random_search",
+    "run_search",
 ]
 
 
@@ -256,22 +259,6 @@ def _record(archive: Archive, t: int, z: np.ndarray) -> GenerationRecord:
     )
 
 
-def _start(
-    problem: Problem,
-    constraints: ConstraintSpec | None,
-    ref_point: np.ndarray | None,
-    resume: dict | None,
-) -> tuple[ConstraintSpec, np.ndarray, Archive, list[GenerationRecord], int]:
-    """Constraints (default: the problem's), reference point (likewise),
-    archive, records and last completed generation: empty at generation 0
-    for a fresh run, else what `resume` carries."""
-    constraints = constraints if constraints is not None else problem.constraints
-    z = np.asarray(ref_point if ref_point is not None else problem.ref_point, float)
-    if resume is None:
-        return constraints, z, Archive(constraints=constraints), [], 0
-    return constraints, z, resume["archive"], resume["records"], int(resume["generation"])
-
-
 def _evaluate_generation(
     problem: Problem, archive: Archive, X: np.ndarray, seed: int, t: int
 ) -> None:
@@ -284,6 +271,38 @@ def _evaluate_generation(
     """
     seeds = np.array(spawn_seeds(seed, TAG_EVAL, t, count=X.shape[0]).tolist())
     archive.append_batch(X, evaluate_batch(problem, X, seeds), generation=t)
+
+
+def run_search(
+    problem: Problem,
+    seed: int,
+    generations: int,
+    initial: np.ndarray,
+    step: Callable[..., tuple[GenerationRecord, dict]],
+    constraints: ConstraintSpec | None = None,
+    ref_point: np.ndarray | None = None,
+    on_generation: Callable[[int, Archive, list, dict], None] | None = None,
+    resume: dict | None = None,
+) -> tuple[Archive, list[GenerationRecord]]:
+    """Evaluate `initial` as generation 0, or resume after the generation of
+    a dict with keys generation / archive / records / states, then run
+    `step(t, archive, z, evaluate) -> (record, state)` for each later t, with
+    `evaluate(X)` archiving X as generation t, and fire
+    `on_generation(t, archive, records, state)`.  Constraints and reference
+    point default to the problem's.  Returns the archive and records."""
+    z = np.asarray(ref_point if ref_point is not None else problem.ref_point, float)
+    if resume is None:
+        archive = Archive(constraints=constraints if constraints is not None else problem.constraints)
+        records, t_done = [], 0
+        _evaluate_generation(problem, archive, initial, seed, 0)
+    else:
+        archive, records, t_done = resume["archive"], resume["records"], int(resume["generation"])
+    for t in range(t_done + 1, generations + 1):
+        record, state = step(t, archive, z, lambda X: _evaluate_generation(problem, archive, X, seed, t))
+        records.append(record)
+        if on_generation is not None:
+            on_generation(t, archive, records, state)
+    return archive, records
 
 
 def run_nsga2(
@@ -301,35 +320,25 @@ def run_nsga2(
     objectives are read from the archive.  The initial population is
     evaluated once; each later generation evaluates only its N offspring,
     which matches the N + T*N evaluation budget accounting used throughout.
-    `on_generation(t, archive, records, state)` fires after each completed
-    generation; `resume` restarts from a dict with keys generation /
-    archive / records / states (the state of every completed generation).
+    Each generation's state is its survivors' `population_indices`; a
+    resumed run continues from those of its last state (see `run_search`).
     """
-    constraints, z, archive, records, t_done = _start(problem, constraints, ref_point, resume)
     N = cfg.population_size
+    pop_idx = [int(i) for i in resume["states"][-1]["population_indices"]] if resume else list(range(N))
 
-    if resume is None:
-        _evaluate_generation(problem, archive, latin_hypercube(N, problem.dim, stream(seed, TAG_INIT)), seed, 0)
-        pop_idx = list(range(N))
-    else:
-        pop_idx = [int(i) for i in resume["states"][-1]["population_indices"]]
-
-    for t in range(t_done + 1, cfg.generations + 1):
+    def step(t, archive, z, evaluate):
+        nonlocal pop_idx
         # binary-tournament mating under the crowded-comparison order
-        rank, crowd = rank_and_crowding(selection_penalty(archive.raw[pop_idx], constraints))
-        kids = _offspring(archive.genes[pop_idx], rank, crowd, cfg, stream(seed, TAG_VARIATION, t))
-        first_child_idx = len(archive)
-        _evaluate_generation(problem, archive, kids, seed, t)
-
-        merged_idx = pop_idx + list(range(first_child_idx, first_child_idx + N))
+        rank, crowd = rank_and_crowding(selection_penalty(archive.raw[pop_idx], archive.constraints))
+        merged_idx = pop_idx + list(range(len(archive), len(archive) + N))
+        evaluate(_offspring(archive.genes[pop_idx], rank, crowd, cfg, stream(seed, TAG_VARIATION, t)))
         # rank space: violators carry their total violation on every axis
-        keep = select_survivors(selection_penalty(archive.raw[merged_idx], constraints), N)
+        keep = select_survivors(selection_penalty(archive.raw[merged_idx], archive.constraints), N)
         pop_idx = [merged_idx[k] for k in keep]
+        return _record(archive, t, z), {"population_indices": pop_idx}
 
-        records.append(_record(archive, t, z))
-        if on_generation is not None:
-            on_generation(t, archive, records, {"population_indices": pop_idx})
-
+    X0 = latin_hypercube(N, problem.dim, stream(seed, TAG_INIT))
+    archive, records = run_search(problem, seed, cfg.generations, X0, step, constraints, ref_point, on_generation, resume)
     return RunResult(archive=archive, records=records, population_indices=pop_idx)
 
 
@@ -344,19 +353,16 @@ def run_random_search(
     resume: dict | None = None,
 ) -> RunResult:
     """Uniform random sampling at the same budget and record cadence."""
-    constraints, z, archive, records, t_done = _start(problem, constraints, ref_point, resume)
+    if population_size < 1:
+        raise ValueError("population_size must be >= 1")
+    if generations < 0:
+        raise ValueError("generations must be >= 0")
     N = population_size
 
-    if resume is None:
-        _evaluate_generation(problem, archive, stream(seed, TAG_INIT).random((N, problem.dim)), seed, 0)
-    for t in range(t_done + 1, generations + 1):
-        _evaluate_generation(problem, archive, stream(seed, TAG_RANDOM, t).random((N, problem.dim)), seed, t)
-        records.append(_record(archive, t, z))
-        if on_generation is not None:
-            on_generation(t, archive, records, {})
+    def step(t, archive, z, evaluate):
+        evaluate(stream(seed, TAG_RANDOM, t).random((N, problem.dim)))
+        return _record(archive, t, z), {}
 
-    return RunResult(
-        archive=archive,
-        records=records,
-        population_indices=list(range(max(0, len(archive) - N), len(archive))),
-    )
+    X0 = stream(seed, TAG_INIT).random((N, problem.dim))
+    archive, records = run_search(problem, seed, generations, X0, step, constraints, ref_point, on_generation, resume)
+    return RunResult(archive, records, population_indices=list(range(max(0, len(archive) - N), len(archive))))

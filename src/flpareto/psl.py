@@ -4,13 +4,14 @@ Per generation: fit one GP per objective on the accumulated archive, train
 a preference-to-solution network against penalized lower-confidence-bound
 surrogates under Tchebycheff scalarization, generate a large candidate set
 from the network, pick the batch with the best greedy hypervolume
-improvement, and evaluate only that batch for real.
+improvement, and evaluate only that batch for real.  `run_psl` is that
+step under nsga2's `run_search` loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,7 +29,8 @@ from .moo import (
     penalize,
 )
 # evaluate_batch is unused here, but perfbench/tracer.py wraps psl.evaluate_batch
-from .nsga2 import RunResult, evaluate_batch, latin_hypercube, _evaluate_generation, _record, _start  # noqa: F401
+# each step calls this module's _record, whose wrap names the generation span
+from .nsga2 import RunResult, evaluate_batch, latin_hypercube, run_search, _record  # noqa: F401
 from .seeding import TAG_INIT, TAG_PSL_MODEL, TAG_PSL_PREF, stream
 
 __all__ = [
@@ -379,14 +381,11 @@ def run_psl(
     restarts after the last completed generation, with the weights of the
     last state and the diagnostics of them all.
     """
-    constraints, z, archive, records, t_done = _start(problem, constraints, ref_point, resume)
     n_init = cfg.n_init if cfg.n_init is not None else max(5, problem.dim + 1)
     N = cfg.batch_size
 
     if resume is None:
         diagnostics: list[dict] = []
-        X0 = latin_hypercube(n_init, problem.dim, stream(seed, TAG_INIT))
-        _evaluate_generation(problem, archive, X0, seed, 0)
         model = ParetoSetModel.create(
             problem.n_obj, problem.dim, cfg.hidden, stream(seed, TAG_PSL_MODEL, 0)
         )
@@ -398,16 +397,13 @@ def run_psl(
             dim=problem.dim,
         )
 
-    for t in range(t_done + 1, cfg.generations + 1):
-        X = archive.genes
-        Y = archive.raw
-        gps = gp_fit_joint(X, Y)
-        ideal = Y.min(axis=0) - IDEAL_MARGIN
-
-        model, losses = train_pareto_set_model(
+    def step(t, archive, z, evaluate):
+        gps = gp_fit_joint(archive.genes, archive.raw)
+        ideal = archive.raw.min(axis=0) - IDEAL_MARGIN
+        _, losses = train_pareto_set_model(
             model,
             gps,
-            constraints,
+            archive.constraints,
             cfg.model_steps,
             stream(seed, TAG_PSL_MODEL, t),
             ideal,
@@ -415,32 +411,23 @@ def run_psl(
             batch=cfg.model_batch,
             beta=cfg.lcb_beta,
         )
-
         cand = generate_candidates(model, cfg.n_candidates, stream(seed, TAG_PSL_PREF, t))
         mean, std, _ = GPStack(gps)(cand)
         lcb = (mean - cfg.lcb_beta * std).T
-        picked = greedy_hvi_select(penalize(lcb, constraints), archive.penalized, N, z)
-        _evaluate_generation(problem, archive, cand[picked], seed, t)
-
-        records.append(_record(archive, t, z))
+        picked = greedy_hvi_select(penalize(lcb, archive.constraints), archive.penalized, N, z)
+        evaluate(cand[picked])
         diag = {
             "generation": t,
-            "gp_hyper": [
-                {
-                    "length_scale": g.hyper.length_scale,
-                    "signal_var": g.hyper.signal_var,
-                    "noise_var": g.hyper.noise_var,
-                }
-                for g in gps
-            ],
+            "gp_hyper": [asdict(g.hyper) for g in gps],
             "model_loss_first": losses[0] if losses else None,
             "model_loss_last": losses[-1] if losses else None,
         }
         diagnostics.append(diag)
-        if on_generation is not None:
-            state = {"model": {k: v.tolist() for k, v in model.params.items()}, "diagnostics": [diag]}
-            on_generation(t, archive, records, state)
+        state = {"model": {k: v.tolist() for k, v in model.params.items()}, "diagnostics": [diag]}
+        return _record(archive, t, z), state
 
+    X0 = latin_hypercube(n_init, problem.dim, stream(seed, TAG_INIT))
+    archive, records = run_search(problem, seed, cfg.generations, X0, step, constraints, ref_point, on_generation, resume)
     return RunResult(
         archive=archive,
         records=records,

@@ -232,6 +232,13 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"^{key} must be >= "):
             FlOptions(**{key: value})
 
+    # a NaN or infinite lr got past an `lr < 0` check, and its run diverged
+    # in round 0 into an empty trace: eps_p 0 and eps_c 0, a spurious front row
+    @pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf")])
+    def test_lr_outside_zero_to_inf_refused(self, lr):
+        with pytest.raises(ValueError, match="^lr must be finite and >= 0"):
+            FLRunConfig(model=SPEC, lr=lr, fl=FlOptions(rounds=1, local_epochs=1))
+
     # a direct config gets the manifest path's checks: unchecked, the typo
     # trained on the default 20 features
     def test_dataset_typo_named(self):

@@ -300,6 +300,21 @@ class TestRunNsga2:
 
 
 class TestRandomSearch:
+    # unchecked, population 0 ran an empty search and a negative budget
+    # returned no records, both without complaint
+    @pytest.mark.parametrize(
+        "population_size, generations, message",
+        [(0, 2, "population_size must be >= 1"), (-1, 2, "population_size must be >= 1"), (3, -3, "generations must be >= 0")],
+    )
+    def test_empty_search_refused(self, population_size, generations, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_random_search(zdt1_problem(3), population_size, generations, seed=0)
+
+    def test_population_of_one_runs(self):
+        res = run_random_search(zdt1_problem(3), 1, 2, seed=0)
+        assert len(res.archive) == 3
+        assert res.population_indices == [2]
+
     def test_budget_and_monotone(self):
         res = run_random_search(zdt1_problem(6), population_size=10, generations=5, seed=4)
         assert len(res.archive) == 60
