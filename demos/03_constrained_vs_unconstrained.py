@@ -5,6 +5,8 @@
 # The baseline is the same engine with every penalty coefficient zeroed;
 # it spends part of its evaluation budget in the infeasible region.
 
+import dataclasses
+
 import numpy as np
 
 from flpareto import NsgaConfig, run_nsga2
@@ -13,15 +15,13 @@ from flpareto.bench import constrained_toy_problem
 problem = constrained_toy_problem(dim=3)
 cfg = NsgaConfig(population_size=10, generations=10)
 seeds = range(5)
+baseline = dataclasses.replace(problem, constraints=problem.constraints.with_zero_penalties())
 
 curves = {"constrained": [], "baseline": []}
 feasible_evals = {"constrained": 0, "baseline": 0}
 for seed in seeds:
     cm = run_nsga2(problem, cfg, seed=seed)
-    bl = run_nsga2(
-        problem, cfg, seed=seed,
-        constraints=problem.constraints.with_zero_penalties(),
-    )
+    bl = run_nsga2(baseline, cfg, seed=seed)
     curves["constrained"].append([r.hv_feasible for r in cm.records])
     curves["baseline"].append([r.hv_feasible for r in bl.records])
     feasible_evals["constrained"] += int(cm.archive.feasible.sum())

@@ -5,22 +5,21 @@
 # hypervolume improvement over Gaussian-process predictions, and clearly
 # beats spending the same budget on uniform random sampling.
 
+import dataclasses
+
 import numpy as np
 
 from flpareto import NsgaConfig, PslConfig, run_nsga2, run_psl, run_random_search
 from flpareto.bench import zdt1_problem
 
-problem = zdt1_problem(dim=10)
-ref = np.array([1.1, 11.0])
+problem = dataclasses.replace(zdt1_problem(dim=10), ref_point=np.array([1.1, 11.0]))
 seeds = range(3)
 
 rows = {}
 for seed in seeds:
-    psl = run_psl(problem, PslConfig(generations=20, batch_size=5, n_init=5),
-                  seed=seed, ref_point=ref)
-    rnd = run_random_search(problem, 5, 20, seed=seed, ref_point=ref)
-    ga = run_nsga2(problem, NsgaConfig(population_size=5, generations=20),
-                   seed=seed, ref_point=ref)
+    psl = run_psl(problem, PslConfig(generations=20, batch_size=5, n_init=5), seed=seed)
+    rnd = run_random_search(problem, 5, 20, seed=seed)
+    ga = run_nsga2(problem, NsgaConfig(population_size=5, generations=20), seed=seed)
     rows[seed] = (psl, rnd, ga)
     print(f"seed {seed}: surrogate {psl.records[-1].hv_feasible:.2f}  "
           f"random {rnd.records[-1].hv_feasible:.2f}  "

@@ -72,7 +72,6 @@ def zdt1_problem(dim: int = 10) -> Problem:
     return Problem(
         name="zdt1",
         dim=dim,
-        n_obj=2,
         evaluate=lambda X, seeds: np.atleast_2d(zdt1(X)),
         constraints=ConstraintSpec.unconstrained(2),
         ref_point=np.array([1.0, 1.0]),
@@ -85,7 +84,6 @@ def constrained_toy_problem(dim: int = 3) -> Problem:
     return Problem(
         name="constrained_toy",
         dim=dim,
-        n_obj=3,
         evaluate=lambda X, seeds: np.atleast_2d(constrained_toy(X)),
         constraints=CONSTRAINED_TOY_SPEC,
         ref_point=np.array([float(dim) + 0.1, float(dim) + 0.1, 0.8]),

@@ -6,16 +6,15 @@
     flpareto hv        --file front.json --ref 3 3
     flpareto benchmark --name zdt1 --algorithm nsga2 [--seed N ...] ...
 
-Environment overrides: FLPARETO_OUT (output directory) and FLPARETO_WORKERS
-(an integer: seeds run at once, one process each, capped at the seed count;
-evaluations within a seed run serially).  CLI flags beat both.
+`--out` and `--workers` override the manifest's `out_dir` and `workers`
+(seeds run at once, one process each, capped at the seed count;
+evaluations within a seed run serially).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -32,14 +31,6 @@ __all__ = ["main"]
 
 
 def _apply_common_overrides(manifest: dict, args) -> dict:
-    if os.environ.get("FLPARETO_OUT"):
-        manifest["out_dir"] = os.environ["FLPARETO_OUT"]
-    if os.environ.get("FLPARETO_WORKERS"):
-        value = os.environ["FLPARETO_WORKERS"]
-        try:
-            manifest["workers"] = int(value)
-        except ValueError:
-            raise ValueError(f"FLPARETO_WORKERS must be an integer, got {value!r}") from None
     if args.seed:
         manifest["seeds"] = list(args.seed)
     if args.workers is not None:
@@ -105,7 +96,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_hv(args) -> int:
     z = finite_ref_point(args.ref, "--ref")
     Y, feasible = load_front_file(args.file)
-    if Y.size and Y.shape[1] != z.shape[0]:
+    if len(Y) and Y.shape[1] != z.shape[0]:
         raise ValueError(
             f"front has {Y.shape[1]} objectives but --ref gives {z.shape[0]}"
         )

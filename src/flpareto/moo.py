@@ -435,11 +435,16 @@ class Problem:
     `evaluate(X, seeds)` maps an (n, d) array of solutions in [0, 1]^d and
     an (n,) array of per-solution seeds to an (n, m) array of raw objective
     values.  Benchmarks ignore the seeds; the FL evaluator uses them.
+    Its constraints and hypervolume reference point are the run's; a MOFL
+    baseline or another reference point is a `dataclasses.replace` of it.
     """
 
     name: str
     dim: int
-    n_obj: int
     evaluate: Callable[[np.ndarray, Sequence[int]], np.ndarray]
     constraints: ConstraintSpec
     ref_point: np.ndarray
+
+    @property
+    def n_obj(self) -> int:
+        return self.constraints.m

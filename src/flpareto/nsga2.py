@@ -6,6 +6,8 @@ offspring under (non-domination rank, crowding distance, insertion index).
 A random-search baseline lives here too, and `run_search`, the generation
 loop of all three engines (PSL's too): each engine supplies its initial
 batch and one step, which evaluates through `_evaluate_generation`.
+Every engine penalizes under the problem's constraints and measures
+hypervolume against its reference point; none takes an override.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 
 from .moo import (
     Archive,
-    ConstraintSpec,
     EvaluationError,
     Problem,
     crowding_distance,
@@ -78,7 +79,7 @@ class GenerationRecord:
 class RunResult:
     archive: Archive
     records: list[GenerationRecord]
-    population_indices: list[int]  # NSGA-II's survivors; PSL / random search: the last batch
+    population_indices: list[int]  # NSGA-II's survivors; PSL / random search: the last generation
     diagnostics: list[dict] = field(default_factory=list)
 
 
@@ -279,26 +280,23 @@ def run_search(
     generations: int,
     initial: np.ndarray,
     step: Callable[..., tuple[GenerationRecord, dict]],
-    constraints: ConstraintSpec | None = None,
-    ref_point: np.ndarray | None = None,
     on_generation: Callable[[int, Archive, list, dict], None] | None = None,
     resume: dict | None = None,
 ) -> tuple[Archive, list[GenerationRecord]]:
     """Evaluate `initial` as generation 0, or resume after the generation of
     a dict with keys generation / archive / records / states, then run
-    `step(t, archive, z, evaluate) -> (record, state)` for each later t, with
+    `step(t, archive, evaluate) -> (record, state)` for each later t, with
     `evaluate(X)` archiving X as generation t, and fire
-    `on_generation(t, archive, records, state)`.  Constraints and reference
-    point default to the problem's.  Returns the archive and records."""
-    z = np.asarray(ref_point if ref_point is not None else problem.ref_point, float)
+    `on_generation(t, archive, records, state)`.  The archive penalizes
+    under the problem's constraints.  Returns the archive and records."""
     if resume is None:
-        archive = Archive(constraints=constraints if constraints is not None else problem.constraints)
+        archive = Archive(constraints=problem.constraints)
         records, t_done = [], 0
         _evaluate_generation(problem, archive, initial, seed, 0)
     else:
         archive, records, t_done = resume["archive"], resume["records"], int(resume["generation"])
     for t in range(t_done + 1, generations + 1):
-        record, state = step(t, archive, z, lambda X: _evaluate_generation(problem, archive, X, seed, t))
+        record, state = step(t, archive, lambda X: _evaluate_generation(problem, archive, X, seed, t))
         records.append(record)
         if on_generation is not None:
             on_generation(t, archive, records, state)
@@ -309,8 +307,6 @@ def run_nsga2(
     problem: Problem,
     cfg: NsgaConfig,
     seed: int,
-    constraints: ConstraintSpec | None = None,
-    ref_point: np.ndarray | None = None,
     on_generation: Callable[[int, Archive, list, dict], None] | None = None,
     resume: dict | None = None,
 ) -> RunResult:
@@ -326,19 +322,19 @@ def run_nsga2(
     N = cfg.population_size
     pop_idx = [int(i) for i in resume["states"][-1]["population_indices"]] if resume else list(range(N))
 
-    def step(t, archive, z, evaluate):
+    def step(t, archive, evaluate):
         nonlocal pop_idx
         # binary-tournament mating under the crowded-comparison order
-        rank, crowd = rank_and_crowding(selection_penalty(archive.raw[pop_idx], archive.constraints))
+        rank, crowd = rank_and_crowding(selection_penalty(archive.raw[pop_idx], problem.constraints))
         merged_idx = pop_idx + list(range(len(archive), len(archive) + N))
         evaluate(_offspring(archive.genes[pop_idx], rank, crowd, cfg, stream(seed, TAG_VARIATION, t)))
         # rank space: violators carry their total violation on every axis
-        keep = select_survivors(selection_penalty(archive.raw[merged_idx], archive.constraints), N)
+        keep = select_survivors(selection_penalty(archive.raw[merged_idx], problem.constraints), N)
         pop_idx = [merged_idx[k] for k in keep]
-        return _record(archive, t, z), {"population_indices": pop_idx}
+        return _record(archive, t, problem.ref_point), {"population_indices": pop_idx}
 
     X0 = latin_hypercube(N, problem.dim, stream(seed, TAG_INIT))
-    archive, records = run_search(problem, seed, cfg.generations, X0, step, constraints, ref_point, on_generation, resume)
+    archive, records = run_search(problem, seed, cfg.generations, X0, step, on_generation, resume)
     return RunResult(archive=archive, records=records, population_indices=pop_idx)
 
 
@@ -347,8 +343,6 @@ def run_random_search(
     population_size: int,
     generations: int,
     seed: int,
-    constraints: ConstraintSpec | None = None,
-    ref_point: np.ndarray | None = None,
     on_generation: Callable[[int, Archive, list, dict], None] | None = None,
     resume: dict | None = None,
 ) -> RunResult:
@@ -359,10 +353,11 @@ def run_random_search(
         raise ValueError("generations must be >= 0")
     N = population_size
 
-    def step(t, archive, z, evaluate):
+    def step(t, archive, evaluate):
         evaluate(stream(seed, TAG_RANDOM, t).random((N, problem.dim)))
-        return _record(archive, t, z), {}
+        return _record(archive, t, problem.ref_point), {}
 
     X0 = stream(seed, TAG_INIT).random((N, problem.dim))
-    archive, records = run_search(problem, seed, generations, X0, step, constraints, ref_point, on_generation, resume)
-    return RunResult(archive, records, population_indices=list(range(max(0, len(archive) - N), len(archive))))
+    archive, records = run_search(problem, seed, generations, X0, step, on_generation, resume)
+    last = archive.generation == archive.generation[-1]
+    return RunResult(archive, records, population_indices=np.flatnonzero(last).tolist())

@@ -368,8 +368,6 @@ def run_psl(
     problem: Problem,
     cfg: PslConfig,
     seed: int,
-    constraints: ConstraintSpec | None = None,
-    ref_point: np.ndarray | None = None,
     on_generation: Callable[[int, Archive, list, dict], None] | None = None,
     resume: dict | None = None,
 ) -> RunResult:
@@ -382,7 +380,6 @@ def run_psl(
     last state and the diagnostics of them all.
     """
     n_init = cfg.n_init if cfg.n_init is not None else max(5, problem.dim + 1)
-    N = cfg.batch_size
 
     if resume is None:
         diagnostics: list[dict] = []
@@ -397,13 +394,13 @@ def run_psl(
             dim=problem.dim,
         )
 
-    def step(t, archive, z, evaluate):
+    def step(t, archive, evaluate):
         gps = gp_fit_joint(archive.genes, archive.raw)
         ideal = archive.raw.min(axis=0) - IDEAL_MARGIN
         _, losses = train_pareto_set_model(
             model,
             gps,
-            archive.constraints,
+            problem.constraints,
             cfg.model_steps,
             stream(seed, TAG_PSL_MODEL, t),
             ideal,
@@ -414,7 +411,8 @@ def run_psl(
         cand = generate_candidates(model, cfg.n_candidates, stream(seed, TAG_PSL_PREF, t))
         mean, std, _ = GPStack(gps)(cand)
         lcb = (mean - cfg.lcb_beta * std).T
-        picked = greedy_hvi_select(penalize(lcb, archive.constraints), archive.penalized, N, z)
+        pen = penalize(lcb, problem.constraints)
+        picked = greedy_hvi_select(pen, archive.penalized, cfg.batch_size, problem.ref_point)
         evaluate(cand[picked])
         diag = {
             "generation": t,
@@ -424,13 +422,9 @@ def run_psl(
         }
         diagnostics.append(diag)
         state = {"model": {k: v.tolist() for k, v in model.params.items()}, "diagnostics": [diag]}
-        return _record(archive, t, z), state
+        return _record(archive, t, problem.ref_point), state
 
     X0 = latin_hypercube(n_init, problem.dim, stream(seed, TAG_INIT))
-    archive, records = run_search(problem, seed, cfg.generations, X0, step, constraints, ref_point, on_generation, resume)
-    return RunResult(
-        archive=archive,
-        records=records,
-        population_indices=list(range(max(0, len(archive) - N), len(archive))),
-        diagnostics=diagnostics,
-    )
+    archive, records = run_search(problem, seed, cfg.generations, X0, step, on_generation, resume)
+    last = archive.generation == archive.generation[-1]
+    return RunResult(archive, records, np.flatnonzero(last).tolist(), diagnostics)

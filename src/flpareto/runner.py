@@ -1,8 +1,10 @@
 """Experiment orchestration: manifests, seeded runs, artifacts, resume.
 
 A run manifest (JSON) names the algorithm, the setting (an FL mechanism or
-a benchmark), the constraint mode, seeds and budget.  `run_manifest`
-executes one run per seed and writes byte-reproducible artifacts:
+a benchmark), the constraint mode, seeds and budget.  `_build_problem`
+turns its setting, constraint mode and reference point into the one
+`Problem` a run searches.  `run_manifest` executes one run per seed and
+writes byte-reproducible artifacts:
 
     manifest.json          normalized manifest echo
     trace.csv              seed,generation,hv_feasible,hv_all,feasible_count
@@ -167,7 +169,8 @@ def normalize_manifest(raw: dict) -> dict:
         raise ManifestError(f"manifest must be a JSON object, got {type(raw).__name__}")
     _reject_unknown(raw, MANIFEST_KEYS)
 
-    m = dict(raw)
+    # a null dim or ref_point means the default, as an absent one does
+    m = {k: v for k, v in raw.items() if not (k in ("dim", "ref_point") and v is None)}
     _require(m.get("algorithm") in ALGORITHMS, "algorithm", f"must be one of {ALGORITHMS}")
     setting = m.get("setting")
     valid_settings = tuple(SETTINGS) + tuple(sorted(BENCHMARKS))
@@ -189,11 +192,11 @@ def normalize_manifest(raw: dict) -> dict:
     m["out_dir"] = m.get("out_dir", "runs/out")
     _require(isinstance(m["out_dir"], str) and m["out_dir"], "out_dir", "must be a nonempty string")
 
-    if m.get("dim") is not None:
+    if "dim" in m:
         _require(setting in BENCHMARKS, "dim", "only benchmarks take a dimension")
         m["dim"] = _integer(m, "dim", None, 2)
 
-    if m.get("ref_point") is not None:
+    if "ref_point" in m:
         rp = m["ref_point"]
         _require(isinstance(rp, list), "ref_point", "must be a list of numbers")
         m["ref_point"] = [_number(v, float, "ref_point") for v in rp]
@@ -218,13 +221,18 @@ def normalize_manifest(raw: dict) -> dict:
 
 
 def _build_problem(manifest: dict) -> Problem:
+    """The problem a normalized manifest searches: its setting, with zero
+    penalties in `mofl-baseline` mode and the manifest's reference point
+    if it gives one."""
     if manifest["setting"] in BENCHMARKS:
-        return get_benchmark(manifest["setting"], manifest.get("dim"))
-    return build_fl_problem(manifest["setting"], fl_options(manifest["fl"]))
-
-
-def _constraints_for_mode(problem: Problem, mode: str) -> ConstraintSpec:
-    return problem.constraints.with_zero_penalties() if mode == "mofl-baseline" else problem.constraints
+        problem = get_benchmark(manifest["setting"], manifest.get("dim"))
+    else:
+        problem = build_fl_problem(manifest["setting"], fl_options(manifest["fl"]))
+    if manifest["constraint_mode"] == "mofl-baseline":
+        problem = dataclasses.replace(problem, constraints=problem.constraints.with_zero_penalties())
+    if "ref_point" in manifest:
+        problem = dataclasses.replace(problem, ref_point=np.asarray(manifest["ref_point"], dtype=float))
+    return problem
 
 
 # hashed into core_hash, so a checkpoint in an older layout starts the run afresh
@@ -299,7 +307,6 @@ def _json_line(obj) -> str:
 def _run_one_seed(manifest: dict, seed: int, out: Path) -> RunResult:
     """Run one seed; rebuilds its own Problem, so it can run in a worker process."""
     problem = _build_problem(manifest)
-    constraints = _constraints_for_mode(problem, manifest["constraint_mode"])
     algo = manifest["algorithm"]
     T = manifest["generations"]
     ckpt_dir = out / "checkpoints"
@@ -325,7 +332,7 @@ def _run_one_seed(manifest: dict, seed: int, out: Path) -> RunResult:
                 "generation": done,
                 "archive": _archive_from_dict(
                     {k: [row for g in gens for row in g["archive"][k]] for k in gens[0]["archive"]},
-                    constraints,
+                    problem.constraints,
                 ),
                 "records": [GenerationRecord(**g["record"]) for g in gens],
                 "states": [g["state"] for g in gens],
@@ -349,7 +356,7 @@ def _run_one_seed(manifest: dict, seed: int, out: Path) -> RunResult:
         written = len(archive)
 
     cfg = algorithm_config(manifest)
-    run = dict(constraints=constraints, ref_point=manifest.get("ref_point"), on_generation=checkpoint, resume=resume)
+    run = dict(on_generation=checkpoint, resume=resume)
     if cfg is None:
         return run_random_search(problem, manifest["population"], T, seed, **run)
     return (run_nsga2 if algo == "nsga2" else run_psl)(problem, cfg, seed, **run)

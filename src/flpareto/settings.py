@@ -152,7 +152,6 @@ def build_fl_problem(setting: str, fl_options: FlOptions | dict | None = None) -
     return Problem(
         name=setting,
         dim=space.dim,
-        n_obj=len(objectives),
         evaluate=evaluate,
         constraints=build_constraints(setting),
         ref_point=default_ref_point(setting, fl_options),

@@ -6,6 +6,7 @@ directly with ``python tests/test_acceptance.py``).  Expensive runs are
 shared between criteria through a lazy module-level cache.
 """
 
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -173,8 +174,7 @@ def _constraint_efficacy_runs():
                 cm.append(run_nsga2(prob, cfg, seed=seed))
                 bl.append(
                     run_nsga2(
-                        prob, cfg, seed=seed,
-                        constraints=prob.constraints.with_zero_penalties(),
+                        dataclasses.replace(prob, constraints=prob.constraints.with_zero_penalties()), cfg, seed=seed,
                     )
                 )
             runs[name] = (cm, bl)
@@ -210,15 +210,15 @@ BUDGET_REF = np.array([1.1, 11.0])
 
 def _budget_runs():
     if "crit5" not in _cache:
-        prob = zdt1_problem(10)
+        prob = dataclasses.replace(zdt1_problem(10), ref_point=BUDGET_REF)
         psl_cfg = PslConfig(generations=20, batch_size=5, n_init=5)
         nsga_cfg = NsgaConfig(population_size=5, generations=20)
-        psl = [run_psl(prob, psl_cfg, seed=s, ref_point=BUDGET_REF) for s in range(5)]
+        psl = [run_psl(prob, psl_cfg, seed=s) for s in range(5)]
         rnd = [
-            run_random_search(prob, 5, 20, seed=s, ref_point=BUDGET_REF)
+            run_random_search(prob, 5, 20, seed=s)
             for s in range(5)
         ]
-        nsga = [run_nsga2(prob, nsga_cfg, seed=s, ref_point=BUDGET_REF) for s in range(5)]
+        nsga = [run_nsga2(prob, nsga_cfg, seed=s) for s in range(5)]
         _cache["crit5"] = (psl, rnd, nsga)
     return _cache["crit5"]
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -140,7 +142,6 @@ def _quad_problem():
     return Problem(
         name="quad",
         dim=3,
-        n_obj=2,
         evaluate=lambda X, seeds: np.column_stack(
             [np.sum(np.atleast_2d(X) ** 2, axis=1), np.sum((np.atleast_2d(X) - 1) ** 2, axis=1)]
         ),
@@ -165,8 +166,8 @@ class TestRunNsga2:
     def test_infeasible_everywhere_constraint(self):
         cs = ConstraintSpec(bounds=(-1.0, -1.0), penalties=(20.0, 20.0))
         res = run_nsga2(
-            _quad_problem(), NsgaConfig(population_size=6, generations=2), seed=0,
-            constraints=cs,
+            dataclasses.replace(_quad_problem(), constraints=cs), NsgaConfig(population_size=6, generations=2),
+            seed=0,
         )
         assert not res.archive.feasible.any()
 
@@ -175,20 +176,21 @@ class TestRunNsga2:
     def test_resume_with_infeasible_population_matches_direct_run(self):
         cs = ConstraintSpec(bounds=(-1.0, -1.0), penalties=(20.0, 20.0))
         cfg = NsgaConfig(population_size=6, generations=4)
-        direct = run_nsga2(_quad_problem(), cfg, seed=0, constraints=cs)
+        problem = dataclasses.replace(_quad_problem(), constraints=cs)
+        direct = run_nsga2(problem, cfg, seed=0)
         saved = {}
 
         def keep(t, archive, records, state):
             # appends replace the archive's columns, so these stay generation t's
             saved[t] = (archive.genes, archive.raw, archive.generation, list(records), state)
 
-        run_nsga2(_quad_problem(), cfg, seed=0, constraints=cs, on_generation=keep)
+        run_nsga2(problem, cfg, seed=0, on_generation=keep)
         genes, raw, generation, records, state = saved[2]
         assert set(state) == {"population_indices"}  # resume reads indices only
         archive = Archive(constraints=cs)
         archive.append_batch(genes, raw, generation)
         resume = {"generation": 2, "archive": archive, "records": records, "states": [state]}
-        resumed = run_nsga2(_quad_problem(), cfg, seed=0, constraints=cs, resume=resume)
+        resumed = run_nsga2(problem, cfg, seed=0, resume=resume)
         assert np.array_equal(resumed.archive.raw, direct.archive.raw)
         assert resumed.population_indices == direct.population_indices
 
@@ -235,7 +237,8 @@ class TestRunNsga2:
     @pytest.mark.parametrize("z3", [0.8, 1.5])
     def test_hv_all_is_the_whole_archive_hypervolume(self, z3):
         z = np.array([3.1, 3.1, z3])
-        res = run_nsga2(constrained_toy_problem(3), NsgaConfig(population_size=10, generations=4), seed=0, ref_point=z)
+        problem = dataclasses.replace(constrained_toy_problem(3), ref_point=z)
+        res = run_nsga2(problem, NsgaConfig(population_size=10, generations=4), seed=0)
         for r in res.records:
             assert r.hv_all == hypervolume(res.archive.raw[res.archive.generation <= r.generation], z)
         assert any(r.hv_all > r.hv_feasible for r in res.records) == (z3 > 0.8)
@@ -277,8 +280,7 @@ class TestRunNsga2:
         for seed in range(5):
             cm = run_nsga2(prob, cfg, seed=seed)
             bl = run_nsga2(
-                prob, cfg, seed=seed,
-                constraints=prob.constraints.with_zero_penalties(),
+                dataclasses.replace(prob, constraints=prob.constraints.with_zero_penalties()), cfg, seed=seed,
             )
             finals_cm.append(cm.records[-1].hv_feasible)
             finals_bl.append(bl.records[-1].hv_feasible)
@@ -291,8 +293,7 @@ class TestRunNsga2:
         for seed in range(3):
             cm = run_nsga2(prob, cfg, seed=seed)
             bl = run_nsga2(
-                prob, cfg, seed=seed,
-                constraints=prob.constraints.with_zero_penalties(),
+                dataclasses.replace(prob, constraints=prob.constraints.with_zero_penalties()), cfg, seed=seed,
             )
             cm_feas += int(cm.archive.feasible.sum())
             bl_feas += int(bl.archive.feasible.sum())

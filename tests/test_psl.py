@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -460,6 +461,7 @@ class TestRunPsl:
         res = run_psl(zdt1_problem(4), PslConfig(generations=0, batch_size=3, n_candidates=10), seed=1)
         assert len(res.archive) == max(5, 4 + 1)
         assert res.records == []
+        assert res.population_indices == list(range(5))
 
     def test_archive_append_only_budget(self):
         cfg = PslConfig(generations=3, batch_size=2, n_candidates=20, n_init=4,
@@ -472,7 +474,7 @@ class TestRunPsl:
     def test_hv_trace_monotone(self):
         cfg = PslConfig(generations=4, batch_size=2, n_candidates=30, n_init=5,
                         model_steps=50)
-        res = run_psl(zdt1_problem(3), cfg, seed=3, ref_point=np.array([1.1, 9.0]))
+        res = run_psl(dataclasses.replace(zdt1_problem(3), ref_point=np.array([1.1, 9.0])), cfg, seed=3)
         hv = [r.hv_feasible for r in res.records]
         assert all(b >= a - 1e-12 for a, b in zip(hv, hv[1:]))
 

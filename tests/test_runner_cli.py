@@ -249,6 +249,14 @@ class TestManifestValidation:
         with pytest.raises(ManifestError, match="'ref_point'"):
             normalize_manifest(_zdt_manifest("x", ref_point=ref_point))
 
+    # README's schema writes null for a default dim or ref_point
+    def test_null_dim_and_ref_point_mean_absent(self):
+        absent = _zdt_manifest("x")
+        del absent["dim"]
+        given = normalize_manifest({**absent, "dim": None, "ref_point": None})
+        assert given == normalize_manifest(absent)
+        assert runner._core_hash(given) == runner._core_hash(normalize_manifest(absent))
+
     def test_integral_json_values_keep_their_echo(self):
         m = normalize_manifest(_zdt_manifest(
             "x", algorithm="psl", psl={"model_steps": 20.0, "hidden": [8.0, 4]}, fl={"rounds": 2.0},
@@ -609,6 +617,14 @@ class TestCli:
         assert captured.out == ""
         assert re.search(rf"^error: {re.escape(str(f))}: expected a list of objective vectors", captured.err, re.M)
 
+    # every row needs as many objectives as --ref gives, zero included
+    @pytest.mark.parametrize("rows, m", [([[0.5]], 1), ([[], []], 0)])
+    def test_hv_refuses_objective_count_mismatch(self, tmp_path, capsys, rows, m):
+        f = tmp_path / "front.json"
+        f.write_text(json.dumps(rows))
+        assert main(["hv", "--file", str(f), "--ref", "1", "1"]) == 2
+        assert f"error: front has {m} objectives but --ref gives 2" in capsys.readouterr().err
+
     def test_hv_archive_with_empty_raw_is_an_empty_front(self, tmp_path, capsys):
         f = tmp_path / "archive.json"
         f.write_text(json.dumps({"raw": [], "feasible": []}))
@@ -742,22 +758,11 @@ class TestCli:
         echo = json.loads((out / "manifest.json").read_text())
         assert (echo["generations"], echo["population"]) == (20, 20)
 
-    def test_env_workers_not_an_integer_named(self, tmp_path, monkeypatch, capsys):
-        cfg = tmp_path / "m.json"
-        cfg.write_text(json.dumps(_zdt_manifest(tmp_path / "out")))
-        monkeypatch.setenv("FLPARETO_WORKERS", "abc")
-        assert main(["optimize", "--config", str(cfg)]) == 2
-        assert "error: FLPARETO_WORKERS" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("workers", [None, "2"], ids=["no-env", "env-workers"])
     @pytest.mark.parametrize("body", ["[1]", '"x"'])
     @pytest.mark.parametrize("command", [["optimize"], ["evaluate", "--setting", "rd"]])
-    def test_non_object_manifest_named(self, tmp_path, monkeypatch, capsys, command, body, workers):
+    def test_non_object_manifest_named(self, tmp_path, capsys, command, body):
         cfg = tmp_path / "m.json"
         cfg.write_text(body)
-        if workers is not None:
-            monkeypatch.setenv("FLPARETO_WORKERS", workers)
         assert main([*command, "--config", str(cfg)]) == 2
         assert f"error: manifest {cfg}: must be a JSON object" in capsys.readouterr().err
 
@@ -774,14 +779,6 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", "--setting", "rd", *flag, "--param", "lr=0.1"])
         assert exc.value.code == 2
-
-    def test_env_override_out_dir(self, tmp_path, monkeypatch, capsys):
-        cfg = tmp_path / "m.json"
-        cfg.write_text(json.dumps(_zdt_manifest(tmp_path / "ignored")))
-        target = tmp_path / "env_out"
-        monkeypatch.setenv("FLPARETO_OUT", str(target))
-        assert main(["optimize", "--config", str(cfg)]) == 0
-        assert (target / "trace.csv").exists()
 
 
 class TestSpaces:

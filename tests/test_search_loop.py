@@ -1,5 +1,7 @@
 """The generation loop all three engines share (nsga2.run_search)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -87,3 +89,39 @@ def test_runner_dispatches_through_its_own_names(monkeypatch, tmp_path, algorith
     })
     runner._run_one_seed(manifest, 0, tmp_path)
     assert calls == ([] if algorithm == "random" else [f"run_{algorithm}"])
+
+
+LIBRARY = {
+    "nsga2": lambda problem: run_nsga2(problem, NsgaConfig(population_size=4, generations=T), 1),
+    "psl": lambda problem: run_psl(
+        problem, PslConfig(generations=T, batch_size=4, n_candidates=10, n_init=4, model_steps=10), 1
+    ),
+    "random": lambda problem: run_random_search(problem, 4, T, 1),
+}
+
+
+# runner._build_problem is the one place a run's problem is built: a baseline
+# manifest with its own reference point searches what the library call on the
+# replaced problem searches
+@pytest.mark.parametrize("algorithm", sorted(LIBRARY))
+def test_runner_builds_the_runs_problem(tmp_path, algorithm):
+    z = [2.0, 2.0, 0.9]
+    manifest = runner.normalize_manifest({
+        "algorithm": algorithm,
+        "setting": "constrained_toy",
+        "constraint_mode": "mofl-baseline",
+        "ref_point": z,
+        "seeds": [1],
+        "generations": T,
+        "population": 4,
+        "psl": {"candidates": 10, "model_steps": 10, "n_init": 4},
+        "out_dir": str(tmp_path),
+    })
+    got = runner._run_one_seed(manifest, 1, tmp_path)
+    toy = constrained_toy_problem()
+    want = LIBRARY[algorithm](
+        dataclasses.replace(toy, constraints=toy.constraints.with_zero_penalties(), ref_point=np.array(z))
+    )
+    for column in ("genes", "raw", "penalized"):
+        assert getattr(got.archive, column).tobytes() == getattr(want.archive, column).tobytes()
+    assert got.records == want.records

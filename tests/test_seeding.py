@@ -36,7 +36,7 @@ def test_evaluate_generation_hands_each_row_its_seed(seed, t, n):
         return np.zeros((X.shape[0], 2))
 
     cs = ConstraintSpec.unconstrained(2)
-    problem = Problem("recorder", dim=3, n_obj=2, evaluate=evaluate, constraints=cs, ref_point=np.ones(2))
+    problem = Problem("recorder", dim=3, evaluate=evaluate, constraints=cs, ref_point=np.ones(2))
     _evaluate_generation(problem, Archive(constraints=cs), np.zeros((n, 3)), seed, t)
     want = np.array([oracle_spawn_seed(seed, TAG_EVAL, t, i) for i in range(n)])
     assert received == [int(s) for s in want]
